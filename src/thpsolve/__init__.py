@@ -2,8 +2,7 @@
 heat-polynomial basis."""
 
 from .assemble import (CollocationGrid, FitResult, InnerSolver, LinearSystem,
-                       ProblemSpec, assemble_system, row_B, row_C, rows_D_E,
-                       solve_linear, value_function)
+                       ProblemSpec, row_B, row_C, solve_linear)
 from .boundary import BoundaryModel
 from .errors import (ConfigurationError, ConvergenceError, DegenerateSystemError,
                      DomainError, ExpressionEvalError, ExpressionSyntaxError,
@@ -16,7 +15,6 @@ from .optimize import OptimizerSettings, minimize_boundary
 from .particular import ParticularSolution, solve_particular
 from .pipeline import Workspace, prepare, refit, solve_free_boundary
 from .special import ExactBenchmark, ei, ei_inv, exact_benchmark
-from .thp import (heat_coeff, heat_poly, pde_residual, solution_eval,
-                  solution_x_deriv, thp_eval, thp_x_deriv)
+from .thp import basis, heat_coeff, heat_poly, pde_residual, solution_eval
 
 __version__ = "0.1.0"

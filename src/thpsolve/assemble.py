@@ -16,10 +16,10 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .boundary import BoundaryModel
-from .errors import ConfigurationError, DegenerateSystemError, DomainError
+from .errors import ConfigurationError, DegenerateSystemError
 from .expr import Expression
 from .formal_powers import FormalPowerTable
-from .thp import heat_coeff
+from .thp import basis, heat_coeff
 
 __all__ = [
     "ProblemSpec",
@@ -28,10 +28,7 @@ __all__ = [
     "FitResult",
     "row_B",
     "row_C",
-    "rows_D_E",
-    "assemble_system",
     "solve_linear",
-    "value_function",
     "InnerSolver",
 ]
 
@@ -164,7 +161,8 @@ def row_B(n: int, x, table: FormalPowerTable, spec: ProblemSpec):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     v11 = np.asarray([g11(p) for p in xs], dtype=complex)
     v12 = np.asarray([g12(p) for p in xs], dtype=complex)
-    out = v11 * table.phi_eval(n, xs) + v12 * table.phi_prime_eval(n, xs)
+    h = basis(table, xs, 0.0)[:, :, n]
+    out = v11 * h[:, 0] + v12 * h[:, 1]
     return out if np.ndim(x) else complex(out[0])
 
 
@@ -184,28 +182,6 @@ def row_C(n: int, t, table: FormalPowerTable, spec: ProblemSpec):
         k = n // 2
         out = (v21 + v22 * table.f.f_prime_at_0) * heat_coeff(n, k) * ts ** k
     return out if np.ndim(t) else complex(out[0])
-
-
-def rows_D_E(n: int, t, s_val, table: FormalPowerTable):
-    """Moving-boundary column entries: H_n and its x-derivative evaluated
-    at x = s(t)."""
-    s_arr = np.atleast_1d(np.asarray(s_val, dtype=float))
-    if np.any(s_arr <= 0) or np.any(s_arr > table.mesh.x_end * (1 + 1e-12)):
-        raise DomainError(
-            f"boundary value outside (0, {table.mesh.x_end}]"
-        )
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    d = np.zeros(ts.shape, dtype=complex)
-    e = np.zeros(ts.shape, dtype=complex)
-    tk = np.ones(ts.shape)
-    for k in range(n // 2 + 1):
-        c = heat_coeff(n, k)
-        d += c * table.phi_eval(n - 2 * k, s_arr) * tk
-        e += c * table.phi_prime_eval(n - 2 * k, s_arr) * tk
-        tk = tk * ts
-    if np.ndim(t):
-        return d, e
-    return complex(d[0]), complex(e[0])
 
 
 class InnerSolver:
@@ -241,26 +217,6 @@ class InnerSolver:
         self._g3 = _tabulate(spec.g3, grid.t, "g3")
         self._g4 = (None if spec.flux_data is None
                     else _tabulate(spec.flux_data, grid.t, "flux data"))
-        # phi_m(s(t)) is the only boundary-dependent quantity; cache the
-        # combinatorial structure for the D/E assembly
-        self._coeff = [[heat_coeff(n, k) for k in range(n // 2 + 1)]
-                       for n in range(ncols)]
-
-    def _de_blocks(self, s_vals: np.ndarray):
-        table = self.table
-        ncols = table.degree + 1
-        phi_s = np.stack([table.phi_eval(m, s_vals) for m in range(ncols)])
-        phi_p_s = np.stack([table.phi_prime_eval(m, s_vals) for m in range(ncols)])
-        t = self.grid.t
-        d = np.zeros((len(t), ncols), dtype=complex)
-        e = np.zeros((len(t), ncols), dtype=complex)
-        for n in range(ncols):
-            tk = np.ones(len(t))
-            for k, c in enumerate(self._coeff[n]):
-                d[:, n] += c * phi_s[n - 2 * k] * tk
-                e[:, n] += c * phi_p_s[n - 2 * k] * tk
-                tk = tk * t
-        return d, e
 
     def system_for(self, model: BoundaryModel, clamp: bool = False) -> LinearSystem:
         s_vals = np.atleast_1d(model.s_eval(self.grid.t))
@@ -270,7 +226,7 @@ class InnerSolver:
             raise ConfigurationError(
                 "boundary candidate violates 0 < s(t) <= L on the grid"
             )
-        d_block, e_block = self._de_blocks(s_vals)
+        h = basis(self.table, s_vals, self.grid.t)
         flux_rhs = (-model.s_dot_eval(self.grid.t) if self._g4 is None
                     else self._g4)
         mats, rhss, blocks = [], [], {}
@@ -288,8 +244,8 @@ class InnerSolver:
 
         push("initial", self._b_block, self._g1)
         push("lateral", self._c_block, self._g2)
-        push("dirichlet", d_block, self._g3)
-        push("flux", e_block, flux_rhs)
+        push("dirichlet", h[:, 0], self._g3)
+        push("flux", h[:, 1], flux_rhs)
         return LinearSystem(np.vstack(mats), np.concatenate(rhss), blocks)
 
     def fit(self, model: BoundaryModel, a=None, clamp: bool = False) -> FitResult:
@@ -309,12 +265,6 @@ class InnerSolver:
                          residual_maxima=tuple(maxima))
 
 
-def assemble_system(spec: ProblemSpec, grid: CollocationGrid,
-                    table: FormalPowerTable, model: BoundaryModel) -> LinearSystem:
-    """Stack the collocation blocks for one boundary candidate."""
-    return InnerSolver(spec, grid, table).system_for(model)
-
-
 def solve_linear(system: LinearSystem, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Minimum-norm least-squares solution via SVD; singular values below
     rank_tol * sigma_max are treated as zero."""
@@ -323,10 +273,3 @@ def solve_linear(system: LinearSystem, rank_tol: float = DEFAULT_RANK_TOL) -> np
     a, *_ = np.linalg.lstsq(system.matrix, system.rhs, rcond=rank_tol)
     return a
 
-
-def value_function(spec: ProblemSpec, grid: CollocationGrid,
-                   table: FormalPowerTable, model: BoundaryModel,
-                   a=None) -> FitResult:
-    """Residual summary for one boundary candidate; when ``a`` is omitted
-    the inner least-squares problem is solved first."""
-    return InnerSolver(spec, grid, table).fit(model, a=a)

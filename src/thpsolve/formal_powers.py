@@ -9,11 +9,12 @@ from the same recursion, so no numerical differentiation is involved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-from .numerics import Interpolant, SampledFunction, cumulative_integral, make_interpolant
+from .errors import ConfigurationError
+from .numerics import Interpolant, SampledFunction, cumulative_integral
 from .particular import ParticularSolution, ZERO_THRESHOLD
 
 __all__ = ["FormalPowerTable", "build_formal_powers"]
@@ -21,29 +22,22 @@ __all__ = ["FormalPowerTable", "build_formal_powers"]
 
 @dataclass(frozen=True)
 class FormalPowerTable:
-    """Interpolants of phi_0..phi_N and their derivatives."""
+    """Node values of phi_0..phi_N and their derivatives, stacked as
+    ``values[i, 0, n] = phi_n(x_i)`` and ``values[i, 1, n] = phi_n'(x_i)``."""
 
     degree: int
-    phi: tuple[Interpolant, ...] = field(repr=False)
-    phi_prime: tuple[Interpolant, ...] = field(repr=False)
-    phi_values: np.ndarray = field(repr=False)    # (N+1, n_points) node values
+    values: np.ndarray = field(repr=False)    # (n_points, 2, N+1)
     f: ParticularSolution = field(repr=False)
 
     @property
     def mesh(self):
         return self.f.mesh
 
-    def _check_n(self, n: int):
-        if not 0 <= n <= self.degree:
-            raise DomainError(f"formal power index {n} outside 0..{self.degree}")
-
-    def phi_eval(self, n: int, x):
-        self._check_n(n)
-        return self.phi[n](x)
-
-    def phi_prime_eval(self, n: int, x):
-        self._check_n(n)
-        return self.phi_prime[n](x)
+    @cached_property
+    def spline(self) -> Interpolant:
+        """One cubic spline through the whole stack, built on first use:
+        callers that only read node values never pay for it."""
+        return Interpolant(self.mesh, self.values)
 
 
 def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
@@ -67,18 +61,11 @@ def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
         wt = f2 if n % 2 else inv_f2
         big_xt.append(n * cumulative_integral(SampledFunction(mesh, big_xt[-1] * wt)).values)
 
-    phi_vals = np.empty((degree + 1, mesh.n_points), dtype=complex)
-    phi_prime_vals = np.empty_like(phi_vals)
-    phi_vals[0] = fv
-    phi_prime_vals[0] = fpv
+    values = np.empty((mesh.n_points, 2, degree + 1), dtype=complex)
+    values[:, 0, 0] = fv
+    values[:, 1, 0] = fpv
     for n in range(1, degree + 1):
         chain = big_x if n % 2 else big_xt
-        phi_vals[n] = fv * chain[n]
-        phi_prime_vals[n] = fpv * chain[n] + n * chain[n - 1] / fv
-
-    phi = tuple(make_interpolant(SampledFunction(mesh, phi_vals[n]))
-                for n in range(degree + 1))
-    phi_prime = tuple(make_interpolant(SampledFunction(mesh, phi_prime_vals[n]))
-                      for n in range(degree + 1))
-    return FormalPowerTable(degree=degree, phi=phi, phi_prime=phi_prime,
-                            phi_values=phi_vals, f=f)
+        values[:, 0, n] = fv * chain[n]
+        values[:, 1, n] = fpv * chain[n] + n * chain[n - 1] / fv
+    return FormalPowerTable(degree=degree, values=values, f=f)

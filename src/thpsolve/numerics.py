@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import ConfigurationError, DomainError
 
@@ -116,15 +116,25 @@ class SampledFunction:
 
 class Interpolant:
     """Cubic not-a-knot spline over a mesh; supports values and first
-    derivatives at arbitrary points of the mesh interval."""
+    derivatives at arbitrary points of the mesh interval.  ``values`` has
+    the mesh along its first axis and any shape after it, which evaluation
+    results carry as their trailing shape."""
 
     # slack for floating-point noise at the interval ends
     _EDGE_TOL = 1e-12
 
     def __init__(self, mesh: UniformMesh, values: np.ndarray):
         self.mesh = mesh
-        self._spline = CubicSpline(mesh.nodes, np.asarray(values, dtype=complex),
-                                   bc_type="not-a-knot")
+        values = np.asarray(values, dtype=complex)
+        # fit one column at a time: CubicSpline's temporaries for a whole
+        # stack of columns cost about twice the coefficients themselves
+        columns = values.reshape(mesh.n_points, -1)
+        coeffs = np.empty((4, mesh.n_points - 1, columns.shape[1]), dtype=complex)
+        for j in range(columns.shape[1]):
+            coeffs[:, :, j] = CubicSpline(mesh.nodes, columns[:, j],
+                                          bc_type="not-a-knot").c
+        self._spline = PPoly.construct_fast(
+            coeffs.reshape(coeffs.shape[:2] + values.shape[1:]), mesh.nodes)
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)

@@ -16,7 +16,7 @@ from scipy.optimize import minimize
 
 from .assemble import CollocationGrid, FitResult, InnerSolver, ProblemSpec
 from .boundary import BoundaryModel
-from .errors import ConfigurationError, OptimizationError
+from .errors import ConfigurationError, OptimizationError, SolverError
 from .formal_powers import FormalPowerTable
 
 __all__ = ["OptimizerSettings", "minimize_boundary"]
@@ -78,19 +78,21 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
     """
     solver = InnerSolver(spec, grid, table)
     mu = settings.penalty_weight
-    failures = []
+    last_error = None
 
     def objective_for(stage: int):
         count = [0]
 
         def objective(b):
+            nonlocal last_error
             count[0] += 1
             model = BoundaryModel(spec.l, b)
             violation = model.constraint_violation(grid.t, spec.L)
             try:
                 fit = solver.fit(model, clamp=True)
-            except Exception as exc:  # noqa: BLE001 - vertex rejected, not fatal
-                failures.append(exc)
+            except (SolverError, np.linalg.LinAlgError) as exc:
+                # a numeric failure rejects this vertex; anything else is a bug
+                last_error = exc
                 return np.inf
             value = fit.F + mu * violation
             if not np.isfinite(value):
@@ -127,7 +129,7 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
     if not np.isfinite(best_value):
         raise OptimizationError(
             f"inner solve failed at every trial point "
-            f"(last error: {failures[-1] if failures else 'none'})"
+            f"(last error: {last_error or 'none'})"
         )
     final = np.zeros(settings.K)
     final[:len(best_b)] = best_b

@@ -8,14 +8,14 @@ u_xx - q(x) u = u_t with the same t-structure.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .formal_powers import FormalPowerTable
 
-__all__ = ["heat_coeff", "heat_poly", "thp_eval", "thp_x_deriv",
-           "solution_eval", "solution_x_deriv", "pde_residual"]
+__all__ = ["heat_coeff", "heat_poly", "basis", "solution_eval", "pde_residual"]
 
 MAX_DEGREE = 20  # c_k^n fits comfortably in an int64 up to here
 
@@ -39,61 +39,59 @@ def heat_poly(n: int, x: float, t: float) -> float:
     return total
 
 
-def thp_eval(table: FormalPowerTable, n: int, x, t):
-    """H_n(x, t) = sum_k c_k^n phi_(n-2k)(x) t^k."""
-    total = 0.0 + 0.0j
-    tk = 1.0
-    for k in range(n // 2 + 1):
-        total = total + heat_coeff(n, k) * table.phi_eval(n - 2 * k, x) * tk
+@lru_cache(maxsize=None)
+def _heat_coeff_matrix(degree: int) -> np.ndarray:
+    """C[k, n] = c_k^n for n <= degree, zero where 2k > n (read-only)."""
+    c = np.zeros((degree // 2 + 1, degree + 1))
+    for n in range(degree + 1):
+        for k in range(n // 2 + 1):
+            c[k, n] = heat_coeff(n, k)
+    c.setflags(write=False)
+    return c
+
+
+def basis(table: FormalPowerTable, x, t) -> np.ndarray:
+    """All basis functions at the points (x, t), broadcast against each
+    other: H_n in ``[:, 0, n]`` and the x-derivative of H_n in ``[:, 1, n]``,
+    from H_n(x, t) = sum_k c_k^n phi_(n-2k)(x) t^k.  Raises DomainError for
+    x outside the mesh."""
+    x, t = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
+                               np.atleast_1d(np.asarray(t, dtype=float)))
+    phi = table.spline(x)                      # (P, 2, N+1)
+    coeff = _heat_coeff_matrix(table.degree)
+    out = np.zeros(phi.shape, dtype=complex)
+    tk = np.ones(x.shape)
+    for k in range(coeff.shape[0]):
+        m = 2 * k
+        out[:, :, m:] += coeff[k, m:] * phi[:, :, :phi.shape[2] - m] * tk[:, None, None]
         tk = tk * t
-    return total
+    return out
 
 
-def thp_x_deriv(table: FormalPowerTable, n: int, x, t):
-    """x-derivative of H_n, using the closed-form phi' interpolants."""
-    total = 0.0 + 0.0j
-    tk = 1.0
-    for k in range(n // 2 + 1):
-        total = total + heat_coeff(n, k) * table.phi_prime_eval(n - 2 * k, x) * tk
-        tk = tk * t
-    return total
-
-
-def solution_eval(table: FormalPowerTable, coeffs, x, t):
-    """u_N(x, t) = sum_n a_n H_n(x, t) for a coefficient vector a."""
-    total = 0.0 + 0.0j
-    for n, a in enumerate(coeffs):
-        if a != 0:
-            total = total + a * thp_eval(table, n, x, t)
-    return total
-
-
-def solution_x_deriv(table: FormalPowerTable, coeffs, x, t):
-    total = 0.0 + 0.0j
-    for n, a in enumerate(coeffs):
-        if a != 0:
-            total = total + a * thp_x_deriv(table, n, x, t)
-    return total
+def solution_eval(table: FormalPowerTable, coeffs, x, t) -> np.ndarray:
+    """u_N(x, t) = sum_n a_n H_n(x, t) for a coefficient vector a_0..a_M,
+    M <= N, at the points (x, t) broadcast against each other."""
+    a = np.asarray(coeffs, dtype=complex)
+    return basis(table, x, t)[:, 0, :len(a)] @ a
 
 
 def pde_residual(table: FormalPowerTable, coeffs, sample_points,
                  fd_step: float = 1e-4) -> float:
-    """Max of |u_xx - q u - u_t| over interior sample points.
+    """Max of |u_xx - q u - u_t| over interior sample points (x, t).
 
     Derivatives are central finite differences of step ``fd_step``; the
     second x-derivative differences the closed-form u_x (a second
     difference of the value splines alone would be dominated by their
     curvature error for the higher-degree basis functions)."""
+    x, t = np.asarray(sample_points, dtype=float).reshape(-1, 2).T
+    a = np.asarray(coeffs, dtype=complex)
     q = table.f.q_interpolant()
     # in t the basis is an exact polynomial, so a finer step costs nothing
     # in rounding noise and cuts the truncation error of the t-difference
     t_step = fd_step / 10.0
-    worst = 0.0
-    for x, t in sample_points:
-        u = solution_eval(table, coeffs, x, t)
-        u_xx = (solution_x_deriv(table, coeffs, x + fd_step, t)
-                - solution_x_deriv(table, coeffs, x - fd_step, t)) / (2 * fd_step)
-        u_t = (solution_eval(table, coeffs, x, t + t_step)
-               - solution_eval(table, coeffs, x, t - t_step)) / (2 * t_step)
-        worst = max(worst, abs(u_xx - q(x) * u - u_t))
-    return worst
+    u = solution_eval(table, a, x, t)
+    u_xx = (basis(table, x + fd_step, t)[:, 1, :len(a)] @ a
+            - basis(table, x - fd_step, t)[:, 1, :len(a)] @ a) / (2 * fd_step)
+    u_t = (solution_eval(table, a, x, t + t_step)
+           - solution_eval(table, a, x, t - t_step)) / (2 * t_step)
+    return float(np.max(np.abs(u_xx - q(x) * u - u_t), initial=0.0))

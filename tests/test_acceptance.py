@@ -20,12 +20,11 @@ def report(name, ok, detail=""):
 def test_criterion_1_classical_reduction(table_q0):
     t0 = time.time()
     grid = np.linspace(0.0, 1.0, 20)
-    worst = 0.0
-    for n in range(13):
-        for x in grid:
-            hp = np.array([T.heat_poly(n, x, t) for t in grid])
-            thp = np.array([T.thp_eval(table_q0, n, x, t) for t in grid])
-            worst = max(worst, np.max(np.abs(thp - hp) / (1.0 + np.abs(hp))))
+    x, t = (v.ravel() for v in np.meshgrid(grid, grid, indexing="ij"))
+    thp = T.basis(table_q0, x, t)[:, 0]
+    hp = np.array([[T.heat_poly(n, xi, ti) for n in range(13)]
+                   for xi, ti in zip(x, t)])
+    worst = np.max(np.abs(thp - hp) / (1.0 + np.abs(hp)))
     elapsed = time.time() - t0
     report("criterion 1: classical reduction",
            worst <= 1e-8 and elapsed < 5.0,
@@ -35,8 +34,9 @@ def test_criterion_1_classical_reduction(table_q0):
 def test_criterion_2_formal_power_oracles(table_q1):
     t0 = time.time()
     xs = np.linspace(0.0, 1.0, 500)
-    err_phi1 = np.max(np.abs(table_q1.phi_eval(1, xs) - np.sinh(xs)))
-    err_phi0 = np.max(np.abs(table_q1.phi_eval(0, xs) - np.cosh(xs)))
+    phi = table_q1.spline(xs)[:, 0]
+    err_phi1 = np.max(np.abs(phi[:, 1] - np.sinh(xs)))
+    err_phi0 = np.max(np.abs(phi[:, 0] - np.cosh(xs)))
 
     from test_particular import rk4_second_order
     mesh = T.UniformMesh(0.0, 1.5, 2001)
@@ -53,7 +53,7 @@ def test_criterion_2_formal_power_oracles(table_q1):
 
 def test_criterion_3_inner_problem_exactness(manufactured):
     work, model = manufactured
-    fit = T.value_function(work.spec, work.grid, work.table, model)
+    fit = T.InnerSolver(work.spec, work.grid, work.table).fit(model)
     expected = np.zeros(7)
     expected[0] = expected[2] = 1.0
     coeff_err = np.max(np.abs(fit.a - expected))
@@ -95,12 +95,12 @@ def test_criterion_5_boundary_accuracy(benchmark_solution):
 
 def test_criterion_6_solution_accuracy(benchmark_solution):
     bench, work, fit, _ = benchmark_solution
-    err = 0.0
-    for t in np.linspace(0.0, 1.0, 50):
-        s_t = float(fit.boundary.s_eval(t))
-        for x in np.linspace(0.0, s_t, 50):
-            u = T.solution_eval(work.table, fit.a, x, t)
-            err = max(err, abs(u.real - bench.exact_u(x, t)))
+    ts = np.linspace(0.0, 1.0, 50)
+    x = np.concatenate([np.linspace(0.0, float(fit.boundary.s_eval(t)), 50)
+                        for t in ts])
+    t = np.repeat(ts, 50)
+    u = T.solution_eval(work.table, fit.a, x, t)
+    err = max(abs(ui.real - bench.exact_u(xi, ti)) for xi, ti, ui in zip(x, t, u))
     report("criterion 6: solution accuracy", err <= 1e-2,
            f"max |u_N - u_exact| = {err:.3e}")
 
@@ -165,7 +165,7 @@ def test_criterion_9_property_suite(benchmark_solution, table_q1):
         coeffs = np.zeros(13)
         coeffs[n] = 1.0
         resid = T.pde_residual(table_q1, coeffs, pts)
-        bound = 1e-3 * (1.0 + np.max(np.abs(table_q1.phi_values[n])))
+        bound = 1e-3 * (1.0 + np.max(np.abs(table_q1.values[:, 0, n])))
         worst = max(worst, resid / bound)
         basis_ok = basis_ok and resid <= bound
     report("criterion 9e: basis functions solve the equation", basis_ok,

@@ -3,9 +3,8 @@ import pytest
 
 import thpsolve as T
 from thpsolve import (BoundaryModel, CollocationGrid, ConfigurationError,
-                      DegenerateSystemError, LinearSystem, ProblemSpec,
-                      assemble_system, row_B, row_C, rows_D_E, solve_linear,
-                      value_function)
+                      DegenerateSystemError, InnerSolver, LinearSystem,
+                      ProblemSpec, basis, row_B, row_C, solve_linear)
 
 
 def make_spec(**overrides):
@@ -33,7 +32,7 @@ def test_row_B_identity_operator(table_q1):
     spec = make_spec(q=lambda x: 1.0)
     for n in (0, 1, 4):
         assert abs(row_B(n, 0.4, table_q1, spec)
-                   - table_q1.phi_eval(n, 0.4)) < 1e-14
+                   - table_q1.spline(0.4)[0, n]) < 1e-14
 
 
 def test_row_B_derivative_operator(table_q0):
@@ -46,8 +45,8 @@ def test_row_B_derivative_operator(table_q0):
 def test_row_B_zeroth_column(table_q1):
     spec = make_spec(gamma11=lambda x: 2.0, gamma12=lambda x: 3.0)
     x = 0.6
-    expected = (2.0 * table_q1.phi_eval(0, x)
-                + 3.0 * table_q1.phi_prime_eval(0, x))
+    phi, phi_prime = table_q1.spline(x)
+    expected = 2.0 * phi[0] + 3.0 * phi_prime[0]
     assert abs(row_B(0, x, table_q1, spec) - expected) < 1e-12
 
 
@@ -68,20 +67,21 @@ def test_row_C_even_with_trace_operator(table_q1):
 
 
 def test_rows_D_E_basics(table_q1):
-    d0, _ = rows_D_E(0, 0.8, 0.9, table_q1)
-    assert abs(d0 - table_q1.phi_eval(0, 0.9)) < 1e-14
-    d2, e2 = rows_D_E(2, 0.8, 0.9, table_q1)
-    expected = table_q1.phi_eval(2, 0.9) + 2 * 0.8 * table_q1.phi_eval(0, 0.9)
-    assert abs(d2 - expected) < 1e-12
-    expected_e = (table_q1.phi_prime_eval(2, 0.9)
-                  + 2 * 0.8 * table_q1.phi_prime_eval(0, 0.9))
-    assert abs(e2 - expected_e) < 1e-12
+    # D/E rows at x = s(t): H_n and its x-derivative
+    (d, e), = basis(table_q1, 0.9, 0.8)
+    phi, phi_prime = table_q1.spline(0.9)
+    assert abs(d[0] - phi[0]) < 1e-14
+    expected = phi[2] + 2 * 0.8 * phi[0]
+    assert abs(d[2] - expected) < 1e-12
+    expected_e = phi_prime[2] + 2 * 0.8 * phi_prime[0]
+    assert abs(e[2] - expected_e) < 1e-12
 
 
 def test_rows_D_E_reduce_classically(table_q0):
     s_val, t = 0.7, 0.4
+    (d_row, e_row), = basis(table_q0, s_val, t)
     for n in (2, 3, 5):
-        d, e = rows_D_E(n, t, s_val, table_q0)
+        d, e = d_row[n], e_row[n]
         assert abs(d - T.heat_poly(n, s_val, t)) < 1e-8
         h = 1e-6
         fd = (T.heat_poly(n, s_val + h, t) - T.heat_poly(n, s_val - h, t)) / (2 * h)
@@ -91,14 +91,14 @@ def test_rows_D_E_reduce_classically(table_q0):
 def test_rows_D_E_domain_check(table_q0):
     from thpsolve import DomainError
     with pytest.raises(DomainError):
-        rows_D_E(2, 0.5, -0.1, table_q0)
+        basis(table_q0, -0.1, 0.5)
     with pytest.raises(DomainError):
-        rows_D_E(2, 0.5, 1.4, table_q0)  # mesh ends at 1
+        basis(table_q0, 1.4, 0.5)  # mesh ends at 1
 
 
 def test_system_shape(manufactured):
     work, model = manufactured
-    system = assemble_system(work.spec, work.grid, work.table, model)
+    system = InnerSolver(work.spec, work.grid, work.table).system_for(model)
     assert system.matrix.shape == (101 + 3 * 101, 7)
     assert system.rhs.shape == (404,)
 
@@ -106,7 +106,7 @@ def test_system_shape(manufactured):
 def test_system_shape_without_initial_block(manufactured):
     work, model = manufactured
     spec = make_spec(g1=None)
-    system = assemble_system(spec, work.grid, work.table, model)
+    system = InnerSolver(spec, work.grid, work.table).system_for(model)
     assert system.matrix.shape == (3 * 101, 7)
 
 
@@ -114,12 +114,12 @@ def test_inadmissible_boundary_rejected(manufactured):
     work, _ = manufactured
     bad = BoundaryModel(1.0, [5.0, 0.0])  # exceeds L = 2 for large t
     with pytest.raises(ConfigurationError):
-        assemble_system(work.spec, work.grid, work.table, bad)
+        InnerSolver(work.spec, work.grid, work.table).system_for(bad)
 
 
 def test_manufactured_recovery(manufactured):
     work, model = manufactured
-    fit = value_function(work.spec, work.grid, work.table, model)
+    fit = InnerSolver(work.spec, work.grid, work.table).fit(model)
     expected = np.zeros(7)
     expected[0] = expected[2] = 1.0
     assert np.max(np.abs(fit.a.real - expected)) < 1e-8
@@ -155,9 +155,9 @@ def test_solve_linear_degenerate():
 
 def test_value_function_zero_coefficients(manufactured):
     work, model = manufactured
-    system = assemble_system(work.spec, work.grid, work.table, model)
-    fit = value_function(work.spec, work.grid, work.table, model,
-                         a=np.zeros(7))
+    solver = InnerSolver(work.spec, work.grid, work.table)
+    system = solver.system_for(model)
+    fit = solver.fit(model, a=np.zeros(7))
     blocks = [system.rhs[system.blocks[name]]
               for name in ("initial", "lateral", "dirichlet", "flux")]
     expected = sum(float(np.linalg.norm(b)) ** 2 for b in blocks)
@@ -166,8 +166,8 @@ def test_value_function_zero_coefficients(manufactured):
 
 def test_block_consistency(manufactured):
     work, model = manufactured
-    fit = value_function(work.spec, work.grid, work.table, model,
-                         a=np.full(7, 0.3))
+    fit = InnerSolver(work.spec, work.grid, work.table).fit(model,
+                                                            a=np.full(7, 0.3))
     assert fit.F == pytest.approx(sum(v * v for v in fit.residual_norms),
                                   rel=1e-12)
 
@@ -175,18 +175,18 @@ def test_block_consistency(manufactured):
 def test_separability(manufactured):
     rng = np.random.default_rng(17)
     work, model = manufactured
-    best = value_function(work.spec, work.grid, work.table, model)
+    solver = InnerSolver(work.spec, work.grid, work.table)
+    best = solver.fit(model)
     for _ in range(100):
         perturbed = best.a + 1e-3 * (rng.normal(size=7)
                                      + 1j * rng.normal(size=7))
-        other = value_function(work.spec, work.grid, work.table, model,
-                               a=perturbed)
+        other = solver.fit(model, a=perturbed)
         assert other.F >= best.F - 1e-15
 
 
 def test_normal_equation_equivalence(manufactured):
     work, model = manufactured
-    system = assemble_system(work.spec, work.grid, work.table, model)
+    system = InnerSolver(work.spec, work.grid, work.table).system_for(model)
     a = solve_linear(system)
     mat = system.matrix
     lhs = mat.conj().T @ (mat @ a)

@@ -1,54 +1,60 @@
 import numpy as np
 import pytest
 
-from thpsolve import DomainError, build_formal_powers
+from thpsolve import DomainError, basis, build_formal_powers
 
 
 def test_monomials_for_zero_potential(table_q0):
     nodes = table_q0.mesh.nodes
     for n in range(13):
-        assert np.max(np.abs(table_q0.phi_values[n] - nodes ** n)) < 1e-10
+        assert np.max(np.abs(table_q0.values[:, 0, n] - nodes ** n)) < 1e-10
 
 
 def test_phi0_is_f(table_q1):
-    assert np.array_equal(table_q1.phi_values[0], table_q1.f.f.values)
+    assert np.array_equal(table_q1.values[:, 0, 0], table_q1.f.f.values)
 
 
 def test_phi1_is_sinh_for_unit_potential(table_q1):
     xs = np.linspace(0.0, 1.0, 200)
-    assert np.max(np.abs(table_q1.phi_eval(1, xs) - np.sinh(xs))) < 1e-8
+    assert np.max(np.abs(table_q1.spline(xs)[:, 0, 1] - np.sinh(xs))) < 1e-8
 
 
 def test_eval_basics(table_q0):
-    assert table_q0.phi_eval(3, 0.5) == pytest.approx(0.125, abs=1e-10)
-    assert table_q0.phi_prime_eval(3, 0.5) == pytest.approx(0.75, abs=1e-9)
-    for n in range(1, 13):
-        assert abs(table_q0.phi_eval(n, 0.0)) < 1e-14
+    phi, phi_prime = table_q0.spline(0.5)
+    assert phi[3] == pytest.approx(0.125, abs=1e-10)
+    assert phi_prime[3] == pytest.approx(0.75, abs=1e-9)
+    assert np.max(np.abs(table_q0.spline(0.0)[0, 1:])) < 1e-14
 
 
-def test_index_and_domain_checks(table_q0):
+def test_domain_checks(table_q0):
+    assert table_q0.spline([0.5, 1.0]).shape == (2, 2, 13)
     with pytest.raises(DomainError):
-        table_q0.phi_eval(13, 0.5)
+        table_q0.spline(1.5)
     with pytest.raises(DomainError):
-        table_q0.phi_eval(-1, 0.5)
+        basis(table_q0, 1.5, 0.2)
     with pytest.raises(DomainError):
-        table_q0.phi_eval(2, 1.5)
+        basis(table_q0, -0.1, 0.2)
+    # rounding noise at the mesh ends is tolerated
+    edges = basis(table_q0, [-1e-13, 1.0 + 1e-13], 0.0)[:, 0, 1]
+    assert np.allclose(edges, [0.0, 1.0], atol=1e-12)
 
 
 def test_initial_values(table_q1):
     # phi_n(0) = delta_n0; phi_n'(0) = delta_n1 for an f with f'(0) = 0
-    assert table_q1.phi_eval(0, 0.0) == pytest.approx(1.0)
-    assert table_q1.phi_prime_eval(1, 0.0) == pytest.approx(1.0, abs=1e-12)
+    phi, phi_prime = table_q1.spline(0.0)
+    assert phi[0] == pytest.approx(1.0)
+    assert phi_prime[1] == pytest.approx(1.0, abs=1e-12)
     for n in range(2, 13, 2):
-        assert abs(table_q1.phi_prime_eval(n, 0.0)) < 1e-10
+        assert abs(phi_prime[n]) < 1e-10
 
 
 def test_derivative_consistency(table_q1):
     xs = np.linspace(0.05, 0.95, 100)
     h = 1e-5
     for n in (1, 2, 5, 8):
-        fd = (table_q1.phi_eval(n, xs + h) - table_q1.phi_eval(n, xs - h)) / (2 * h)
-        closed = table_q1.phi_prime_eval(n, xs)
+        fd = (table_q1.spline(xs + h)[:, 0, n]
+              - table_q1.spline(xs - h)[:, 0, n]) / (2 * h)
+        closed = table_q1.spline(xs)[:, 1, n]
         scale = np.maximum(np.abs(closed), 1.0)
         assert np.max(np.abs(fd - closed) / scale) < 1e-5
 
@@ -60,10 +66,10 @@ def test_ode_property(table_q1):
     h = mesh.h
     q = 1.0
     for n in (2, 3, 6):
-        vals = table_q1.phi_values[n].real
+        vals = table_q1.values[:, 0, n].real
         second = (vals[6:-4] - 2 * vals[5:-5] + vals[4:-6]) / h ** 2
         lhs = second - q * vals[5:-5]
-        rhs = n * (n - 1) * table_q1.phi_eval(n - 2, nodes).real
+        rhs = n * (n - 1) * table_q1.spline(nodes)[:, 0, n - 2].real
         scale = np.maximum(np.abs(rhs), 1.0)
         assert np.max(np.abs(lhs - rhs) / scale) < 1e-4
 
@@ -78,3 +84,13 @@ def test_rejects_vanishing_f(table_q0):
     from thpsolve import ConfigurationError
     with pytest.raises(ConfigurationError):
         build_formal_powers(bad, 3)
+
+
+def test_spline_built_on_first_use(table_q0):
+    # reading node values must not pay for the spline
+    table = build_formal_powers(table_q0.f, 3)
+    assert "spline" not in vars(table)
+    assert np.array_equal(table.values, table_q0.values[:, :, :4])
+    spline = table.spline
+    basis(table, 0.5, 0.1)
+    assert table.spline is spline

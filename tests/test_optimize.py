@@ -61,3 +61,23 @@ def test_determinism(manufactured):
     b1 = T.solve_free_boundary(work, settings).b
     b2 = T.solve_free_boundary(work, settings).b
     assert np.array_equal(b1, b2)
+
+
+def test_only_numeric_failures_reject_a_vertex(manufactured, monkeypatch):
+    work, _ = manufactured
+    settings = OptimizerSettings(K=2)
+
+    def failing_fit(exc):
+        def fit(self, model, a=None, clamp=False):
+            raise exc
+        return fit
+
+    # a numeric failure rejects the vertex and is reported as the last error
+    monkeypatch.setattr(T.InnerSolver, "fit",
+                        failing_fit(T.DegenerateSystemError("all zero")))
+    with pytest.raises(T.OptimizationError, match="all zero"):
+        T.minimize_boundary(work.spec, work.grid, work.table, settings)
+    # a programming error propagates instead of becoming "failed everywhere"
+    monkeypatch.setattr(T.InnerSolver, "fit", failing_fit(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        T.minimize_boundary(work.spec, work.grid, work.table, settings)

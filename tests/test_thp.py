@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from thpsolve import (ConfigurationError, DomainError, heat_coeff, heat_poly,
-                      pde_residual, thp_eval, thp_x_deriv)
+from thpsolve import (ConfigurationError, DomainError, basis, heat_coeff,
+                      heat_poly, pde_residual)
 
 
 def test_heat_coeff_values():
@@ -27,30 +27,32 @@ def test_heat_poly_values():
 
 
 def test_reduction_to_classical(table_q0):
+    # for q = 0, H_n = h_n and its x-derivative is n h_(n-1)
     rng = np.random.default_rng(5)
     pts = rng.uniform(0.0, 1.0, size=(20, 2))
-    for n in range(13):
-        for x, t in pts:
-            h = heat_poly(n, x, t)
-            assert abs(thp_eval(table_q0, n, x, t) - h) <= 1e-9 * (1 + abs(h))
+    got = basis(table_q0, pts[:, 0], pts[:, 1])
+    want = np.array([[[heat_poly(n, x, t) for n in range(13)],
+                      [n * heat_poly(n - 1, x, t) if n else 0.0
+                       for n in range(13)]] for x, t in pts])
+    assert got.shape == want.shape == (20, 2, 13)
+    assert np.all(np.abs(got - want) <= 1e-9 * (1 + np.abs(want)))
 
 
 def test_h0_is_f_for_all_t(table_q1):
-    for t in (0.0, 0.3, 1.7):
-        assert abs(thp_eval(table_q1, 0, 0.4, t)
-                   - table_q1.phi_eval(0, 0.4)) < 1e-14
+    h0 = basis(table_q1, 0.4, [0.0, 0.3, 1.7])[:, 0, 0]
+    assert np.max(np.abs(h0 - table_q1.spline(0.4)[0, 0])) < 1e-14
 
 
 def test_h2_for_unit_potential(table_q1):
     x, t = 0.6, 0.35
-    expected = table_q1.phi_eval(2, x) + 2 * t * np.cosh(x)
-    assert abs(thp_eval(table_q1, 2, x, t) - expected) < 1e-8
+    expected = table_q1.spline(x)[0, 2] + 2 * t * np.cosh(x)
+    assert abs(basis(table_q1, x, t)[0, 0, 2] - expected) < 1e-8
 
 
 def test_x_derivative_reduces_classically(table_q0):
     # d/dx h_3 = 3 x^2 + 6 t
     x, t = 0.4, 0.2
-    assert abs(thp_x_deriv(table_q0, 3, x, t) - (3 * x * x + 6 * t)) < 1e-8
+    assert abs(basis(table_q0, x, t)[0, 1, 3] - (3 * x * x + 6 * t)) < 1e-8
 
 
 def test_pde_residual_stationary(table_q1):
@@ -77,7 +79,7 @@ def test_basis_solution_property(table_q1):
     for n in range(13):
         coeffs = np.zeros(13)
         coeffs[n] = 1.0
-        bound = 1e-3 * (1.0 + np.max(np.abs(table_q1.phi_values[n])))
+        bound = 1e-3 * (1.0 + np.max(np.abs(table_q1.values[:, 0, n])))
         assert pde_residual(table_q1, coeffs, pts) <= bound
 
 
@@ -88,7 +90,7 @@ def test_t_degree(table_q1):
     for n in (3, 4, 7):
         m = n // 2
         ts = np.linspace(0.0, 1.0, m + 2)
-        vals = [complex(thp_eval(table_q1, n, x, t)) for t in ts]
+        vals = list(basis(table_q1, x, ts)[:, 0, n])
         scale = max(abs(v) for v in vals) + 1.0
         table = list(vals)
         for level in range(1, m + 2):
