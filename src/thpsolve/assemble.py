@@ -147,6 +147,7 @@ class FitResult:
     F: float
     residual_norms: tuple    # (I1, I2, I3, I4); zero for absent blocks
     residual_maxima: tuple   # per-block max abs residual
+    residual: np.ndarray = field(repr=False)   # stacked B a - g
 
     @property
     def b(self) -> np.ndarray:
@@ -262,7 +263,7 @@ class InnerSolver:
         value = float(sum(v * v for v in norms))
         return FitResult(a=a, boundary=model, F=value,
                          residual_norms=tuple(norms),
-                         residual_maxima=tuple(maxima))
+                         residual_maxima=tuple(maxima), residual=residual)
 
 
 def solve_linear(system: LinearSystem, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -42,14 +42,17 @@ class BoundaryModel:
         out = powers @ (j * self.coefficients)
         return out if out.shape else float(out)
 
+    def violations(self, times, upper: float) -> np.ndarray:
+        """Per-time violation of 0 < s(t) <= L over the sample times: the
+        distance below the margin or above L, zero inside the band."""
+        s = np.atleast_1d(self.s_eval(times))
+        return np.minimum(s - CONSTRAINT_MARGIN, 0.0) + np.maximum(s - upper, 0.0)
+
     def constraint_violation(self, times, upper: float) -> float:
         """Summed squared violation of 0 < s(t) <= L over the sample times;
         zero when the boundary stays inside the band with margin."""
-        s = np.atleast_1d(self.s_eval(times))
-        low = np.minimum(s - CONSTRAINT_MARGIN, 0.0)
-        high = np.maximum(s - upper, 0.0)
-        total = float(np.sum(low ** 2) + np.sum(high ** 2))
-        return total
+        v = self.violations(times, upper)
+        return float(v @ v)
 
     def with_coefficients(self, coefficients) -> "BoundaryModel":
         return BoundaryModel(self.l, np.asarray(coefficients, dtype=float))

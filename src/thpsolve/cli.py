@@ -216,10 +216,7 @@ def cmd_solve(args) -> int:
               ",".join(f"b_{j}" for j in range(1, k + 1)))
 
         def trace(stage, it, value, b):
-            padded = np.zeros(k)
-            padded[:len(b)] = b
-            print(f"{stage},{it},{_fmt(value)}," +
-                  ",".join(_fmt(v) for v in padded))
+            print(f"{stage},{it},{_fmt(value)}," + ",".join(_fmt(v) for v in b))
 
     fit = solve_free_boundary(work, settings, trace=trace)
     _write_outputs(Path(args.out), work, fit)

@@ -26,7 +26,7 @@ class DegenerateSystemError(SolverError):
 
 
 class OptimizationError(SolverError):
-    """The outer boundary search failed at every trial point."""
+    """The outer boundary search failed."""
 
 
 class ExpressionSyntaxError(ConfigurationError):

@@ -81,14 +81,16 @@ def solve_particular(q: SampledFunction, max_terms: int = DEFAULT_MAX_TERMS,
     """Construct a zero-free f with f(0) = 1 on the mesh of ``q``.
 
     The branch y1 (y1(0)=1, y1'(0)=0) is used directly when it has no node
-    near zero.  Otherwise the combination y1 + i*y2 is returned; for real q
-    its modulus is bounded away from zero because the Wronskian of the two
-    branches equals one.
+    near zero and, if real, does not change sign between nodes (a zero
+    between nodes is still a zero).  Otherwise the combination y1 + i*y2 is
+    returned; for real q its modulus is bounded away from zero because the
+    Wronskian of the two branches equals one.
     """
     mesh = q.mesh
     ones = np.ones(mesh.n_points)
     y1, y1p = _series_solution(q, ones, max_terms, tolerance)
-    if np.min(np.abs(y1)) > ZERO_THRESHOLD:
+    sign_change = not np.any(y1.imag) and np.any(y1.real[:-1] * y1.real[1:] < 0)
+    if np.min(np.abs(y1)) > ZERO_THRESHOLD and not sign_change:
         return ParticularSolution(
             f=SampledFunction(mesh, y1),
             f_prime=SampledFunction(mesh, y1p),

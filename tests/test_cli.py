@@ -94,6 +94,13 @@ def test_config_syntax_error_reports_line(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+def test_config_nonpositive_max_iterations(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(GOOD_CONFIG + "max_iterations = 0\n")
+    assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "max_iterations" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["solve", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")]) == 2

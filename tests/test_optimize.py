@@ -9,13 +9,10 @@ def test_settings_validation():
     with pytest.raises(ConfigurationError):
         OptimizerSettings(K=0)
     with pytest.raises(ConfigurationError):
-        OptimizerSettings(K=4, warm_start_schedule=(4, 2))
-    with pytest.raises(ConfigurationError):
-        OptimizerSettings(K=4, warm_start_schedule=(2, 3))  # must end at K
-    with pytest.raises(ConfigurationError):
         OptimizerSettings(K=3, initial_b=[0.1])
+    with pytest.raises(ConfigurationError):
+        OptimizerSettings(K=2, max_iterations=0)
     s = OptimizerSettings(K=6)
-    assert s.warm_start_schedule == (2, 4, 6)
     assert s.initial_b[0] == 0.1
 
 
@@ -34,19 +31,28 @@ def test_restart_at_optimum_is_stable(manufactured):
     assert again.F <= first.F + 1e-12
 
 
-def test_stage_monotonicity(manufactured):
+def test_evaluations_bounded_by_iterations(manufactured):
+    # each trust-region iteration costs one trial point and a central-
+    # difference Jacobian, i.e. at most 2K + 1 inner fits
     work, _ = manufactured
-    stage_best = {}
+    seen = []
 
-    def trace(stage, _it, value, _b):
-        stage_best[stage] = min(stage_best.get(stage, np.inf), value)
+    def trace(k, it, value, b):
+        seen.append((k, it, len(b)))
 
-    settings = OptimizerSettings(K=4, warm_start_schedule=(1, 2, 4),
-                                 initial_b=[0.1, 0.0, 0.0, 0.0])
+    settings = OptimizerSettings(K=2, max_iterations=3)
     T.minimize_boundary(work.spec, work.grid, work.table, settings, trace=trace)
-    stages = sorted(stage_best)
-    for prev, nxt in zip(stages, stages[1:]):
-        assert stage_best[nxt] <= stage_best[prev] + 1e-12
+    assert 0 < len(seen) <= (2 * 2 + 1) * 3
+    assert [it for _, it, _ in seen] == list(range(1, len(seen) + 1))
+    assert all(k == 2 and n == 2 for k, _, n in seen)
+
+
+def test_reference_problem_at_K8(benchmark_solution):
+    # a degree-8 boundary must fit the reference problem at least as well
+    # as the published degree 6 does
+    _, work, _, _ = benchmark_solution
+    fit = T.solve_free_boundary(work, OptimizerSettings(K=8))
+    assert fit.F <= 1e-9
 
 
 def test_feasibility_of_result(manufactured):
@@ -72,11 +78,12 @@ def test_only_numeric_failures_reject_a_vertex(manufactured, monkeypatch):
             raise exc
         return fit
 
-    # a numeric failure rejects the vertex and is reported as the last error
+    # a numeric failure ends the search as an OptimizationError naming it
     monkeypatch.setattr(T.InnerSolver, "fit",
                         failing_fit(T.DegenerateSystemError("all zero")))
-    with pytest.raises(T.OptimizationError, match="all zero"):
+    with pytest.raises(T.OptimizationError, match="all zero") as info:
         T.minimize_boundary(work.spec, work.grid, work.table, settings)
+    assert isinstance(info.value.__cause__, T.DegenerateSystemError)
     # a programming error propagates instead of becoming "failed everywhere"
     monkeypatch.setattr(T.InnerSolver, "fit", failing_fit(TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):

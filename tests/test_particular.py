@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from thpsolve import (ConvergenceError, SampledFunction, UniformMesh,
-                      make_interpolant, solve_particular)
+                      build_formal_powers, make_interpolant, pde_residual,
+                      solve_particular)
 from thpsolve.particular import _series_solution
 
 
@@ -90,3 +91,15 @@ def test_complex_fallback_when_f_vanishes():
     expected = np.cos(w * m.nodes) + 1j * np.sin(w * m.nodes) / w
     assert np.max(np.abs(sol.f.values - expected)) < 1e-10
     assert abs(sol.f_prime_at_0 - 1j) < 1e-12
+
+
+def test_complex_branch_when_real_y1_changes_sign_between_nodes():
+    # q = -20 on [0, 2]: y1 = cos(sqrt(20) x) changes sign three times
+    # without touching a node; the real branch then gives a basis that fails
+    # u_xx - q u = u_t by ~1e6, the complex branch by ~4e-7
+    m = UniformMesh(0.0, 2.0, 2001)
+    sol = solve_particular(SampledFunction.constant(m, -20.0))
+    assert np.max(np.abs(sol.f.values.imag)) > 0.1
+    table = build_formal_powers(sol, 4)
+    pts = [(x, 0.5) for x in np.linspace(0.05, 1.95, 39)]
+    assert pde_residual(table, [0, 1], pts) <= 1e-5
