@@ -52,20 +52,19 @@ def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
     f2 = fv * fv
     inv_f2 = 1.0 / f2
 
-    ones = np.ones(mesh.n_points, dtype=complex)
-    big_x = [ones]          # X^(n): weight 1/f^2 for odd n, f^2 for even n
-    big_xt = [ones]         # X~(n): weight f^2 for odd n, 1/f^2 for even n
-    for n in range(1, degree + 1):
-        w = inv_f2 if n % 2 else f2
-        big_x.append(n * cumulative_integral(SampledFunction(mesh, big_x[-1] * w)).values)
-        wt = f2 if n % 2 else inv_f2
-        big_xt.append(n * cumulative_integral(SampledFunction(mesh, big_xt[-1] * wt)).values)
-
     values = np.empty((mesh.n_points, 2, degree + 1), dtype=complex)
     values[:, 0, 0] = fv
     values[:, 1, 0] = fpv
+    # X^(n): weight 1/f^2 for odd n, f^2 for even n; X~(n) the other way
+    # round.  Only the last two terms of each chain are live, which keeps
+    # the working set at a few mesh-sized arrays whatever the degree.
+    big_x = big_xt = np.ones(mesh.n_points, dtype=complex)
     for n in range(1, degree + 1):
-        chain = big_x if n % 2 else big_xt
-        values[:, 0, n] = fv * chain[n]
-        values[:, 1, n] = fpv * chain[n] + n * chain[n - 1] / fv
+        w, wt = (inv_f2, f2) if n % 2 else (f2, inv_f2)
+        next_x = n * cumulative_integral(SampledFunction(mesh, big_x * w)).values
+        next_xt = n * cumulative_integral(SampledFunction(mesh, big_xt * wt)).values
+        chain, prev = (next_x, big_x) if n % 2 else (next_xt, big_xt)
+        values[:, 0, n] = fv * chain
+        values[:, 1, n] = fpv * chain + n * prev / fv
+        big_x, big_xt = next_x, next_xt
     return FormalPowerTable(degree=degree, values=values, f=f)

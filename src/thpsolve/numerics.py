@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import ConfigurationError, DomainError
 
@@ -124,6 +123,10 @@ class Interpolant:
     _EDGE_TOL = 1e-12
 
     def __init__(self, mesh: UniformMesh, values: np.ndarray):
+        # imported here so that commands which build no spline never load
+        # scipy, whose import costs more than the whole basis construction
+        from scipy.interpolate import CubicSpline, PPoly
+
         self.mesh = mesh
         values = np.asarray(values, dtype=complex)
         # fit one column at a time: CubicSpline's temporaries for a whole

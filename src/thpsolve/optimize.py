@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .assemble import CollocationGrid, FitResult, InnerSolver, ProblemSpec
 from .boundary import BoundaryModel
@@ -57,12 +56,15 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
                       ) -> FitResult:
     """Minimize the reduced value function over boundary coefficients.
 
-    Returns the best fit found; deterministic for fixed settings.  Each
+    Returns the converged fit; deterministic for fixed settings.  Raises
+    ``OptimizationError`` when the search uses up ``max_iterations``.  Each
     trust-region iteration costs at most 2K + 1 inner fits (one trial point
     and a central-difference Jacobian).  The ``trace`` callback, when given,
     receives (K, evaluation count, penalized objective, coefficients) for
     every objective evaluation.
     """
+    from scipy.optimize import least_squares
+
     solver = InnerSolver(spec, grid, table)
     weight = np.sqrt(PENALTY_WEIGHT)
     count = 0
@@ -84,6 +86,10 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
 
     result = least_squares(residuals, settings.initial_b, method="trf",
                            jac="3-point", max_nfev=settings.max_iterations)
+    if result.status == 0:
+        raise OptimizationError(
+            f"boundary search did not converge within max_iterations = "
+            f"{settings.max_iterations} (objective {2 * result.cost:.6e})")
     model = BoundaryModel(spec.l, result.x)
     if model.constraint_violation(grid.t, spec.L) > 0:
         raise OptimizationError("optimizer returned an inadmissible boundary")

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import expi
 
 from .assemble import ProblemSpec
 from .errors import DomainError
@@ -26,25 +24,38 @@ BENCHMARK_L = 1.5
 EI_INV_BRACKET = (0.05, 1.5)
 
 
-def ei(x: float) -> float:
-    """Exponential integral Ei on the positive axis."""
+# scipy is imported once per public call, not at module level (commands
+# that never evaluate Ei then never load it) and not once per Ei value
+# (ei_inv evaluates it a dozen times per call)
+
+def _ei(x: float, expi) -> float:
     if x <= 0:
         raise DomainError(f"Ei requires x > 0, got {x}")
     return float(expi(x))
 
 
+def ei(x: float) -> float:
+    """Exponential integral Ei on the positive axis."""
+    from scipy.special import expi
+
+    return _ei(x, expi)
+
+
 def ei_inv(y: float, bracket: tuple = EI_INV_BRACKET) -> float:
     """Inverse of Ei on a bracket where it is strictly increasing."""
+    from scipy.optimize import brentq
+    from scipy.special import expi
+
     lo, hi = bracket
-    flo, fhi = ei(lo), ei(hi)
+    flo, fhi = _ei(lo, expi), _ei(hi, expi)
     if not flo <= y <= fhi:
         raise DomainError(
             f"target {y} outside [Ei({lo}), Ei({hi})] = [{flo:.6g}, {fhi:.6g}]"
         )
     # Ei' = e^x / x stays below 21 on the default bracket, so this x
     # tolerance leaves the residual far inside the check below
-    x = brentq(lambda v: ei(v) - y, lo, hi, xtol=1e-15)
-    if abs(ei(x) - y) > 1e-12:
+    x = brentq(lambda v: _ei(v, expi) - y, lo, hi, xtol=1e-15)
+    if abs(_ei(x, expi) - y) > 1e-12:
         raise DomainError(f"Ei inversion did not reach tolerance at y={y}")
     return x
 

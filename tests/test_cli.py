@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import thpsolve
 from thpsolve.cli import main
 
 GOOD_CONFIG = """\
@@ -101,6 +107,15 @@ def test_config_nonpositive_max_iterations(tmp_path, capsys):
     assert "max_iterations" in capsys.readouterr().err
 
 
+def test_capped_search_exits_numeric(tmp_path, capsys):
+    # one trust-region iteration cannot converge: the search must fail
+    # instead of writing its initial guess as the answer
+    path = tmp_path / "capped.cfg"
+    path.write_text(GOOD_CONFIG + "max_iterations = 1\n")
+    assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "max_iterations" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["solve", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -141,3 +156,27 @@ def test_verbose_trace(config_path, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("stage,iteration,objective,b_1")
     assert len(lines) > 10
+
+
+_LOADED_SCIPY = ("import sys; print(sorted(m for m in sys.modules "
+                 "if m == 'scipy' or m.startswith('scipy.')))")
+
+
+def _scipy_modules_after(code: str) -> str:
+    # a fresh interpreter: this test process has long since imported scipy
+    env = dict(os.environ, PYTHONPATH=str(Path(thpsolve.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code + "\n" + _LOADED_SCIPY],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after("import thpsolve.cli") == "[]"
+
+
+def test_basis_dump_loads_no_scipy(config_path, tmp_path):
+    code = ("from thpsolve.cli import main\n"
+            f"assert main(['basis-dump', {config_path!r}, '--n', '3', "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+    assert _scipy_modules_after(code) == "[]"

@@ -33,7 +33,8 @@ def test_restart_at_optimum_is_stable(manufactured):
 
 def test_evaluations_bounded_by_iterations(manufactured):
     # each trust-region iteration costs one trial point and a central-
-    # difference Jacobian, i.e. at most 2K + 1 inner fits
+    # difference Jacobian, i.e. at most 2K + 1 inner fits; three iterations
+    # do not reach convergence, which the search reports as an error
     work, _ = manufactured
     seen = []
 
@@ -41,7 +42,8 @@ def test_evaluations_bounded_by_iterations(manufactured):
         seen.append((k, it, len(b)))
 
     settings = OptimizerSettings(K=2, max_iterations=3)
-    T.minimize_boundary(work.spec, work.grid, work.table, settings, trace=trace)
+    with pytest.raises(T.OptimizationError, match="max_iterations = 3"):
+        T.minimize_boundary(work.spec, work.grid, work.table, settings, trace=trace)
     assert 0 < len(seen) <= (2 * 2 + 1) * 3
     assert [it for _, it, _ in seen] == list(range(1, len(seen) + 1))
     assert all(k == 2 and n == 2 for k, _, n in seen)
