@@ -2,7 +2,7 @@
 heat-polynomial basis."""
 
 from .assemble import (CollocationGrid, FitResult, InnerSolver, LinearSystem,
-                       ProblemSpec, row_B, row_C, solve_linear)
+                       ProblemSpec, solve_linear)
 from .boundary import BoundaryModel
 from .errors import (ConfigurationError, ConvergenceError, DegenerateSystemError,
                      DomainError, ExpressionEvalError, ExpressionSyntaxError,
@@ -10,10 +10,10 @@ from .errors import (ConfigurationError, ConvergenceError, DegenerateSystemError
 from .expr import Expression, parse
 from .formal_powers import FormalPowerTable, build_formal_powers
 from .numerics import (Interpolant, SampledFunction, UniformMesh,
-                       cumulative_integral, make_interpolant)
+                       cumulative_integral)
 from .optimize import OptimizerSettings, minimize_boundary
 from .particular import ParticularSolution, solve_particular
-from .pipeline import Workspace, prepare, refit, solve_free_boundary
+from .pipeline import Workspace, prepare, solve_free_boundary
 from .special import ExactBenchmark, ei, ei_inv, exact_benchmark
 from .thp import basis, heat_coeff, heat_poly, pde_residual, solution_eval
 

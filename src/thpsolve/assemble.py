@@ -19,30 +19,32 @@ from .boundary import BoundaryModel
 from .errors import ConfigurationError, DegenerateSystemError
 from .expr import Expression
 from .formal_powers import FormalPowerTable
-from .thp import basis, heat_coeff
+from .thp import basis
 
 __all__ = [
     "ProblemSpec",
     "CollocationGrid",
     "LinearSystem",
     "FitResult",
-    "row_B",
-    "row_C",
     "solve_linear",
     "InnerSolver",
 ]
 
-DEFAULT_RANK_TOL = 1e-12
+RANK_TOL = 1e-12
 
 ScalarFunc = Union[Expression, Callable[[float], complex]]
 BoundaryData = Union[ScalarFunc, np.ndarray]
 
 
-def _tabulate(fn: Optional[BoundaryData], points: np.ndarray, what: str) -> np.ndarray:
+def _tabulate(fn: Optional[BoundaryData], points: np.ndarray, what: str,
+              default: Optional[complex] = None) -> np.ndarray:
     """Evaluate a function-like problem datum on a point set; arrays are
-    accepted only when their length matches the point set exactly."""
+    accepted only when their length matches the point set exactly.  A
+    missing datum is the constant ``default``, or an error without one."""
     if fn is None:
-        raise ConfigurationError(f"{what} is required but missing")
+        if default is None:
+            raise ConfigurationError(f"{what} is required but missing")
+        return np.full(points.shape, default, dtype=complex)
     if isinstance(fn, np.ndarray):
         if fn.shape != points.shape:
             raise ConfigurationError(
@@ -94,12 +96,6 @@ class ProblemSpec:
     @property
     def has_lateral(self) -> bool:
         return self.g2 is not None
-
-    def _gamma(self, name: str, default: float) -> ScalarFunc:
-        fn = getattr(self, name)
-        if fn is None:
-            return lambda _v, _c=default: _c
-        return fn
 
 
 @dataclass(frozen=True)
@@ -154,35 +150,12 @@ class FitResult:
         return self.boundary.coefficients
 
 
-def row_B(n: int, x, table: FormalPowerTable, spec: ProblemSpec):
-    """Initial-condition column entry: value of the traced basis function
-    H_n at t = 0, where only the k = 0 term survives."""
-    g11 = spec._gamma("gamma11", 1.0)
-    g12 = spec._gamma("gamma12", 0.0)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    v11 = np.asarray([g11(p) for p in xs], dtype=complex)
-    v12 = np.asarray([g12(p) for p in xs], dtype=complex)
-    h = basis(table, xs, 0.0)[:, :, n]
-    out = v11 * h[:, 0] + v12 * h[:, 1]
-    return out if np.ndim(x) else complex(out[0])
-
-
-def row_C(n: int, t, table: FormalPowerTable, spec: ProblemSpec):
-    """x = 0 condition column entry.  Only phi_0(0) = 1, phi_0'(0) = f'(0)
-    and phi_1'(0) = 1 are nonzero at the origin, which collapses H_n to a
-    single power of t."""
-    g21 = spec._gamma("gamma21", 0.0)
-    g22 = spec._gamma("gamma22", 1.0)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    v21 = np.asarray([g21(p) for p in ts], dtype=complex)
-    v22 = np.asarray([g22(p) for p in ts], dtype=complex)
-    if n % 2:
-        k = (n - 1) // 2
-        out = v22 * heat_coeff(n, k) * ts ** k
-    else:
-        k = n // 2
-        out = (v21 + v22 * table.f.f_prime_at_0) * heat_coeff(n, k) * ts ** k
-    return out if np.ndim(t) else complex(out[0])
+def _trace(table: FormalPowerTable, x, t, value_w: np.ndarray,
+           deriv_w: np.ndarray) -> np.ndarray:
+    """Collocation block of a weighted trace value_w * H_n + deriv_w * d/dx H_n
+    at the points (x, t), one row per point and one column per H_n."""
+    h = basis(table, x, t)
+    return value_w[:, None] * h[:, 0] + deriv_w[:, None] * h[:, 1]
 
 
 class InnerSolver:
@@ -190,7 +163,7 @@ class InnerSolver:
     least-squares problem for each boundary candidate."""
 
     def __init__(self, spec: ProblemSpec, grid: CollocationGrid,
-                 table: FormalPowerTable, rank_tol: float = DEFAULT_RANK_TOL):
+                 table: FormalPowerTable):
         if spec.l > table.mesh.x_end:
             raise ConfigurationError("initial boundary l lies outside the mesh")
         if abs(grid.x[-1] - spec.l) > 1e-12 * max(1.0, spec.l):
@@ -200,20 +173,22 @@ class InnerSolver:
         self.spec = spec
         self.grid = grid
         self.table = table
-        self.rank_tol = rank_tol
-        ncols = table.degree + 1
 
-        self._b_block = None
-        self._g1 = None
+        # initial condition at (x, 0), lateral condition at (0, t); the
+        # defaults are the trace u(x, 0) and the derivative u_x(0, t)
+        self._b_block = self._g1 = None
         if spec.has_initial:
-            self._b_block = np.column_stack(
-                [row_B(n, grid.x, table, spec) for n in range(ncols)])
+            self._b_block = _trace(
+                table, grid.x, 0.0,
+                _tabulate(spec.gamma11, grid.x, "gamma11", 1.0),
+                _tabulate(spec.gamma12, grid.x, "gamma12", 0.0))
             self._g1 = _tabulate(spec.g1, grid.x, "g1")
-        self._c_block = None
-        self._g2 = None
+        self._c_block = self._g2 = None
         if spec.has_lateral:
-            self._c_block = np.column_stack(
-                [row_C(n, grid.t, table, spec) for n in range(ncols)])
+            self._c_block = _trace(
+                table, 0.0, grid.t,
+                _tabulate(spec.gamma21, grid.t, "gamma21", 0.0),
+                _tabulate(spec.gamma22, grid.t, "gamma22", 1.0))
             self._g2 = _tabulate(spec.g2, grid.t, "g2")
         self._g3 = _tabulate(spec.g3, grid.t, "g3")
         self._g4 = (None if spec.flux_data is None
@@ -252,7 +227,7 @@ class InnerSolver:
     def fit(self, model: BoundaryModel, a=None, clamp: bool = False) -> FitResult:
         system = self.system_for(model, clamp=clamp)
         if a is None:
-            a = solve_linear(system, self.rank_tol)
+            a = solve_linear(system)
         a = np.asarray(a, dtype=complex)
         residual = system.matrix @ a - system.rhs
         norms, maxima = [], []
@@ -266,11 +241,11 @@ class InnerSolver:
                          residual_maxima=tuple(maxima), residual=residual)
 
 
-def solve_linear(system: LinearSystem, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def solve_linear(system: LinearSystem) -> np.ndarray:
     """Minimum-norm least-squares solution via SVD; singular values below
-    rank_tol * sigma_max are treated as zero."""
+    RANK_TOL * sigma_max are treated as zero."""
     if not np.any(system.matrix):
         raise DegenerateSystemError("collocation matrix is identically zero")
-    a, *_ = np.linalg.lstsq(system.matrix, system.rhs, rcond=rank_tol)
+    a, *_ = np.linalg.lstsq(system.matrix, system.rhs, rcond=RANK_TOL)
     return a
 

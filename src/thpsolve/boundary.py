@@ -53,6 +53,3 @@ class BoundaryModel:
         zero when the boundary stays inside the band with margin."""
         v = self.violations(times, upper)
         return float(v @ v)
-
-    def with_coefficients(self, coefficients) -> "BoundaryModel":
-        return BoundaryModel(self.l, np.asarray(coefficients, dtype=float))

@@ -173,7 +173,10 @@ def _solution_grid(work: Workspace, fit: FitResult) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _write_outputs(out_dir: Path, work: Workspace, fit: FitResult):
+def _write_outputs(out_dir: Path, work: Workspace, fit: FitResult,
+                   solution_rows: np.ndarray):
+    """Write the four result files; ``solution_rows`` is the
+    ``_solution_grid`` of the fit."""
     out_dir.mkdir(parents=True, exist_ok=True)
     t_grid = work.grid.t
     s_vals = np.atleast_1d(fit.boundary.s_eval(t_grid))
@@ -196,7 +199,7 @@ def _write_outputs(out_dir: Path, work: Workspace, fit: FitResult):
             fh.write(f"I_{i} ({name}): norm = {norm:.8e}  max = {mx:.8e}\n")
         fh.write(f"F = {fit.F:.8e}\n")
 
-    _write_csv(out_dir / "solution.csv", ["x", "t", "u"], _solution_grid(work, fit))
+    _write_csv(out_dir / "solution.csv", ["x", "t", "u"], solution_rows)
 
 
 def cmd_solve(args) -> int:
@@ -226,7 +229,7 @@ def cmd_solve(args) -> int:
             print(f"{stage},{it},{_fmt(value)}," + ",".join(_fmt(v) for v in b))
 
     fit = solve_free_boundary(work, settings, trace=trace)
-    _write_outputs(Path(args.out), work, fit)
+    _write_outputs(Path(args.out), work, fit, _solution_grid(work, fit))
     print(f"converged: F = {fit.F:.6e}; outputs in {args.out}")
     return EXIT_OK
 
@@ -262,8 +265,9 @@ def cmd_validate_example(args) -> int:
     s_err = max(abs(float(fit.boundary.s_eval(t)) - bench.exact_s(t)) for t in ts)
     check("boundary max error <= 1e-2", s_err <= 1e-2, f"max error {s_err:.3e}")
 
+    solution_rows = _solution_grid(work, fit)
     u_err = max(abs(u - bench.exact_u(x, t))
-                for x, t, u in _solution_grid(work, fit).tolist())
+                for x, t, u in solution_rows.tolist())
     check("solution max error <= 1e-2", u_err <= 1e-2, f"max error {u_err:.3e}")
 
     for i, mx in enumerate(fit.residual_maxima, start=1):
@@ -271,7 +275,7 @@ def cmd_validate_example(args) -> int:
 
     check("runtime <= 60 s", elapsed <= 60.0, f"{elapsed:.1f} s")
 
-    _write_outputs(Path(args.out), work, fit)
+    _write_outputs(Path(args.out), work, fit, solution_rows)
     width = max(len(name) for name, _, _ in checks)
     failures = 0
     for name, ok, detail in checks:
@@ -288,6 +292,8 @@ def cmd_basis_dump(args) -> int:
     spec = cfg.build_spec()
     mesh_points = args.mesh if args.mesh is not None else cfg.num("mesh_points", 2001)
     degree = args.N if args.N is not None else cfg.num("n", 12)
+    if args.n_max < 0:
+        raise ConfigurationError(f"--n must be nonnegative, got {args.n_max}")
     if args.n_max > degree:
         raise ConfigurationError(f"--n {args.n_max} exceeds basis degree {degree}")
     work = prepare(spec, mesh_points=mesh_points, degree=degree,

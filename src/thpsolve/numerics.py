@@ -20,7 +20,6 @@ __all__ = [
     "SampledFunction",
     "Interpolant",
     "cumulative_integral",
-    "make_interpolant",
 ]
 
 _BLOCK = 5  # intervals per Newton-Cotes block (6 nodes)
@@ -174,8 +173,3 @@ def cumulative_integral(sf: SampledFunction) -> SampledFunction:
     out[0] = 0.0
     out[idx[:, 1:]] = offsets[:, None] + inc[:, 1:]
     return SampledFunction(mesh, out)
-
-
-def make_interpolant(sf: SampledFunction) -> Interpolant:
-    """Cubic not-a-knot interpolating spline through the tabulated values."""
-    return Interpolant(sf.mesh, sf.values)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NonvanishingError
-from .numerics import Interpolant, SampledFunction, cumulative_integral, make_interpolant
+from .numerics import SampledFunction, cumulative_integral
 
 __all__ = ["ParticularSolution", "solve_particular"]
 
@@ -28,25 +28,15 @@ DEFAULT_TOLERANCE = 1e-14
 @dataclass(frozen=True)
 class ParticularSolution:
     """Zero-free solution of f'' = q f, normalized to f(0) = 1, together
-    with its derivative and an interpolant of the potential."""
+    with its derivative and the tabulated potential."""
 
     f: SampledFunction
     f_prime: SampledFunction
-    f_prime_at_0: complex
     q: SampledFunction
 
     @property
     def mesh(self):
         return self.f.mesh
-
-    def interpolant(self) -> Interpolant:
-        return make_interpolant(self.f)
-
-    def prime_interpolant(self) -> Interpolant:
-        return make_interpolant(self.f_prime)
-
-    def q_interpolant(self) -> Interpolant:
-        return make_interpolant(self.q)
 
 
 def _series_solution(q: SampledFunction, seed: np.ndarray, max_terms: int,
@@ -94,7 +84,6 @@ def solve_particular(q: SampledFunction, max_terms: int = DEFAULT_MAX_TERMS,
         return ParticularSolution(
             f=SampledFunction(mesh, y1),
             f_prime=SampledFunction(mesh, y1p),
-            f_prime_at_0=complex(y1p[0]),
             q=q,
         )
     x_nodes = mesh.nodes - mesh.x_start
@@ -108,6 +97,5 @@ def solve_particular(q: SampledFunction, max_terms: int = DEFAULT_MAX_TERMS,
     return ParticularSolution(
         f=SampledFunction(mesh, f),
         f_prime=SampledFunction(mesh, fp),
-        f_prime_at_0=complex(fp[0]),
         q=q,
     )

@@ -4,11 +4,10 @@ collocation -> boundary search."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .assemble import CollocationGrid, FitResult, InnerSolver, ProblemSpec
+from .assemble import CollocationGrid, FitResult, ProblemSpec
 from .formal_powers import FormalPowerTable, build_formal_powers
 from .numerics import SampledFunction, UniformMesh
 from .optimize import OptimizerSettings, minimize_boundary
@@ -30,8 +29,8 @@ class Workspace:
 
 
 def prepare(spec: ProblemSpec, mesh_points: int = DEFAULT_MESH_POINTS,
-            degree: int = DEFAULT_DEGREE, n_x: int = 100, n_t: int = 100,
-            grid: Optional[CollocationGrid] = None) -> Workspace:
+            degree: int = DEFAULT_DEGREE, n_x: int = 100,
+            n_t: int = 100) -> Workspace:
     """Tabulate q, build the particular solution and the basis table."""
     mesh = UniformMesh(0.0, spec.L, mesh_points)
     if isinstance(spec.q, SampledFunction):
@@ -42,8 +41,7 @@ def prepare(spec: ProblemSpec, mesh_points: int = DEFAULT_MESH_POINTS,
         q = SampledFunction.from_callable(mesh, spec.q)
     f = solve_particular(q)
     table = build_formal_powers(f, degree)
-    if grid is None:
-        grid = CollocationGrid.equidistant(spec.l, spec.T, n_x=n_x, n_t=n_t)
+    grid = CollocationGrid.equidistant(spec.l, spec.T, n_x=n_x, n_t=n_t)
     return Workspace(spec=spec, grid=grid, table=table)
 
 
@@ -53,8 +51,3 @@ def solve_free_boundary(work: Workspace,
     """Run the outer boundary search on a prepared workspace."""
     return minimize_boundary(work.spec, work.grid, work.table, settings,
                              trace=trace)
-
-
-def refit(work: Workspace, model) -> FitResult:
-    """Inner least-squares fit for a fixed boundary."""
-    return InnerSolver(work.spec, work.grid, work.table).fit(model)

@@ -14,10 +14,12 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .formal_powers import FormalPowerTable
+from .numerics import Interpolant
 
 __all__ = ["heat_coeff", "heat_poly", "basis", "solution_eval", "pde_residual"]
 
 MAX_DEGREE = 20  # c_k^n fits comfortably in an int64 up to here
+FD_STEP = 1e-4   # x-step of the finite differences in pde_residual
 
 
 def heat_coeff(n: int, k: int) -> int:
@@ -75,23 +77,22 @@ def solution_eval(table: FormalPowerTable, coeffs, x, t) -> np.ndarray:
     return basis(table, x, t)[:, 0, :len(a)] @ a
 
 
-def pde_residual(table: FormalPowerTable, coeffs, sample_points,
-                 fd_step: float = 1e-4) -> float:
+def pde_residual(table: FormalPowerTable, coeffs, sample_points) -> float:
     """Max of |u_xx - q u - u_t| over interior sample points (x, t).
 
-    Derivatives are central finite differences of step ``fd_step``; the
+    Derivatives are central finite differences of step ``FD_STEP``; the
     second x-derivative differences the closed-form u_x (a second
     difference of the value splines alone would be dominated by their
     curvature error for the higher-degree basis functions)."""
     x, t = np.asarray(sample_points, dtype=float).reshape(-1, 2).T
     a = np.asarray(coeffs, dtype=complex)
-    q = table.f.q_interpolant()
+    q = Interpolant(table.mesh, table.f.q.values)
     # in t the basis is an exact polynomial, so a finer step costs nothing
     # in rounding noise and cuts the truncation error of the t-difference
-    t_step = fd_step / 10.0
+    t_step = FD_STEP / 10.0
     u = solution_eval(table, a, x, t)
-    u_xx = (basis(table, x + fd_step, t)[:, 1, :len(a)] @ a
-            - basis(table, x - fd_step, t)[:, 1, :len(a)] @ a) / (2 * fd_step)
+    u_xx = (basis(table, x + FD_STEP, t)[:, 1, :len(a)] @ a
+            - basis(table, x - FD_STEP, t)[:, 1, :len(a)] @ a) / (2 * FD_STEP)
     u_t = (solution_eval(table, a, x, t + t_step)
            - solution_eval(table, a, x, t - t_step)) / (2 * t_step)
     return float(np.max(np.abs(u_xx - q(x) * u - u_t), initial=0.0))

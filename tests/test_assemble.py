@@ -4,7 +4,7 @@ import pytest
 import thpsolve as T
 from thpsolve import (BoundaryModel, CollocationGrid, ConfigurationError,
                       DegenerateSystemError, InnerSolver, LinearSystem,
-                      ProblemSpec, basis, row_B, row_C, solve_linear)
+                      ProblemSpec, basis, solve_linear)
 
 
 def make_spec(**overrides):
@@ -28,42 +28,77 @@ def test_spec_invariants():
         make_spec(g3=None)
 
 
-def test_row_B_identity_operator(table_q1):
+def condition_rows(table, spec, x, t):
+    """Row of the initial block at (x, 0) and row of the lateral block at
+    (0, t) in the collocation matrix of a grid that holds x and t."""
+    grid = CollocationGrid(np.array([0.0, x, spec.l]), np.array([0.0, t, spec.T]))
+    system = InnerSolver(spec, grid, table).system_for(BoundaryModel(spec.l, [0.0]))
+    return (system.matrix[system.blocks["initial"]][1],
+            system.matrix[system.blocks["lateral"]][1])
+
+
+def test_initial_block_identity_operator(table_q1):
     spec = make_spec(q=lambda x: 1.0)
+    row, _ = condition_rows(table_q1, spec, 0.4, 0.5)
     for n in (0, 1, 4):
-        assert abs(row_B(n, 0.4, table_q1, spec)
-                   - table_q1.spline(0.4)[0, n]) < 1e-14
+        assert abs(row[n] - table_q1.spline(0.4)[0, n]) < 1e-14
 
 
-def test_row_B_derivative_operator(table_q0):
+def test_initial_block_derivative_operator(table_q0):
     spec = make_spec(gamma11=lambda x: 0.0, gamma12=lambda x: 1.0)
+    row, _ = condition_rows(table_q0, spec, 0.7, 0.5)
     for n in (1, 2, 5):
-        assert abs(row_B(n, 0.7, table_q0, spec)
-                   - n * 0.7 ** (n - 1)) < 1e-8
+        assert abs(row[n] - n * 0.7 ** (n - 1)) < 1e-8
 
 
-def test_row_B_zeroth_column(table_q1):
+def test_initial_block_zeroth_column(table_q1):
     spec = make_spec(gamma11=lambda x: 2.0, gamma12=lambda x: 3.0)
     x = 0.6
     phi, phi_prime = table_q1.spline(x)
     expected = 2.0 * phi[0] + 3.0 * phi_prime[0]
-    assert abs(row_B(0, x, table_q1, spec) - expected) < 1e-12
+    row, _ = condition_rows(table_q1, spec, x, 0.5)
+    assert abs(row[0] - expected) < 1e-12
 
 
-def test_row_C_odd(table_q1):
+def test_lateral_block_odd(table_q1):
     spec = make_spec()  # gamma21 = 0, gamma22 = 1
-    assert abs(row_C(3, 0.5, table_q1, spec) - 6 * 0.5) < 1e-12
+    _, row = condition_rows(table_q1, spec, 0.4, 0.5)
+    assert abs(row[3] - 6 * 0.5) < 1e-12
 
 
-def test_row_C_even_vanishes_with_zero_slope(table_q1):
+def test_lateral_block_even_vanishes_with_zero_slope(table_q1):
     spec = make_spec()
+    _, row = condition_rows(table_q1, spec, 0.4, 0.7)
     for n in (0, 2, 4, 6):
-        assert abs(row_C(n, 0.7, table_q1, spec)) < 1e-12
+        assert abs(row[n]) < 1e-12
 
 
-def test_row_C_even_with_trace_operator(table_q1):
+def test_lateral_block_even_with_trace_operator(table_q1):
     spec = make_spec(gamma21=lambda t: 1.0, gamma22=lambda t: 0.0)
-    assert abs(row_C(4, 0.5, table_q1, spec) - 12 * 0.25) < 1e-12
+    _, row = condition_rows(table_q1, spec, 0.4, 0.5)
+    assert abs(row[4] - 12 * 0.25) < 1e-12
+
+
+def test_lateral_block_on_complex_branch():
+    # q = -20 on [0, 2] takes the branch f = y1 + i y2, so f'(0) = i; at
+    # x = 0 only phi_0 = f, phi_0' = f' and phi_1' = 1 are nonzero, and
+    # gamma21 H_n + gamma22 d/dx H_n collapses to one power of t
+    mesh = T.UniformMesh(0.0, 2.0, 2001)
+    f = T.solve_particular(T.SampledFunction.constant(mesh, -20.0))
+    table = T.build_formal_powers(f, 8)
+    f_prime_0 = f.f_prime.values[0]
+    assert abs(f_prime_0 - 1j) < 1e-12
+    spec = make_spec(gamma21=lambda t: 2.0 + t, gamma22=lambda t: 0.5 - t)
+    grid = CollocationGrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 11))
+    system = InnerSolver(spec, grid, table).system_for(BoundaryModel(1.0, [0.0]))
+    block = system.matrix[system.blocks["lateral"]]
+    for t, row in zip(grid.t, block):
+        g21, g22 = 2.0 + t, 0.5 - t
+        for n in range(table.degree + 1):
+            k = n // 2
+            weight = g22 if n % 2 else g21 + g22 * f_prime_0
+            expected = weight * T.heat_coeff(n, k) * t ** k
+            assert abs(row[n] - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_rows_D_E_basics(table_q1):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import thpsolve
+import thpsolve.cli as cli
 from thpsolve.cli import main
+from thpsolve.thp import solution_eval
 
 GOOD_CONFIG = """\
 # manufactured problem with a known polynomial solution
@@ -148,6 +150,29 @@ def test_basis_dump_monomials(config_path, tmp_path):
 def test_basis_dump_index_guard(config_path, tmp_path):
     assert main(["basis-dump", config_path, "--n", "7",
                  "--out", str(tmp_path / "out")]) == 2
+
+
+def test_basis_dump_rejects_negative_index(config_path, tmp_path, capsys):
+    # a negative n would slice phi from its end and write rows wider than
+    # the header
+    out = tmp_path / "out"
+    assert main(["basis-dump", config_path, "--n", "-3", "--out", str(out)]) == 2
+    assert "--n" in capsys.readouterr().err
+    assert not (out / "phi.csv").exists()
+
+
+def test_validate_example_evaluates_solution_grid_once(tmp_path, monkeypatch):
+    # one solution_eval per time row of the 50 x 50 grid, shared by the
+    # u-error check and solution.csv
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solution_eval(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solution_eval", counted)
+    assert main(["validate-example", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 50
 
 
 def test_verbose_trace(config_path, tmp_path, capsys):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from thpsolve import (ConfigurationError, DomainError, SampledFunction,
-                      UniformMesh, cumulative_integral, make_interpolant)
+from thpsolve import (ConfigurationError, DomainError, Interpolant,
+                      SampledFunction, UniformMesh, cumulative_integral)
 
 
 def test_mesh_invariants():
@@ -80,7 +80,7 @@ def test_convergence_order():
 def test_spline_reproduces_cubic():
     m = UniformMesh(0.0, 2.0, 21)
     p = lambda x: x ** 3 - 2 * x
-    interp = make_interpolant(SampledFunction(m, p(m.nodes) + 0j))
+    interp = Interpolant(m, p(m.nodes) + 0j)
     assert abs(interp(0.37) - p(0.37)) < 1e-13
     # interpolation property at a node
     assert abs(interp(m.nodes[7]) - p(m.nodes[7])) < 1e-14
@@ -88,13 +88,13 @@ def test_spline_reproduces_cubic():
 
 def test_spline_derivative_of_constant():
     m = UniformMesh(0.0, 1.0, 11)
-    interp = make_interpolant(SampledFunction.constant(m, 5.0))
+    interp = Interpolant(m, SampledFunction.constant(m, 5.0).values)
     assert abs(interp.derivative(0.5)) < 1e-13
 
 
 def test_spline_domain_error():
     m = UniformMesh(0.0, 1.0, 11)
-    interp = make_interpolant(SampledFunction.constant(m, 1.0))
+    interp = Interpolant(m, SampledFunction.constant(m, 1.0).values)
     with pytest.raises(DomainError):
         interp(1.5)
     with pytest.raises(DomainError):
@@ -108,7 +108,7 @@ def test_spline_fourth_order_on_quartic():
 
     def max_err(n_points):
         m = UniformMesh(0.0, 1.0, n_points)
-        interp = make_interpolant(SampledFunction(m, quartic(m.nodes) + 0j))
+        interp = Interpolant(m, quartic(m.nodes) + 0j)
         return np.max(np.abs(interp(pts) - quartic(pts)))
 
     # halving h should shrink the error by about 2^4

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from thpsolve import (ConvergenceError, SampledFunction, UniformMesh,
-                      build_formal_powers, make_interpolant, pde_residual,
+from thpsolve import (ConvergenceError, Interpolant, SampledFunction,
+                      UniformMesh, build_formal_powers, pde_residual,
                       solve_particular)
 from thpsolve.particular import _series_solution
 
@@ -28,7 +28,7 @@ def test_zero_potential():
     m = UniformMesh(0.0, 1.0, 101)
     sol = solve_particular(SampledFunction.constant(m, 0.0))
     assert np.allclose(sol.f.values, 1.0)
-    assert sol.f_prime_at_0 == 0.0
+    assert sol.f_prime.values[0] == 0.0
 
 
 def test_unit_potential_is_cosh():
@@ -43,9 +43,9 @@ def test_quadratic_potential_vs_rk4():
     m = UniformMesh(0.0, 1.5, 2001)
     sol = solve_particular(SampledFunction(m, m.nodes ** 2 + 0j))
     assert sol.f.values[0] == 1.0
-    assert abs(sol.f_prime_at_0) == 0.0
+    assert abs(sol.f_prime.values[0]) == 0.0
     oracle = rk4_second_order(lambda x: x * x, 1.0, 1e-5)
-    at_one = sol.interpolant()(1.0)
+    at_one = Interpolant(m, sol.f.values)(1.0)
     assert abs(at_one - oracle) < 1e-7
 
 
@@ -53,7 +53,7 @@ def test_residual_invariant():
     m = UniformMesh(0.0, 1.5, 2001)
     q = SampledFunction(m, m.nodes ** 2 + 0j)
     sol = solve_particular(q)
-    fpp = make_interpolant(sol.f_prime).derivative(m.nodes)
+    fpp = Interpolant(m, sol.f_prime.values).derivative(m.nodes)
     resid = np.max(np.abs(fpp - q.values * sol.f.values))
     assert resid <= 1e-6 * (1.0 + np.max(np.abs(sol.f.values)))
 
@@ -62,8 +62,8 @@ def test_normalization_matches_spline_derivative():
     m = UniformMesh(0.0, 1.0, 2001)
     sol = solve_particular(SampledFunction(m, np.sin(3 * m.nodes) + 0j))
     assert sol.f.values[0] == 1.0
-    spline_deriv = make_interpolant(sol.f).derivative(0.0)
-    assert abs(spline_deriv - sol.f_prime_at_0) < 1e-8
+    spline_deriv = Interpolant(m, sol.f.values).derivative(0.0)
+    assert abs(spline_deriv - sol.f_prime.values[0]) < 1e-8
 
 
 def test_wronskian_of_both_branches():
@@ -90,7 +90,7 @@ def test_complex_fallback_when_f_vanishes():
     assert np.min(np.abs(sol.f.values)) > 0.6
     expected = np.cos(w * m.nodes) + 1j * np.sin(w * m.nodes) / w
     assert np.max(np.abs(sol.f.values - expected)) < 1e-10
-    assert abs(sol.f_prime_at_0 - 1j) < 1e-12
+    assert abs(sol.f_prime.values[0] - 1j) < 1e-12
 
 
 def test_complex_branch_when_real_y1_changes_sign_between_nodes():
