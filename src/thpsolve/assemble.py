@@ -32,15 +32,16 @@ __all__ = [
 
 RANK_TOL = 1e-12
 
-ScalarFunc = Union[Expression, Callable[[float], complex]]
-BoundaryData = Union[ScalarFunc, np.ndarray]
+DataFunc = Union[Expression, Callable[[np.ndarray], Union[np.ndarray, complex]]]
+BoundaryData = Union[DataFunc, np.ndarray]
 
 
 def _tabulate(fn: Optional[BoundaryData], points: np.ndarray, what: str,
               default: Optional[complex] = None) -> np.ndarray:
-    """Evaluate a function-like problem datum on a point set; arrays are
-    accepted only when their length matches the point set exactly.  A
-    missing datum is the constant ``default``, or an error without one."""
+    """Evaluate a function-like problem datum on a point set in one call;
+    arrays are accepted only when their length matches the point set
+    exactly.  A missing datum is the constant ``default``, or an error
+    without one."""
     if fn is None:
         if default is None:
             raise ConfigurationError(f"{what} is required but missing")
@@ -52,12 +53,18 @@ def _tabulate(fn: Optional[BoundaryData], points: np.ndarray, what: str,
                 f"expected {points.shape[0]} (one per collocation point)"
             )
         return fn.astype(complex)
-    return np.asarray([fn(p) for p in points], dtype=complex)
+    return np.full(points.shape, fn(points), dtype=complex)
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full description of one free boundary problem instance.
+
+    Each function-like datum is either an array of its values at the
+    points where it is used (the quadrature mesh for ``q``, the collocation
+    points for the rest) or a callable.  A callable is applied once to the
+    whole point array and returns an array of that shape or a scalar, which
+    stands for the constant.
 
     ``g1``/``g2`` may be None when the corresponding condition is absent.
     ``g3`` (Dirichlet data on the moving boundary) is mandatory, as is the
@@ -70,10 +77,10 @@ class ProblemSpec:
     L: float
     l: float
     T: float
-    gamma11: Optional[ScalarFunc] = None   # defaults: identity trace operator
-    gamma12: Optional[ScalarFunc] = None
-    gamma21: Optional[ScalarFunc] = None   # defaults: pure derivative at x=0
-    gamma22: Optional[ScalarFunc] = None
+    gamma11: Optional[DataFunc] = None   # defaults: identity trace operator
+    gamma12: Optional[DataFunc] = None
+    gamma21: Optional[DataFunc] = None   # defaults: pure derivative at x=0
+    gamma22: Optional[DataFunc] = None
     g1: Optional[BoundaryData] = None
     g2: Optional[BoundaryData] = None
     g3: Optional[BoundaryData] = None

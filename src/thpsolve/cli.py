@@ -142,7 +142,7 @@ def _fit_initial_boundary(source_expr, l: float, T: float, K: int) -> np.ndarray
             f"initial boundary guess has s(0) = {s0}, expected l = {l}"
         )
     ts = np.linspace(0.0, T, 101)
-    target = np.asarray([source_expr(t) for t in ts]) - l
+    target = source_expr(ts) - l
     powers = ts[:, None] ** np.arange(1, K + 1)
     coeffs, *_ = np.linalg.lstsq(powers, target, rcond=None)
     return coeffs

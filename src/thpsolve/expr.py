@@ -1,265 +1,117 @@
 """Single-variable arithmetic expressions for problem config files.
 
-Grammar (documented in docs/config.md):
-
-    expr    := term (("+" | "-") term)*
-    term    := unary (("*" | "/") unary)*
-    unary   := "-" unary | power
-    power   := atom ("^" unary)?          # right associative
-    atom    := NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")"
-
-Identifiers are the declared variable name, the constants ``pi`` and ``e``,
-or one of the functions exp, log, sqrt, sin, cos, sinh, cosh, abs.
+The grammar (documented in docs/config.md) is the subset of Python
+expressions that Python's own parser reads once each ``^`` is written
+``**``: real numbers, the declared variable, the constants ``pi`` and ``e``,
+``+ - * / ^``, unary minus and one-argument calls to exp, log, sqrt, sin,
+cos, sinh, cosh and abs.  Any other node of the syntax tree is rejected.
+An expression is evaluated with numpy ufuncs over a whole array of points.
 """
 
 from __future__ import annotations
 
-import math
-import re
-from dataclasses import dataclass
+import ast
+
+import numpy as np
 
 from .errors import ExpressionEvalError, ExpressionSyntaxError
 
 __all__ = ["Expression", "parse"]
 
-_FUNCTIONS = {
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "abs": abs,
-}
+_FUNCTIONS = {name: getattr(np, name)
+              for name in ("exp", "log", "sqrt", "sin", "cos", "sinh", "cosh", "abs")}
 
-_CONSTANTS = {"pi": math.pi, "e": math.e}
+_CONSTANTS = {"pi": np.pi, "e": np.e}
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-@dataclass(frozen=True)
-class _Num:
-    value: float
-
-    def eval(self, x: float) -> float:
-        return self.value
-
-    def source(self) -> str:
-        return repr(self.value)
-
-
-@dataclass(frozen=True)
-class _Var:
-    name: str
-
-    def eval(self, x: float) -> float:
-        return x
-
-    def source(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class _Neg:
-    operand: object
-
-    def eval(self, x: float) -> float:
-        return -self.operand.eval(x)
-
-    def source(self) -> str:
-        return f"(-{self.operand.source()})"
-
-
-@dataclass(frozen=True)
-class _BinOp:
-    op: str
-    left: object
-    right: object
-
-    def eval(self, x: float) -> float:
-        a = self.left.eval(x)
-        b = self.right.eval(x)
-        try:
-            if self.op == "+":
-                return a + b
-            if self.op == "-":
-                return a - b
-            if self.op == "*":
-                return a * b
-            if self.op == "/":
-                if b == 0:
-                    raise ExpressionEvalError(f"division by zero at {self.source()}")
-                return a / b
-            if a < 0 and b != int(b):
-                raise ExpressionEvalError(
-                    f"fractional power of negative base in {self.source()}"
-                )
-            return a ** b
-        except OverflowError as exc:
-            raise ExpressionEvalError(f"overflow in {self.source()}") from exc
-
-    def source(self) -> str:
-        return f"({self.left.source()} {self.op} {self.right.source()})"
-
-
-@dataclass(frozen=True)
-class _Call:
-    name: str
-    arg: object
-
-    def eval(self, x: float) -> float:
-        v = self.arg.eval(x)
-        if self.name == "log" and v <= 0:
-            raise ExpressionEvalError(f"log of nonpositive value {v}")
-        if self.name == "sqrt" and v < 0:
-            raise ExpressionEvalError(f"sqrt of negative value {v}")
-        try:
-            return _FUNCTIONS[self.name](v)
-        except (ValueError, OverflowError) as exc:
-            raise ExpressionEvalError(f"{self.name}({v}) failed: {exc}") from exc
-
-    def source(self) -> str:
-        return f"{self.name}({self.arg.source()})"
+_OPERATORS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
+              ast.Div: np.divide, ast.Pow: np.power}
 
 
 class Expression:
     """Parsed single-variable expression; immutable and callable."""
 
-    def __init__(self, root, variable: str, text: str):
-        self._root = root
+    def __init__(self, tree: ast.Expression, fn, variable: str, text: str):
+        self._tree = tree
+        self._fn = fn
         self.variable = variable
         self.text = text
 
-    def __call__(self, x: float) -> float:
-        return self._root.eval(float(x))
+    def __call__(self, x):
+        """Value at ``x``: a float for a scalar, an array of the same shape
+        for an array.  A domain violation at any point (log or sqrt out of
+        range, division by zero, overflow, fractional power of a negative
+        base) raises ExpressionEvalError; underflow to zero does not."""
+        x = np.asarray(x, dtype=float)
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise",
+                             under="ignore"):
+                values = np.broadcast_to(self._fn(x), x.shape).astype(float)
+        except FloatingPointError as exc:
+            raise ExpressionEvalError(f"{exc} in {self.text!r}") from exc
+        return float(values) if values.ndim == 0 else values
 
     def source(self) -> str:
         """Parenthesized form that re-parses to an equivalent expression."""
-        return self._root.source()
+        return ast.unparse(self._tree).replace("**", "^")
 
     def __repr__(self):
         return f"Expression({self.text!r}, variable={self.variable!r})"
 
 
-class _Parser:
-    def __init__(self, source: str, variable: str):
-        self.source = source
-        self.variable = variable
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(source):
-            m = _TOKEN_RE.match(source, pos)
-            if m is None:
-                stripped = source[pos:].lstrip()
-                if stripped == "":
-                    break
-                bad_at = pos + (len(source) - pos - len(stripped))
-                raise ExpressionSyntaxError(
-                    f"unexpected character {stripped[0]!r}", bad_at
-                )
-            if m.group("num") is not None:
-                self.tokens.append(("num", m.group(0).strip(), m.start()))
-            elif m.group("ident") is not None:
-                self.tokens.append(("ident", m.group("ident"), m.start("ident")))
-            else:
-                self.tokens.append(("op", m.group("op"), m.start("op")))
-            pos = m.end()
-        self.i = 0
+def _position(source: str, offset: int) -> int:
+    """Index in ``source`` of the character at ``offset`` in the text that
+    Python parses: ``source`` without its leading blanks, which would be an
+    indentation error, and with each ``^`` written as ``**``."""
+    offset += len(source) - len(source.lstrip())
+    for i, ch in enumerate(source):
+        offset -= 2 if ch == "^" else 1
+        if offset < 0:
+            return i
+    return len(source)
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.source))
 
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ExpressionSyntaxError(f"expected {op!r}", pos)
-
-    def parse(self):
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind is not None:
-            raise ExpressionSyntaxError(f"unexpected token {val!r}", pos)
-        return node
-
-    def expr(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                node = _BinOp(val, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                node = _BinOp(val, node, self.unary())
-            else:
-                return node
-
-    def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return _Neg(self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            return _BinOp("^", base, self.unary())
-        return base
-
-    def atom(self):
-        kind, val, pos = self.next()
-        if kind == "num":
-            return _Num(float(val))
-        if kind == "ident":
-            nkind, nval, _ = self.peek()
-            if nkind == "op" and nval == "(":
-                if val not in _FUNCTIONS:
-                    raise ExpressionSyntaxError(f"unknown function {val!r}", pos)
-                self.next()
-                arg = self.expr()
-                self.expect_op(")")
-                return _Call(val, arg)
-            if val == self.variable:
-                return _Var(val)
-            if val in _CONSTANTS:
-                return _Num(_CONSTANTS[val])
-            raise ExpressionSyntaxError(
-                f"unknown identifier {val!r} (variable is {self.variable!r})", pos
-            )
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionSyntaxError(
-            "unexpected end of input" if kind is None else f"unexpected token {val!r}",
-            pos,
-        )
+def _compile(node: ast.AST, variable: str, source: str):
+    """Function of the point array that evaluates ``node``; raises
+    ExpressionSyntaxError for a node outside the grammar."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = float(node.value)
+        return lambda x: value
+    if isinstance(node, ast.Name) and node.id == variable:
+        return lambda x: x
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        value = _CONSTANTS[node.id]
+        return lambda x: value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        operand = _compile(node.operand, variable, source)
+        return lambda x: np.negative(operand(x))
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        op = _OPERATORS[type(node.op)]
+        left = _compile(node.left, variable, source)
+        right = _compile(node.right, variable, source)
+        return lambda x: op(left(x), right(x))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and len(node.args) == 1
+            and not node.keywords):
+        fn = _FUNCTIONS[node.func.id]
+        arg = _compile(node.args[0], variable, source)
+        return lambda x: fn(arg(x))
+    raise ExpressionSyntaxError(
+        f"{ast.unparse(node).replace('**', '^')!r} is not allowed in an "
+        f"expression in {variable!r}", _position(source, node.col_offset))
 
 
 def parse(source: str, variable_name: str) -> Expression:
     """Parse ``source`` as an expression in the single variable
     ``variable_name``."""
-    if not source or not source.strip():
+    if not source.strip():
         raise ExpressionSyntaxError("empty expression", 0)
-    root = _Parser(source, variable_name).parse()
-    return Expression(root, variable_name, source)
+    if "**" in source:
+        raise ExpressionSyntaxError("'**' is not an operator; write '^'",
+                                    source.index("**"))
+    try:
+        tree = ast.parse(source.lstrip().replace("^", "**"), mode="eval")
+    except SyntaxError as exc:
+        offset = exc.offset - 1 if exc.offset else 2 * len(source)
+        raise ExpressionSyntaxError(exc.msg, _position(source, offset)) from None
+    return Expression(tree, _compile(tree.body, variable_name, source),
+                      variable_name, source)

@@ -105,7 +105,9 @@ class SampledFunction:
 
     @classmethod
     def from_callable(cls, mesh: UniformMesh, func) -> "SampledFunction":
-        return cls(mesh, np.asarray([func(x) for x in mesh.nodes], dtype=complex))
+        """Tabulate ``func``, applied once to the whole node array; a scalar
+        result is the constant function."""
+        return cls(mesh, np.full(mesh.n_points, func(mesh.nodes), dtype=complex))
 
     @classmethod
     def constant(cls, mesh: UniformMesh, value: complex) -> "SampledFunction":

@@ -95,7 +95,7 @@ def exact_benchmark(times: np.ndarray | None = None) -> ExactBenchmark:
         gamma12=lambda x: 0.0,
         gamma21=lambda t: 0.0,
         gamma22=lambda t: 1.0,
-        g1=lambda x: math.exp(-0.5 * x * x),
+        g1=lambda x: np.exp(-0.5 * x * x),
         g2=lambda t: 0.0,
         g3=g3_values,
     )
