@@ -238,3 +238,13 @@ def test_even_column_restriction_on_benchmark(benchmark_solution):
     a_even, *_ = np.linalg.lstsq(sub, system.rhs, rcond=1e-12)
     f_even = float(np.linalg.norm(sub @ a_even - system.rhs)) ** 2
     assert f_even <= 10.0 * fit.F
+
+
+@pytest.mark.parametrize("degree", [18, 20])
+def test_high_degree_refit_at_exact_boundary(degree):
+    # the docs/config.md example at its exact boundary s = 1 + t/2; without
+    # column equilibration the rank cut left F = 5.0 (N = 18) and 374 (N = 20)
+    work = T.prepare(make_spec(), degree=degree)
+    model = BoundaryModel(1.0, [0.5])
+    fit = InnerSolver(work.spec, work.grid, work.table).fit(model)
+    assert fit.F <= 1e-20

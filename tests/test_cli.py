@@ -118,6 +118,21 @@ def test_capped_search_exits_numeric(tmp_path, capsys):
     assert "max_iterations" in capsys.readouterr().err
 
 
+def test_expression_domain_error_exits_numeric(tmp_path, capsys):
+    # log(x) is -inf at the mesh node x = 0
+    path = tmp_path / "log.cfg"
+    path.write_text(GOOD_CONFIG.replace("q = 0", "q = log(x)"))
+    assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_expression_underflow_is_not_an_error(tmp_path):
+    path = tmp_path / "underflow.cfg"
+    path.write_text(GOOD_CONFIG.replace("q = 0", "q = exp(-1000*x)"))
+    assert main(["basis-dump", str(path), "--n", "2",
+                 "--out", str(tmp_path / "o")]) == 0
+
+
 def test_missing_config_file(tmp_path):
     assert main(["solve", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")]) == 2

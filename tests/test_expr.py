@@ -85,3 +85,43 @@ def test_round_trip():
         for v in rng.uniform(0.1, 3.0, size=100):
             a, b = first(v), second(v)
             assert abs(a - b) <= 1e-14 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("src", ["x**2", "+x", "x == 1", "3j", "x.real",
+                                 "exp(x, 1)", "x[0]", "1 if x else 2"])
+def test_python_only_syntax_rejected(src):
+    with pytest.raises(ExpressionSyntaxError):
+        parse(src, "x")
+
+
+def test_error_position_counts_caret_once():
+    with pytest.raises(ExpressionSyntaxError) as info:
+        parse("x^2 + $", "x")
+    assert info.value.position == 6
+
+
+def test_array_call_matches_scalar_calls():
+    ts = np.linspace(0.1, 3.0, 50)
+    for src in ["1 + 0.1*t", "exp(-t^2/2) * sinh(t)", "t^3 - 2*t/(1+t^2)",
+                "-cos(t) + sqrt(abs(t)) - pi*t"]:
+        expr = parse(src, "t")
+        values = expr(ts)
+        assert values.shape == ts.shape
+        assert np.array_equal(values, [expr(t) for t in ts])
+
+
+def test_constant_takes_the_argument_shape():
+    values = parse("2*pi", "x")(np.zeros((3, 4)))
+    assert values.shape == (3, 4)
+    assert np.all(values == 2 * math.pi)
+
+
+def test_underflow_is_zero():
+    assert parse("exp(-1000*x)", "x")(2.0) == 0.0
+
+
+@pytest.mark.parametrize("src", ["exp(x)", "0/0 + x", "(-8)^(1/3) + x",
+                                 "sqrt(-1) + x"])
+def test_floating_point_errors_raise(src):
+    with pytest.raises(ExpressionEvalError):
+        parse(src, "x")(1000.0)

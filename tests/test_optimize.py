@@ -90,3 +90,14 @@ def test_only_numeric_failures_reject_a_vertex(manufactured, monkeypatch):
     monkeypatch.setattr(T.InnerSolver, "fit", failing_fit(TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
         T.minimize_boundary(work.spec, work.grid, work.table, settings)
+
+
+def test_reference_problem_at_N18():
+    # without column equilibration the inner fits at N = 18 lost rank and
+    # the boundary error was 1.5e-2
+    bench = T.exact_benchmark()
+    work = T.prepare(bench.spec, degree=18)
+    fit = T.solve_free_boundary(work, OptimizerSettings(K=6))
+    ts = np.linspace(0.0, 1.0, 101)
+    err = max(abs(float(fit.boundary.s_eval(t)) - bench.exact_s(t)) for t in ts)
+    assert err <= 1e-4
