@@ -4,7 +4,8 @@ problem for the basis coefficients.
 For a fixed boundary candidate the four condition blocks (initial data,
 data at x = 0, Dirichlet data on the moving boundary, flux balance on the
 moving boundary) stack into an overdetermined system B a ~ g, solved in the
-minimum-norm least-squares sense.  The fit quality is summarized by the
+least-squares sense with each column of B scaled to unit length (minimum
+norm in the scaled coefficients).  The fit quality is summarized by the
 value function F = I1^2 + I2^2 + I3^2 + I4^2.
 """
 

@@ -2,15 +2,17 @@
 
 The grammar (documented in docs/config.md) is the subset of Python
 expressions that Python's own parser reads once each ``^`` is written
-``**``: real numbers, the declared variable, the constants ``pi`` and ``e``,
-``+ - * / ^``, unary minus and one-argument calls to exp, log, sqrt, sin,
-cos, sinh, cosh and abs.  Any other node of the syntax tree is rejected.
+``**``: finite real numbers, the declared variable, the constants ``pi``
+and ``e``, ``+ - * / ^``, unary minus and one-argument calls to exp, log,
+sqrt, sin, cos, sinh, cosh and abs.  Any other node of the syntax tree is
+rejected.
 An expression is evaluated with numpy ufuncs over a whole array of points.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 
 import numpy as np
 
@@ -73,7 +75,8 @@ def _position(source: str, offset: int) -> int:
 def _compile(node: ast.AST, variable: str, source: str):
     """Function of the point array that evaluates ``node``; raises
     ExpressionSyntaxError for a node outside the grammar."""
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+    if (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+            and abs(node.value) <= sys.float_info.max):
         value = float(node.value)
         return lambda x: value
     if isinstance(node, ast.Name) and node.id == variable:

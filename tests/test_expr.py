@@ -94,6 +94,12 @@ def test_python_only_syntax_rejected(src):
         parse(src, "x")
 
 
+def test_number_beyond_float_range_rejected():
+    for src in ["1e400", "1" + "0" * 400 + "*x"]:
+        with pytest.raises(ExpressionSyntaxError):
+            parse(src, "x")
+
+
 def test_error_position_counts_caret_once():
     with pytest.raises(ExpressionSyntaxError) as info:
         parse("x^2 + $", "x")
