@@ -53,7 +53,7 @@ class Expression:
         return float(values) if values.ndim == 0 else values
 
     def source(self) -> str:
-        """Parenthesized form that re-parses to an equivalent expression."""
+        """Normalized text that re-parses to an equivalent expression."""
         return ast.unparse(self._tree).replace("**", "^")
 
     def __repr__(self):
