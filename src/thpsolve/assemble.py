@@ -20,6 +20,7 @@ from .boundary import BoundaryModel
 from .errors import ConfigurationError, DegenerateSystemError
 from .expr import Expression
 from .formal_powers import FormalPowerTable
+from .numerics import apply_datum
 from .thp import basis
 
 __all__ = [
@@ -54,7 +55,7 @@ def _tabulate(fn: Optional[BoundaryData], points: np.ndarray, what: str,
                 f"expected {points.shape[0]} (one per collocation point)"
             )
         return fn.astype(complex)
-    return np.full(points.shape, fn(points), dtype=complex)
+    return apply_datum(fn, points, what)
 
 
 @dataclass(frozen=True)

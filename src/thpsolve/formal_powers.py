@@ -35,9 +35,16 @@ class FormalPowerTable:
 
     @cached_property
     def spline(self) -> Interpolant:
-        """One cubic spline through the whole stack, built on first use:
-        callers that only read node values never pay for it."""
-        return Interpolant(self.mesh, self.values)
+        """One cubic Hermite interpolant of the whole stack with exact
+        slopes, made on first use: callers that only read node values never
+        pay for it.  The slopes of (phi_n, phi_n') are (phi_n', phi_n''),
+        with phi_n'' = q phi_n + n (n-1) phi_(n-2) from the recursion."""
+        phi, phi_prime = self.values[:, 0], self.values[:, 1]
+        n = np.arange(self.degree + 1)
+        second = self.f.q.values[:, None] * phi
+        second[:, 2:] += n[2:] * (n[2:] - 1) * phi[:, :-2]
+        return Interpolant(self.mesh, self.values,
+                           slopes=np.stack([phi_prime, second], axis=1))
 
 
 def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:

@@ -1,15 +1,17 @@
-"""Uniform meshes, high-order cumulative quadrature and spline interpolation.
+"""Uniform meshes, high-order cumulative quadrature and Hermite interpolation.
 
 Everything downstream (particular solution, recursive integrals, basis
 functions) is tabulated on a :class:`UniformMesh` and integrated with the
 composite six-point Newton-Cotes rule, which is exact for polynomials of
-degree five.  Splines provide off-node evaluation and first derivatives.
+degree five.  Piecewise cubic Hermite interpolation from node values and
+slopes provides off-node evaluation and first derivatives, with no solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .errors import ConfigurationError, DomainError
 __all__ = [
     "UniformMesh",
     "SampledFunction",
+    "apply_datum",
     "Interpolant",
     "cumulative_integral",
 ]
@@ -87,6 +90,18 @@ class UniformMesh:
         return np.linspace(self.x_start, self.x_end, self.n_points)
 
 
+def apply_datum(func, points: np.ndarray, what: str) -> np.ndarray:
+    """``func`` applied once to the whole point array, as complex values of
+    the points' shape; a scalar result is the constant function.  Any other
+    result shape is a ConfigurationError naming the datum ``what``."""
+    values = np.asarray(func(points), dtype=complex)
+    if values.shape not in ((), points.shape):
+        raise ConfigurationError(
+            f"{what} returned values of shape {values.shape}, expected "
+            f"{points.shape} (one per point) or a scalar")
+    return np.full(points.shape, values, dtype=complex)
+
+
 @dataclass(frozen=True)
 class SampledFunction:
     """Complex values tabulated at the nodes of a uniform mesh."""
@@ -104,41 +119,62 @@ class SampledFunction:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_callable(cls, mesh: UniformMesh, func) -> "SampledFunction":
-        """Tabulate ``func``, applied once to the whole node array; a scalar
-        result is the constant function."""
-        return cls(mesh, np.full(mesh.n_points, func(mesh.nodes), dtype=complex))
+    def from_callable(cls, mesh: UniformMesh, func,
+                      what: str = "function") -> "SampledFunction":
+        """Tabulate ``func`` on the nodes with :func:`apply_datum`."""
+        return cls(mesh, apply_datum(func, mesh.nodes, what))
 
     @classmethod
     def constant(cls, mesh: UniformMesh, value: complex) -> "SampledFunction":
         return cls(mesh, np.full(mesh.n_points, value, dtype=complex))
 
 
+# fourth-order first-derivative stencils over five nodes, in units of
+# 1/(12 h): one-sided at the two nodes nearest the left end (the right end
+# mirrors them) and centred elsewhere; all are exact for quartics
+_FD_LEFT = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                     [-3.0, -10.0, 18.0, -6.0, 1.0]])
+_FD_CENTRED = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
+
+
+def _fd_slopes(values: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order finite-difference derivative at every node of a
+    uniform mesh (``values`` has the mesh along its first axis)."""
+    n = values.shape[0]
+    out = np.empty_like(values)
+    out[2:-2] = sum(w * values[j:n - 4 + j]
+                    for j, w in enumerate(_FD_CENTRED) if w)
+    for i, row in enumerate(_FD_LEFT):
+        out[i] = np.tensordot(row, values[:5], axes=1)
+        out[n - 1 - i] = -np.tensordot(row, values[::-1][:5], axes=1)
+    return out / (12.0 * h)
+
+
 class Interpolant:
-    """Cubic not-a-knot spline over a mesh; supports values and first
-    derivatives at arbitrary points of the mesh interval.  ``values`` has
-    the mesh along its first axis and any shape after it, which evaluation
-    results carry as their trailing shape."""
+    """Piecewise cubic Hermite interpolant over a uniform mesh; supports
+    values and first derivatives at arbitrary points of the mesh interval.
+
+    ``values`` has the mesh along its first axis and any shape after it,
+    which evaluation results carry as their trailing shape.  ``slopes``,
+    of the same shape, are the derivatives at the nodes; without them the
+    slopes are fourth-order finite differences of ``values``, so cubics are
+    reproduced exactly.  There is no build step: a point's cell is found by
+    division, and the four nodal data of that cell give its cubic.
+    """
 
     # slack for floating-point noise at the interval ends
     _EDGE_TOL = 1e-12
 
-    def __init__(self, mesh: UniformMesh, values: np.ndarray):
-        # imported here so that commands which build no spline never load
-        # scipy, whose import costs more than the whole basis construction
-        from scipy.interpolate import CubicSpline, PPoly
-
+    def __init__(self, mesh: UniformMesh, values: np.ndarray,
+                 slopes: Optional[np.ndarray] = None):
         self.mesh = mesh
-        values = np.asarray(values, dtype=complex)
-        # fit one column at a time: CubicSpline's temporaries for a whole
-        # stack of columns cost about twice the coefficients themselves
-        columns = values.reshape(mesh.n_points, -1)
-        coeffs = np.empty((4, mesh.n_points - 1, columns.shape[1]), dtype=complex)
-        for j in range(columns.shape[1]):
-            coeffs[:, :, j] = CubicSpline(mesh.nodes, columns[:, j],
-                                          bc_type="not-a-knot").c
-        self._spline = PPoly.construct_fast(
-            coeffs.reshape(coeffs.shape[:2] + values.shape[1:]), mesh.nodes)
+        self.values = np.asarray(values, dtype=complex)
+        self.slopes = (_fd_slopes(self.values, mesh.h) if slopes is None
+                       else np.asarray(slopes, dtype=complex))
+        if self.slopes.shape != self.values.shape:
+            raise ConfigurationError(
+                f"slopes shape {self.slopes.shape} does not match values "
+                f"shape {self.values.shape}")
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
@@ -150,11 +186,27 @@ class Interpolant:
             )
         return np.clip(x, lo, hi)
 
+    def _cell(self, x):
+        """(left node index, local coordinate s in [0, 1] shaped to
+        broadcast against the trailing value shape) for each point."""
+        u = (self._check(x) - self.mesh.x_start) / self.mesh.h
+        i = np.minimum(np.floor(u).astype(int), self.mesh.n_points - 2)
+        s = u - i
+        return i, s.reshape(s.shape + (1,) * (self.values.ndim - 1))
+
     def __call__(self, x):
-        return self._spline(self._check(x))
+        i, s = self._cell(x)
+        y0, y1 = self.values[i], self.values[i + 1]
+        d0, d1 = self.mesh.h * self.slopes[i], self.mesh.h * self.slopes[i + 1]
+        return y0 + s * (d0 + s * (3 * (y1 - y0) - 2 * d0 - d1
+                                   + s * (2 * (y0 - y1) + d0 + d1)))
 
     def derivative(self, x):
-        return self._spline(self._check(x), 1)
+        i, s = self._cell(x)
+        y0, y1 = self.values[i], self.values[i + 1]
+        d0, d1 = self.mesh.h * self.slopes[i], self.mesh.h * self.slopes[i + 1]
+        return (d0 + s * (2 * (3 * (y1 - y0) - 2 * d0 - d1)
+                          + 3 * s * (2 * (y0 - y1) + d0 + d1))) / self.mesh.h
 
 
 def cumulative_integral(sf: SampledFunction) -> SampledFunction:

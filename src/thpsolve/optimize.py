@@ -4,8 +4,9 @@ For a fixed boundary the basis coefficients enter the collocation residual
 linearly, so the inner least-squares fit eliminates them and leaves a
 residual vector in the boundary coefficients alone (Golub & Pereyra 1973;
 Kaufman 1975).  That projected residual, extended by the weighted per-time
-violations of the admissibility constraint, is minimized by one trust-region
-least-squares solve with a finite-difference Jacobian.
+violations of the admissibility constraint, is minimized by Gauss-Newton
+steps on a central-difference Jacobian, with Levenberg-Marquardt damping
+(More 1978) added only after a step that fails to lower the objective.
 """
 
 from __future__ import annotations
@@ -25,6 +26,15 @@ __all__ = ["OptimizerSettings", "minimize_boundary"]
 # weight of the squared admissibility violation against the value function F
 PENALTY_WEIGHT = 1e6
 
+# convergence: a step short relative to b, or an accepted step that lowers
+# the objective by a small share (scipy's least_squares defaults for xtol
+# and ftol)
+XTOL = FTOL = 1e-8
+# damping after a rejected undamped step, relative to each squared column
+# norm of the Jacobian; every further rejection multiplies it by 10
+INITIAL_DAMPING = 1e-3
+_FD_STEP = np.finfo(float).eps ** (1 / 3)
+
 
 @dataclass(frozen=True)
 class OptimizerSettings:
@@ -32,7 +42,9 @@ class OptimizerSettings:
 
     K: int = 6
     initial_b: Optional[np.ndarray] = None     # default (0.1, 0, ..., 0)
-    max_iterations: int = 400                  # trust-region iterations
+    # Gauss-Newton iterations, each one trial point (the start is the first)
+    # and at most one Jacobian, i.e. at most 2K + 1 inner fits
+    max_iterations: int = 400
 
     def __post_init__(self):
         if self.K < 1:
@@ -49,6 +61,31 @@ class OptimizerSettings:
         object.__setattr__(self, "initial_b", b0)
 
 
+def _jacobian(residuals, b: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian, 2K residual evaluations; the step per
+    coefficient is eps^(1/3) max(1, |b_j|), as in scipy's "3-point"."""
+    columns = []
+    for j, step in enumerate(_FD_STEP * np.maximum(1.0, np.abs(b))):
+        lo, hi = b.copy(), b.copy()
+        lo[j] -= step
+        hi[j] += step
+        columns.append((residuals(hi) - residuals(lo)) / (hi[j] - lo[j]))
+    return np.column_stack(columns)
+
+
+def _step(jac: np.ndarray, r: np.ndarray, damping: float) -> np.ndarray:
+    """Levenberg-Marquardt step: least-squares solution of J p = -r, with
+    the rows sqrt(damping) D p = 0 added, D the column norms of J (the
+    Gauss-Newton step when damping is 0).  Solved in the columns scaled
+    by D, so that the damping is relative to each column's norm."""
+    norms = np.linalg.norm(jac, axis=0)
+    norms[norms == 0] = 1.0
+    k = jac.shape[1]
+    lhs = np.vstack([jac / norms, np.sqrt(damping) * np.eye(k)])
+    rhs = np.concatenate([-r, np.zeros(k)])
+    return np.linalg.lstsq(lhs, rhs, rcond=None)[0] / norms
+
+
 def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
                       table: FormalPowerTable,
                       settings: OptimizerSettings = OptimizerSettings(),
@@ -56,15 +93,15 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
                       ) -> FitResult:
     """Minimize the reduced value function over boundary coefficients.
 
-    Returns the converged fit; deterministic for fixed settings.  Raises
-    ``OptimizationError`` when the search uses up ``max_iterations``.  Each
-    trust-region iteration costs at most 2K + 1 inner fits (one trial point
-    and a central-difference Jacobian).  The ``trace`` callback, when given,
-    receives (K, evaluation count, penalized objective, coefficients) for
-    every objective evaluation.
+    Returns the converged fit; deterministic for fixed settings.  Each
+    iteration evaluates the objective at one trial point (the start is the
+    first) and, after a point that lowers it, a central-difference Jacobian
+    there, so it costs at most 2K + 1 inner fits.  Raises
+    ``OptimizationError`` when ``max_iterations`` trial points do not reach
+    convergence.  The ``trace`` callback, when given, receives (K,
+    evaluation count, penalized objective, coefficients) for every
+    objective evaluation.
     """
-    from scipy.optimize import least_squares
-
     solver = InnerSolver(spec, grid, table)
     weight = np.sqrt(PENALTY_WEIGHT)
     count = 0
@@ -84,13 +121,30 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
             trace(settings.K, count, float(r @ r), np.asarray(b, float))
         return r
 
-    result = least_squares(residuals, settings.initial_b, method="trf",
-                           jac="3-point", max_nfev=settings.max_iterations)
-    if result.status == 0:
+    b = settings.initial_b.copy()
+    r = residuals(b)
+    value = r @ r
+    jac, damping = None, 0.0
+    for _ in range(settings.max_iterations - 1):
+        if jac is None:
+            jac = _jacobian(residuals, b)
+        step = _step(jac, r, damping)
+        trial = b + step
+        r_trial = residuals(trial)
+        trial_value = r_trial @ r_trial
+        done = np.linalg.norm(step) <= XTOL * (XTOL + np.linalg.norm(b))
+        if trial_value < value:
+            done |= value - trial_value <= FTOL * value
+            b, r, value, jac, damping = trial, r_trial, trial_value, None, 0.0
+        else:
+            damping = max(10.0 * damping, INITIAL_DAMPING)
+        if done:
+            break
+    else:
         raise OptimizationError(
             f"boundary search did not converge within max_iterations = "
-            f"{settings.max_iterations} (objective {2 * result.cost:.6e})")
-    model = BoundaryModel(spec.l, result.x)
+            f"{settings.max_iterations} (objective {value:.6e})")
+    model = BoundaryModel(spec.l, b)
     if model.constraint_violation(grid.t, spec.L) > 0:
         raise OptimizationError("optimizer returned an inadmissible boundary")
     return solver.fit(model)

@@ -38,7 +38,7 @@ def prepare(spec: ProblemSpec, mesh_points: int = DEFAULT_MESH_POINTS,
     elif isinstance(spec.q, np.ndarray):
         q = SampledFunction(mesh, spec.q)
     else:
-        q = SampledFunction.from_callable(mesh, spec.q)
+        q = SampledFunction.from_callable(mesh, spec.q, "q")
     f = solve_particular(q)
     table = build_formal_powers(f, degree)
     grid = CollocationGrid.equidistant(spec.l, spec.T, n_x=n_x, n_t=n_t)

@@ -82,7 +82,7 @@ def pde_residual(table: FormalPowerTable, coeffs, sample_points) -> float:
 
     Derivatives are central finite differences of step ``FD_STEP``; the
     second x-derivative differences the closed-form u_x (a second
-    difference of the value splines alone would be dominated by their
+    difference of the value interpolants alone would be dominated by their
     curvature error for the higher-degree basis functions)."""
     x, t = np.asarray(sample_points, dtype=float).reshape(-1, 2).T
     a = np.asarray(coeffs, dtype=complex)

@@ -28,6 +28,22 @@ def test_spec_invariants():
         make_spec(g3=None)
 
 
+def test_wrong_shape_data_callable_is_a_configuration_error(table_q0):
+    # a callable datum must return one value per point or a scalar; this
+    # one escaped as a bare numpy broadcasting ValueError
+    spec = ProblemSpec(q=lambda x: 0.0, L=2.0, l=1.0, T=1.0,
+                       g1=lambda x: np.ones(3), g3=lambda t: 1.0)
+    grid = CollocationGrid.equidistant(spec.l, spec.T, n_x=100, n_t=100)
+    with pytest.raises(ConfigurationError, match=r"g1 .*\(3,\).*\(101,\)"):
+        InnerSolver(spec, grid, table_q0)
+
+
+def test_wrong_shape_potential_callable_is_a_configuration_error():
+    spec = make_spec(q=lambda x: np.ones(3))
+    with pytest.raises(ConfigurationError, match=r"q .*\(3,\).*\(2001,\)"):
+        T.prepare(spec)
+
+
 def condition_rows(table, spec, x, t):
     """Row of the initial block at (x, 0) and row of the lateral block at
     (0, t) in the collocation matrix of a grid that holds x and t."""

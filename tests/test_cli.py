@@ -220,3 +220,10 @@ def test_basis_dump_loads_no_scipy(config_path, tmp_path):
             f"assert main(['basis-dump', {config_path!r}, '--n', '3', "
             f"'--out', {str(tmp_path / 'out')!r}]) == 0")
     assert _scipy_modules_after(code) == "[]"
+
+
+def test_solve_loads_no_scipy(config_path, tmp_path):
+    code = ("from thpsolve.cli import main\n"
+            f"assert main(['solve', {config_path!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+    assert _scipy_modules_after(code) == "[]"

@@ -19,6 +19,18 @@ def test_phi1_is_sinh_for_unit_potential(table_q1):
     assert np.max(np.abs(table_q1.spline(xs)[:, 0, 1] - np.sinh(xs))) < 1e-8
 
 
+def test_spline_slopes_are_exact_at_cell_midpoints(table_q1):
+    # the Hermite slopes of (phi, phi') are the exact (phi', phi''), with
+    # phi'' from the recursion; a wrong phi'' shows as about h times its
+    # error in the interpolated phi'
+    nodes = table_q1.mesh.nodes
+    mid = (nodes[:-1] + nodes[1:]) / 2
+    phi = table_q1.spline(mid)
+    closed = {(0, 0): np.cosh, (1, 0): np.sinh, (0, 1): np.sinh, (1, 1): np.cosh}
+    for (d, n), exact in closed.items():
+        assert np.max(np.abs(phi[:, d, n] - exact(mid))) < 1e-12
+
+
 def test_eval_basics(table_q0):
     phi, phi_prime = table_q0.spline(0.5)
     assert phi[3] == pytest.approx(0.125, abs=1e-10)
