@@ -180,33 +180,32 @@ class Interpolant:
         x = np.asarray(x, dtype=float)
         lo, hi = self.mesh.x_start, self.mesh.x_end
         tol = self._EDGE_TOL * (1.0 + abs(lo) + abs(hi))
-        if np.any(x < lo - tol) or np.any(x > hi + tol):
+        # written so that NaN fails too: it has no cell to look up
+        if not np.all((x >= lo - tol) & (x <= hi + tol)):
             raise DomainError(
                 f"evaluation point outside [{lo}, {hi}]"
             )
         return np.clip(x, lo, hi)
 
-    def _cell(self, x):
-        """(left node index, local coordinate s in [0, 1] shaped to
-        broadcast against the trailing value shape) for each point."""
+    def _cubic(self, x):
+        """Local coordinate s in [0, 1] of each point in its cell, shaped to
+        broadcast against the trailing value shape, and the coefficients
+        (c0, c1, c2, c3) of the cell's cubic c0 + c1 s + c2 s^2 + c3 s^3."""
         u = (self._check(x) - self.mesh.x_start) / self.mesh.h
         i = np.minimum(np.floor(u).astype(int), self.mesh.n_points - 2)
         s = u - i
-        return i, s.reshape(s.shape + (1,) * (self.values.ndim - 1))
+        y0, y1 = self.values[i], self.values[i + 1]
+        d0, d1 = self.mesh.h * self.slopes[i], self.mesh.h * self.slopes[i + 1]
+        return (s.reshape(s.shape + (1,) * (self.values.ndim - 1)),
+                (y0, d0, 3 * (y1 - y0) - 2 * d0 - d1, 2 * (y0 - y1) + d0 + d1))
 
     def __call__(self, x):
-        i, s = self._cell(x)
-        y0, y1 = self.values[i], self.values[i + 1]
-        d0, d1 = self.mesh.h * self.slopes[i], self.mesh.h * self.slopes[i + 1]
-        return y0 + s * (d0 + s * (3 * (y1 - y0) - 2 * d0 - d1
-                                   + s * (2 * (y0 - y1) + d0 + d1)))
+        s, (c0, c1, c2, c3) = self._cubic(x)
+        return c0 + s * (c1 + s * (c2 + s * c3))
 
     def derivative(self, x):
-        i, s = self._cell(x)
-        y0, y1 = self.values[i], self.values[i + 1]
-        d0, d1 = self.mesh.h * self.slopes[i], self.mesh.h * self.slopes[i + 1]
-        return (d0 + s * (2 * (3 * (y1 - y0) - 2 * d0 - d1)
-                          + 3 * s * (2 * (y0 - y1) + d0 + d1))) / self.mesh.h
+        s, (_, c1, c2, c3) = self._cubic(x)
+        return (c1 + s * (2 * c2 + 3 * s * c3)) / self.mesh.h
 
 
 def cumulative_integral(sf: SampledFunction) -> SampledFunction:

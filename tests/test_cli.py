@@ -110,7 +110,7 @@ def test_config_nonpositive_max_iterations(tmp_path, capsys):
 
 
 def test_capped_search_exits_numeric(tmp_path, capsys):
-    # one trust-region iteration cannot converge: the search must fail
+    # one Gauss-Newton iteration cannot converge: the search must fail
     # instead of writing its initial guess as the answer
     path = tmp_path / "capped.cfg"
     path.write_text(GOOD_CONFIG + "max_iterations = 1\n")

@@ -99,6 +99,8 @@ def test_spline_domain_error():
         interp(1.5)
     with pytest.raises(DomainError):
         interp.derivative(-0.1)
+    with pytest.raises(DomainError):
+        interp([0.5, np.nan])
 
 
 def test_spline_fourth_order_on_quartic():

@@ -32,7 +32,7 @@ def test_restart_at_optimum_is_stable(manufactured):
 
 
 def test_evaluations_bounded_by_iterations(manufactured):
-    # each trust-region iteration costs one trial point and a central-
+    # each Gauss-Newton iteration costs one trial point and a central-
     # difference Jacobian, i.e. at most 2K + 1 inner fits; three iterations
     # do not reach convergence, which the search reports as an error
     work, _ = manufactured
