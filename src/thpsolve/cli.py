@@ -262,12 +262,12 @@ def cmd_validate_example(args) -> int:
             check(f"a_{n} vs reference", False, f"basis degree {degree} < {n}")
 
     ts = np.linspace(0.0, 1.0, 1001)
-    s_err = max(abs(float(fit.boundary.s_eval(t)) - bench.exact_s(t)) for t in ts)
+    s_err = np.max(np.abs(fit.boundary.s_eval(ts) - bench.exact_s(ts)))
     check("boundary max error <= 1e-2", s_err <= 1e-2, f"max error {s_err:.3e}")
 
     solution_rows = _solution_grid(work, fit)
-    u_err = max(abs(u - bench.exact_u(x, t))
-                for x, t, u in solution_rows.tolist())
+    x, t, u = solution_rows.T
+    u_err = np.max(np.abs(u - bench.exact_u(x, t)))
     check("solution max error <= 1e-2", u_err <= 1e-2, f"max error {u_err:.3e}")
 
     for i, mx in enumerate(fit.residual_maxima, start=1):

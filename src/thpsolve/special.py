@@ -7,7 +7,6 @@ boundary s(t) = sqrt(2 * Ei^{-1}(2C - 2 e^{-t})), C = Ei(1/2)/2 + 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,51 +22,98 @@ __all__ = ["ei", "ei_inv", "ExactBenchmark", "exact_benchmark",
 BENCHMARK_L = 1.5
 EI_INV_BRACKET = (0.05, 1.5)
 
-
-# scipy is imported once per public call, not at module level (commands
-# that never evaluate Ei then never load it) and not once per Ei value
-# (ei_inv evaluates it a dozen times per call)
-
-def _ei(x: float, expi) -> float:
-    if x <= 0:
-        raise DomainError(f"Ei requires x > 0, got {x}")
-    return float(expi(x))
+_EULER_GAMMA = 0.57721566490153286061
+_EPS = np.finfo(float).eps
+# Newton from the bracket midpoint takes about six steps on the reference
+# problem's targets; bisection alone would need about 55 on the default
+# bracket, so the cap leaves room for every mix of the two
+_MAX_STEPS = 100
 
 
-def ei(x: float) -> float:
-    """Exponential integral Ei on the positive axis."""
-    from scipy.special import expi
-
-    return _ei(x, expi)
+def _result(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
 
 
-def ei_inv(y: float, bracket: tuple = EI_INV_BRACKET) -> float:
-    """Inverse of Ei on a bracket where it is strictly increasing."""
-    from scipy.optimize import brentq
-    from scipy.special import expi
+def ei(x):
+    """Exponential integral Ei on the positive axis, for a scalar or an
+    array.
 
+    Sums Ei(x) = gamma + ln x + sum_{k>=1} x^k / (k k!), whose terms are all
+    positive for x > 0, so the series loses nothing to cancellation (about
+    195 terms at x = 100).  Past x ~ 716, where Ei overflows, the result is
+    inf.
+    """
+    x = np.asarray(x, dtype=float)
+    bad = ~(x > 0)   # NaN included
+    if bad.any():
+        raise DomainError(f"Ei requires x > 0, got {x[bad].flat[0]}")
+    term = np.ones_like(x)
+    total = np.zeros_like(x)
+    k = 0
+    with np.errstate(over="ignore"):
+        while True:
+            k += 1
+            term = term * x / k
+            total += term / k
+            # the terms only fall from here on, and each is below half an
+            # ulp of the sum, so the terms an array adds for its larger
+            # entries leave the smaller ones as a scalar call gives them
+            if np.all(term / k <= 0.25 * _EPS * total):
+                break
+    return _result(_EULER_GAMMA + np.log(x) + total)
+
+
+def ei_inv(y, bracket: tuple = EI_INV_BRACKET):
+    """Inverse of Ei on a bracket where it is strictly increasing, for a
+    scalar or an array of targets.
+
+    Newton steps on Ei' = e^x / x from the bracket midpoint; a step that
+    leaves the bracket of the root, narrowed at every iterate, is replaced
+    by bisection.  Each target stops at the iterate where its own step
+    falls below a few ulps, so an array gives what scalar calls give.
+    """
     lo, hi = bracket
-    flo, fhi = _ei(lo, expi), _ei(hi, expi)
-    if not flo <= y <= fhi:
+    flo, fhi = ei(lo), ei(hi)
+    y = np.asarray(y, dtype=float)
+    bad = ~((flo <= y) & (y <= fhi))   # NaN included
+    if bad.any():
         raise DomainError(
-            f"target {y} outside [Ei({lo}), Ei({hi})] = [{flo:.6g}, {fhi:.6g}]"
+            f"target {y[bad].flat[0]} outside [Ei({lo}), Ei({hi})] = "
+            f"[{flo:.6g}, {fhi:.6g}]"
         )
-    # Ei' = e^x / x stays below 21 on the default bracket, so this x
-    # tolerance leaves the residual far inside the check below
-    x = brentq(lambda v: _ei(v, expi) - y, lo, hi, xtol=1e-15)
-    if abs(_ei(x, expi) - y) > 1e-12:
-        raise DomainError(f"Ei inversion did not reach tolerance at y={y}")
-    return x
+    lo = np.full(y.shape, float(lo))
+    hi = np.full(y.shape, float(hi))
+    x = 0.5 * (lo + hi)
+    active = np.ones(y.shape, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        f = ei(x) - y
+        lo = np.where(f < 0, x, lo)
+        hi = np.where(f > 0, x, hi)
+        step = x - f * x * np.exp(-x)
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        step = np.where(active, step, x)
+        active &= np.abs(step - x) > 4 * _EPS * x
+        x = step
+        if not active.any():
+            break
+    # Ei' = e^x / x stays below 21 on the default bracket, so a root found
+    # to a few ulps leaves the residual far inside this check
+    missed = np.abs(ei(x) - y) > 1e-12
+    if missed.any():
+        raise DomainError(
+            f"Ei inversion did not reach tolerance at y={y[missed].flat[0]}")
+    return _result(x)
 
 
 @dataclass(frozen=True)
 class ExactBenchmark:
-    """Reference problem instance plus its closed-form solution pair."""
+    """Reference problem instance plus its closed-form solution pair; both
+    functions take scalars or arrays (broadcast together for exact_u)."""
 
     spec: ProblemSpec
     C: float
-    exact_u: Callable[[float, float], float]
-    exact_s: Callable[[float], float]
+    exact_u: Callable
+    exact_s: Callable
 
 
 def exact_benchmark(times: np.ndarray | None = None) -> ExactBenchmark:
@@ -79,13 +125,13 @@ def exact_benchmark(times: np.ndarray | None = None) -> ExactBenchmark:
     times = np.asarray(times, dtype=float)
     C = 0.5 * ei(0.5) + 1.0
 
-    def exact_s(t: float) -> float:
-        return math.sqrt(2.0 * ei_inv(2.0 * C - 2.0 * math.exp(-t)))
+    def exact_s(t):
+        return np.sqrt(2.0 * ei_inv(2.0 * C - 2.0 * np.exp(-t)))
 
-    def exact_u(x: float, t: float) -> float:
-        return math.exp(-0.5 * x * x - t)
+    def exact_u(x, t):
+        return np.exp(-0.5 * x * x - t)
 
-    g3_values = np.asarray([exact_u(exact_s(t), t) for t in times])
+    g3_values = exact_u(exact_s(times), times)
     spec = ProblemSpec(
         q=lambda x: x * x,
         L=BENCHMARK_L,

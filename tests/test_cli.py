@@ -215,15 +215,10 @@ def test_cli_import_loads_no_scipy():
     assert _scipy_modules_after("import thpsolve.cli") == "[]"
 
 
-def test_basis_dump_loads_no_scipy(config_path, tmp_path):
-    code = ("from thpsolve.cli import main\n"
-            f"assert main(['basis-dump', {config_path!r}, '--n', '3', "
-            f"'--out', {str(tmp_path / 'out')!r}]) == 0")
-    assert _scipy_modules_after(code) == "[]"
-
-
-def test_solve_loads_no_scipy(config_path, tmp_path):
-    code = ("from thpsolve.cli import main\n"
-            f"assert main(['solve', {config_path!r}, "
-            f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+@pytest.mark.parametrize("command", ["basis-dump", "solve", "validate-example"])
+def test_command_loads_no_scipy(command, config_path, tmp_path):
+    inputs = {"basis-dump": [config_path, "--n", "3"], "solve": [config_path],
+              "validate-example": []}[command]
+    argv = [command, *inputs, "--out", str(tmp_path / "out")]
+    code = f"from thpsolve.cli import main\nassert main({argv!r}) == 0"
     assert _scipy_modules_after(code) == "[]"

@@ -99,5 +99,5 @@ def test_reference_problem_at_N18():
     work = T.prepare(bench.spec, degree=18)
     fit = T.solve_free_boundary(work, OptimizerSettings(K=6))
     ts = np.linspace(0.0, 1.0, 101)
-    err = max(abs(float(fit.boundary.s_eval(t)) - bench.exact_s(t)) for t in ts)
+    err = np.max(np.abs(fit.boundary.s_eval(ts) - bench.exact_s(ts)))
     assert err <= 1e-4
