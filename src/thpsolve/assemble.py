@@ -20,7 +20,7 @@ from .boundary import BoundaryModel
 from .errors import ConfigurationError, DegenerateSystemError
 from .expr import Expression
 from .formal_powers import FormalPowerTable
-from .numerics import apply_datum
+from .numerics import tabulate
 from .thp import basis
 
 __all__ = [
@@ -38,35 +38,13 @@ DataFunc = Union[Expression, Callable[[np.ndarray], Union[np.ndarray, complex]]]
 BoundaryData = Union[DataFunc, np.ndarray]
 
 
-def _tabulate(fn: Optional[BoundaryData], points: np.ndarray, what: str,
-              default: Optional[complex] = None) -> np.ndarray:
-    """Evaluate a function-like problem datum on a point set in one call;
-    arrays are accepted only when their length matches the point set
-    exactly.  A missing datum is the constant ``default``, or an error
-    without one."""
-    if fn is None:
-        if default is None:
-            raise ConfigurationError(f"{what} is required but missing")
-        return np.full(points.shape, default, dtype=complex)
-    if isinstance(fn, np.ndarray):
-        if fn.shape != points.shape:
-            raise ConfigurationError(
-                f"tabulated {what} has {fn.shape[0] if fn.ndim else 0} values, "
-                f"expected {points.shape[0]} (one per collocation point)"
-            )
-        return fn.astype(complex)
-    return apply_datum(fn, points, what)
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
     """Full description of one free boundary problem instance.
 
-    Each function-like datum is either an array of its values at the
-    points where it is used (the quadrature mesh for ``q``, the collocation
-    points for the rest) or a callable.  A callable is applied once to the
-    whole point array and returns an array of that shape or a scalar, which
-    stands for the constant.
+    Each function-like datum becomes values at the points where it is used
+    (the quadrature mesh for ``q``, the collocation points for the rest)
+    through :func:`thpsolve.numerics.tabulate`.
 
     ``g1``/``g2`` may be None when the corresponding condition is absent.
     ``g3`` (Dirichlet data on the moving boundary) is mandatory, as is the
@@ -97,14 +75,6 @@ class ProblemSpec:
             raise ConfigurationError(
                 "Dirichlet data g3 on the free boundary is required"
             )
-
-    @property
-    def has_initial(self) -> bool:
-        return self.g1 is not None
-
-    @property
-    def has_lateral(self) -> bool:
-        return self.g2 is not None
 
 
 @dataclass(frozen=True)
@@ -186,22 +156,22 @@ class InnerSolver:
         # initial condition at (x, 0), lateral condition at (0, t); the
         # defaults are the trace u(x, 0) and the derivative u_x(0, t)
         self._b_block = self._g1 = None
-        if spec.has_initial:
+        if spec.g1 is not None:
             self._b_block = _trace(
                 table, grid.x, 0.0,
-                _tabulate(spec.gamma11, grid.x, "gamma11", 1.0),
-                _tabulate(spec.gamma12, grid.x, "gamma12", 0.0))
-            self._g1 = _tabulate(spec.g1, grid.x, "g1")
+                tabulate(spec.gamma11, grid.x, "gamma11", 1.0),
+                tabulate(spec.gamma12, grid.x, "gamma12", 0.0))
+            self._g1 = tabulate(spec.g1, grid.x, "g1")
         self._c_block = self._g2 = None
-        if spec.has_lateral:
+        if spec.g2 is not None:
             self._c_block = _trace(
                 table, 0.0, grid.t,
-                _tabulate(spec.gamma21, grid.t, "gamma21", 0.0),
-                _tabulate(spec.gamma22, grid.t, "gamma22", 1.0))
-            self._g2 = _tabulate(spec.g2, grid.t, "g2")
-        self._g3 = _tabulate(spec.g3, grid.t, "g3")
+                tabulate(spec.gamma21, grid.t, "gamma21", 0.0),
+                tabulate(spec.gamma22, grid.t, "gamma22", 1.0))
+            self._g2 = tabulate(spec.g2, grid.t, "g2")
+        self._g3 = tabulate(spec.g3, grid.t, "g3")
         self._g4 = (None if spec.flux_data is None
-                    else _tabulate(spec.flux_data, grid.t, "flux data"))
+                    else tabulate(spec.flux_data, grid.t, "flux data"))
 
     def system_for(self, model: BoundaryModel, clamp: bool = False) -> LinearSystem:
         s_vals = np.atleast_1d(model.s_eval(self.grid.t))

@@ -309,12 +309,13 @@ def cmd_basis_dump(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser):
+def _add_common(parser, search: bool):
+    """Flags of every command, plus --K for those that search a boundary."""
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--verbose", action="store_true")
     parser.add_argument("--N", type=int, default=None, help="basis degree override")
-    parser.add_argument("--K", type=int, default=None,
-                        help="boundary polynomial degree override")
+    if search:
+        parser.add_argument("--K", type=int, default=None,
+                            help="boundary polynomial degree override")
     parser.add_argument("--mesh", type=int, default=None,
                         help="mesh point count override")
 
@@ -330,19 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("config")
     p_solve.add_argument("--seed-boundary", default=None,
                          help="initial boundary guess, expression in t")
-    _add_common(p_solve)
+    p_solve.add_argument("--verbose", action="store_true",
+                         help="stream the search trace as CSV")
+    _add_common(p_solve, search=True)
     p_solve.set_defaults(func=cmd_solve)
 
     p_val = sub.add_parser("validate-example",
                            help="solve the exact reference problem and verify it")
-    _add_common(p_val)
+    _add_common(p_val, search=True)
     p_val.set_defaults(func=cmd_validate_example)
 
     p_dump = sub.add_parser("basis-dump", help="write basis functions as CSV")
     p_dump.add_argument("config")
     p_dump.add_argument("--n", dest="n_max", type=int, required=True,
                         help="highest basis index to dump")
-    _add_common(p_dump)
+    _add_common(p_dump, search=False)
     p_dump.set_defaults(func=cmd_basis_dump)
     return parser
 

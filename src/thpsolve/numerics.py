@@ -20,7 +20,7 @@ from .errors import ConfigurationError, DomainError
 __all__ = [
     "UniformMesh",
     "SampledFunction",
-    "apply_datum",
+    "tabulate",
     "Interpolant",
     "cumulative_integral",
 ]
@@ -90,15 +90,28 @@ class UniformMesh:
         return np.linspace(self.x_start, self.x_end, self.n_points)
 
 
-def apply_datum(func, points: np.ndarray, what: str) -> np.ndarray:
-    """``func`` applied once to the whole point array, as complex values of
-    the points' shape; a scalar result is the constant function.  Any other
-    result shape is a ConfigurationError naming the datum ``what``."""
-    values = np.asarray(func(points), dtype=complex)
-    if values.shape not in ((), points.shape):
+def tabulate(datum, points: np.ndarray, what: str,
+             default: Optional[complex] = None) -> np.ndarray:
+    """Complex values of the problem datum ``what`` at ``points``.  The datum
+    is an array with one value per point, a callable applied once to the
+    whole point array (a scalar result is the constant), or None for the
+    constant ``default`` (an error without one).  Any other datum, or any
+    other shape, is a ConfigurationError naming the datum."""
+    if isinstance(datum, np.ndarray):
+        values = datum
+    elif callable(datum):
+        values = datum(points)
+    elif datum is None and default is not None:
+        values = default
+    else:
         raise ConfigurationError(
-            f"{what} returned values of shape {values.shape}, expected "
-            f"{points.shape} (one per point) or a scalar")
+            f"{what} is required but missing" if datum is None else
+            f"{what} must be an array or a callable, got {datum!r}")
+    values = np.asarray(values, dtype=complex)
+    if values.shape != points.shape and (values.ndim or isinstance(datum, np.ndarray)):
+        raise ConfigurationError(
+            f"{what} has values of shape {values.shape}, expected "
+            f"{points.shape}: one per point, or a scalar from a callable")
     return np.full(points.shape, values, dtype=complex)
 
 
@@ -119,10 +132,10 @@ class SampledFunction:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_callable(cls, mesh: UniformMesh, func,
+    def from_callable(cls, mesh: UniformMesh, datum,
                       what: str = "function") -> "SampledFunction":
-        """Tabulate ``func`` on the nodes with :func:`apply_datum`."""
-        return cls(mesh, apply_datum(func, mesh.nodes, what))
+        """Tabulate the datum ``what`` on the nodes with :func:`tabulate`."""
+        return cls(mesh, tabulate(datum, mesh.nodes, what))
 
     @classmethod
     def constant(cls, mesh: UniformMesh, value: complex) -> "SampledFunction":

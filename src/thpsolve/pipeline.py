@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .assemble import CollocationGrid, FitResult, ProblemSpec
 from .formal_powers import FormalPowerTable, build_formal_powers
 from .numerics import SampledFunction, UniformMesh
@@ -33,13 +31,7 @@ def prepare(spec: ProblemSpec, mesh_points: int = DEFAULT_MESH_POINTS,
             n_t: int = 100) -> Workspace:
     """Tabulate q, build the particular solution and the basis table."""
     mesh = UniformMesh(0.0, spec.L, mesh_points)
-    if isinstance(spec.q, SampledFunction):
-        q = spec.q
-    elif isinstance(spec.q, np.ndarray):
-        q = SampledFunction(mesh, spec.q)
-    else:
-        q = SampledFunction.from_callable(mesh, spec.q, "q")
-    f = solve_particular(q)
+    f = solve_particular(SampledFunction.from_callable(mesh, spec.q, "q"))
     table = build_formal_powers(f, degree)
     grid = CollocationGrid.equidistant(spec.l, spec.T, n_x=n_x, n_t=n_t)
     return Workspace(spec=spec, grid=grid, table=table)

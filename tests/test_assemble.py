@@ -28,20 +28,39 @@ def test_spec_invariants():
         make_spec(g3=None)
 
 
-def test_wrong_shape_data_callable_is_a_configuration_error(table_q0):
-    # a callable datum must return one value per point or a scalar; this
-    # one escaped as a bare numpy broadcasting ValueError
+@pytest.mark.parametrize("g1", [lambda x: np.ones(3), np.ones(3)],
+                         ids=["callable", "array"])
+def test_wrong_shape_data_is_a_configuration_error(table_q0, g1):
+    # a callable datum must return one value per point or a scalar, an array
+    # must hold one value per point; the callable escaped as a bare numpy
+    # broadcasting ValueError, and the array's message gave no shapes
     spec = ProblemSpec(q=lambda x: 0.0, L=2.0, l=1.0, T=1.0,
-                       g1=lambda x: np.ones(3), g3=lambda t: 1.0)
+                       g1=g1, g3=lambda t: 1.0)
     grid = CollocationGrid.equidistant(spec.l, spec.T, n_x=100, n_t=100)
     with pytest.raises(ConfigurationError, match=r"g1 .*\(3,\).*\(101,\)"):
         InnerSolver(spec, grid, table_q0)
 
 
-def test_wrong_shape_potential_callable_is_a_configuration_error():
-    spec = make_spec(q=lambda x: np.ones(3))
+@pytest.mark.parametrize("q", [lambda x: np.ones(3), np.ones(3)],
+                         ids=["callable", "array"])
+def test_wrong_shape_potential_is_a_configuration_error(q):
+    spec = make_spec(q=q)
     with pytest.raises(ConfigurationError, match=r"q .*\(3,\).*\(2001,\)"):
         T.prepare(spec)
+
+
+def test_scalar_potential_is_a_configuration_error():
+    # neither an array nor a callable: this escaped as a bare TypeError
+    # "'float' object is not callable"
+    with pytest.raises(ConfigurationError, match="q must be an array or a callable"):
+        T.prepare(make_spec(q=0.0))
+
+
+def test_scalar_lateral_data_is_a_configuration_error(table_q0):
+    spec = make_spec(g2=0.0)
+    grid = CollocationGrid.equidistant(spec.l, spec.T, n_x=100, n_t=100)
+    with pytest.raises(ConfigurationError, match="g2 must be an array or a callable"):
+        InnerSolver(spec, grid, table_q0)
 
 
 def condition_rows(table, spec, x, t):

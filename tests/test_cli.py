@@ -198,6 +198,22 @@ def test_verbose_trace(config_path, tmp_path, capsys):
     assert len(lines) > 10
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("basis-dump", ["--K", "3"]),
+    ("basis-dump", ["--verbose"]),
+    ("validate-example", ["--verbose"]),
+], ids=["basis-dump-K", "basis-dump-verbose", "validate-example-verbose"])
+def test_flag_of_another_command_is_refused(command, flags, config_path,
+                                            tmp_path, capsys):
+    # each command takes only the flags it reads; these were silently ignored
+    inputs = [config_path, "--n", "1"] if command == "basis-dump" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, *flags, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 _LOADED_SCIPY = ("import sys; print(sorted(m for m in sys.modules "
                  "if m == 'scipy' or m.startswith('scipy.')))")
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import thpsolve.special as special
 from thpsolve import DomainError, ei, ei_inv, exact_benchmark
 
 
@@ -64,6 +65,24 @@ def test_ei_inv_array_matches_scalar_calls():
     x = ei_inv(y)
     assert x.shape == (4, 6)
     assert np.array_equal(x, [[ei_inv(v) for v in row] for row in y])
+
+
+def test_ei_inv_newton_call_count(monkeypatch):
+    # Newton in ln x from the top of the bracket: 300 targets across the
+    # default bracket took 38 Ei evaluations with the midpoint start and
+    # bisection fallback
+    xs = np.linspace(0.05, 1.5, 300)
+    y = ei(xs)
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return ei(x)
+
+    monkeypatch.setattr(special, "ei", counted)
+    x = ei_inv(y)
+    assert len(calls) <= 12
+    assert np.max(np.abs(x - xs) / xs) <= 1e-15
 
 
 def test_ei_inv_bracket_check():
