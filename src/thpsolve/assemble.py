@@ -99,7 +99,7 @@ class CollocationGrid:
         object.__setattr__(self, "t", t)
 
     @classmethod
-    def equidistant(cls, l: float, T: float, n_x: int = 100, n_t: int = 100):
+    def equidistant(cls, l: float, T: float, n_x: int, n_t: int):
         return cls(np.linspace(0.0, l, n_x + 1), np.linspace(0.0, T, n_t + 1))
 
 

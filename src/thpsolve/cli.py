@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import expr
 from .assemble import FitResult, ProblemSpec
 from .errors import ConfigurationError, SolverError
 from .optimize import OptimizerSettings
-from .pipeline import Workspace, prepare, solve_free_boundary
+from .pipeline import DEFAULT_N_T, Workspace, prepare, solve_free_boundary
 from .special import exact_benchmark
 from .thp import solution_eval
 
@@ -34,8 +35,24 @@ EXIT_NUMERIC = 3
 
 _X_KEYS = {"q", "g1", "gamma11", "gamma12"}
 _T_KEYS = {"g2", "g3", "gamma21", "gamma22", "flux", "initial_boundary"}
-_INT_KEYS = {"mesh_points", "n", "n_x", "n_t", "k", "max_iterations"}
+# keyword argument -> (config key, flag) for prepare and OptimizerSettings
+_PREPARE_KEYS = {"mesh_points": ("mesh_points", "mesh"), "degree": ("n", "N"),
+                 "n_x": ("n_x", None), "n_t": ("n_t", None)}
+_SEARCH_KEYS = {"K": ("k", "K"), "max_iterations": ("max_iterations", None)}
+_INT_KEYS = {key for key, _ in (*_PREPARE_KEYS.values(), *_SEARCH_KEYS.values())}
 _FLOAT_KEYS = {"l", "l_domain", "t_final"}
+
+
+def _chosen(keys: dict, args, numbers: dict) -> dict:
+    """The keyword arguments in ``keys`` that a flag or a config number
+    sets, the flag first; the rest keep the library's defaults."""
+    out = {}
+    for name, (key, flag) in keys.items():
+        value = getattr(args, flag) if flag else None
+        value = numbers.get(key) if value is None else value
+        if value is not None:
+            out[name] = value
+    return out
 
 
 class RunConfig:
@@ -45,7 +62,6 @@ class RunConfig:
         self.exprs: dict = {}
         self.numbers: dict = {}
         self.g3_table = None
-        self.stefan = True
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
@@ -81,27 +97,17 @@ class RunConfig:
         elif key == "g3_file":
             data = np.loadtxt(value, delimiter=",", dtype=float, ndmin=2)
             self.g3_table = (data[:, 0], data[:, 1])
-        elif key == "stefan":
-            self.stefan = value.lower() in ("on", "true", "yes", "1")
         else:
             raise ConfigurationError(f"unknown config key {key!r} in {path}")
 
-    def num(self, key: str, default):
-        return self.numbers.get(key, default)
-
     def build_spec(self) -> ProblemSpec:
-        if not self.stefan:
-            raise ConfigurationError(
-                "the flux (melt-rate) condition on the free boundary is "
-                "mandatory; 'stefan = off' is not solvable"
-            )
         if "q" not in self.exprs:
             raise ConfigurationError("config must define the potential q")
         for key in ("l", "l_domain", "t_final"):
             if key not in self.numbers:
                 raise ConfigurationError(f"config must define {key}")
         g3 = self.exprs.get("g3")
-        n_t = self.num("n_t", 100)
+        n_t = self.numbers.get("n_t", DEFAULT_N_T)
         t_final = self.numbers["t_final"]
         if g3 is None and self.g3_table is not None:
             times, values = self.g3_table
@@ -205,25 +211,18 @@ def _write_outputs(out_dir: Path, work: Workspace, fit: FitResult,
 def cmd_solve(args) -> int:
     cfg = RunConfig.load(args.config)
     spec = cfg.build_spec()
-    mesh_points = args.mesh if args.mesh is not None else cfg.num("mesh_points", 2001)
-    degree = args.N if args.N is not None else cfg.num("n", 12)
-    work = prepare(spec, mesh_points=mesh_points, degree=degree,
-                   n_x=cfg.num("n_x", 100), n_t=cfg.num("n_t", 100))
-    k = args.K if args.K is not None else cfg.num("k", 6)
-    initial_b = None
-    guess = None
+    work = prepare(spec, **_chosen(_PREPARE_KEYS, args, cfg.numbers))
+    settings = OptimizerSettings(**_chosen(_SEARCH_KEYS, args, cfg.numbers))
+    guess = cfg.exprs.get("initial_boundary")
     if args.seed_boundary is not None:
         guess = expr.parse(args.seed_boundary, "t")
-    elif "initial_boundary" in cfg.exprs:
-        guess = cfg.exprs["initial_boundary"]
     if guess is not None:
-        initial_b = _fit_initial_boundary(guess, spec.l, spec.T, k)
-    settings = OptimizerSettings(K=k, max_iterations=cfg.num("max_iterations", 400),
-                                 initial_b=initial_b)
+        settings = replace(settings, initial_b=_fit_initial_boundary(
+            guess, spec.l, spec.T, settings.K))
     trace = None
     if args.verbose:
         print("stage,iteration,objective," +
-              ",".join(f"b_{j}" for j in range(1, k + 1)))
+              ",".join(f"b_{j}" for j in range(1, settings.K + 1)))
 
         def trace(stage, it, value, b):
             print(f"{stage},{it},{_fmt(value)}," + ",".join(_fmt(v) for v in b))
@@ -236,14 +235,10 @@ def cmd_solve(args) -> int:
 
 def cmd_validate_example(args) -> int:
     t_start = time.time()
-    n_t = 100
-    bench = exact_benchmark(np.linspace(0.0, 1.0, n_t + 1))
-    spec = bench.spec
-    mesh_points = args.mesh if args.mesh is not None else 2001
-    degree = args.N if args.N is not None else 12
-    k = args.K if args.K is not None else 6
-    work = prepare(spec, mesh_points=mesh_points, degree=degree, n_t=n_t)
-    fit = solve_free_boundary(work, OptimizerSettings(K=k))
+    bench = exact_benchmark()
+    work = prepare(bench.spec, **_chosen(_PREPARE_KEYS, args, {}))
+    fit = solve_free_boundary(
+        work, OptimizerSettings(**_chosen(_SEARCH_KEYS, args, {})))
     elapsed = time.time() - t_start
 
     checks = []
@@ -259,7 +254,8 @@ def cmd_validate_example(args) -> int:
             check(f"a_{n} vs reference", abs(a[n] - ref) <= tol,
                   f"got {a[n]:.8e}, want {ref:.8e} +/- {tol:g}")
         else:
-            check(f"a_{n} vs reference", False, f"basis degree {degree} < {n}")
+            check(f"a_{n} vs reference", False,
+                  f"basis degree {work.table.degree} < {n}")
 
     ts = np.linspace(0.0, 1.0, 1001)
     s_err = np.max(np.abs(fit.boundary.s_eval(ts) - bench.exact_s(ts)))
@@ -290,14 +286,12 @@ def cmd_validate_example(args) -> int:
 def cmd_basis_dump(args) -> int:
     cfg = RunConfig.load(args.config)
     spec = cfg.build_spec()
-    mesh_points = args.mesh if args.mesh is not None else cfg.num("mesh_points", 2001)
-    degree = args.N if args.N is not None else cfg.num("n", 12)
     if args.n_max < 0:
         raise ConfigurationError(f"--n must be nonnegative, got {args.n_max}")
-    if args.n_max > degree:
-        raise ConfigurationError(f"--n {args.n_max} exceeds basis degree {degree}")
-    work = prepare(spec, mesh_points=mesh_points, degree=degree,
-                   n_t=cfg.num("n_t", 100))
+    work = prepare(spec, **_chosen(_PREPARE_KEYS, args, cfg.numbers))
+    if args.n_max > work.table.degree:
+        raise ConfigurationError(
+            f"--n {args.n_max} exceeds basis degree {work.table.degree}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     phi = work.table.values[:, 0, :args.n_max + 1]

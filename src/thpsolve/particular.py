@@ -21,8 +21,8 @@ __all__ = ["ParticularSolution", "solve_particular"]
 # nodes with |f| below this trigger the complex-combination fallback
 ZERO_THRESHOLD = 1e-10
 
-DEFAULT_MAX_TERMS = 50
-DEFAULT_TOLERANCE = 1e-14
+MAX_TERMS = 50
+TOLERANCE = 1e-14
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,8 @@ class ParticularSolution:
         return self.f.mesh
 
 
-def _series_solution(q: SampledFunction, seed: np.ndarray, max_terms: int,
-                     tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+def _series_solution(q: SampledFunction,
+                     seed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum of iterated double integrals starting from ``seed``.
 
     Returns (y, y') tabulated on the mesh of q.  Each iteration maps
@@ -52,22 +52,21 @@ def _series_solution(q: SampledFunction, seed: np.ndarray, max_terms: int,
     total_prime = np.zeros(mesh.n_points, dtype=complex)
     if len(seed) and seed[0] == 0.0:  # seed x has derivative 1
         total_prime += 1.0
-    for _ in range(max_terms):
+    for _ in range(MAX_TERMS):
         inner = cumulative_integral(SampledFunction(mesh, q.values * term))
         term = cumulative_integral(inner).values
         total += term
         total_prime += inner.values
         term_norm = np.max(np.abs(term))
-        if term_norm <= tolerance * max(np.max(np.abs(total)), 1.0):
+        if term_norm <= TOLERANCE * max(np.max(np.abs(total)), 1.0):
             return total, total_prime
     raise ConvergenceError(
-        f"iterated-integral series did not converge within {max_terms} terms "
+        f"iterated-integral series did not converge within {MAX_TERMS} terms "
         f"(last term sup-norm {term_norm:.3e})"
     )
 
 
-def solve_particular(q: SampledFunction, max_terms: int = DEFAULT_MAX_TERMS,
-                     tolerance: float = DEFAULT_TOLERANCE) -> ParticularSolution:
+def solve_particular(q: SampledFunction) -> ParticularSolution:
     """Construct a zero-free f with f(0) = 1 on the mesh of ``q``.
 
     The branch y1 (y1(0)=1, y1'(0)=0) is used directly when it has no node
@@ -78,7 +77,7 @@ def solve_particular(q: SampledFunction, max_terms: int = DEFAULT_MAX_TERMS,
     """
     mesh = q.mesh
     ones = np.ones(mesh.n_points)
-    y1, y1p = _series_solution(q, ones, max_terms, tolerance)
+    y1, y1p = _series_solution(q, ones)
     sign_change = not np.any(y1.imag) and np.any(y1.real[:-1] * y1.real[1:] < 0)
     if np.min(np.abs(y1)) > ZERO_THRESHOLD and not sign_change:
         return ParticularSolution(
@@ -87,7 +86,7 @@ def solve_particular(q: SampledFunction, max_terms: int = DEFAULT_MAX_TERMS,
             q=q,
         )
     x_nodes = mesh.nodes - mesh.x_start
-    y2, y2p = _series_solution(q, x_nodes, max_terms, tolerance)
+    y2, y2p = _series_solution(q, x_nodes)
     f = y1 + 1j * y2
     fp = y1p + 1j * y2p
     if np.min(np.abs(f)) <= ZERO_THRESHOLD:

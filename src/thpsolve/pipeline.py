@@ -13,8 +13,12 @@ from .particular import solve_particular
 
 __all__ = ["Workspace", "prepare", "solve_free_boundary"]
 
+# the one home of each discretization default (the command line passes only
+# what a flag or a config key sets)
 DEFAULT_MESH_POINTS = 2001
 DEFAULT_DEGREE = 12
+DEFAULT_N_X = 100   # collocation intervals on [0, l]
+DEFAULT_N_T = 100   # collocation intervals on [0, T]
 
 
 @dataclass(frozen=True)
@@ -27,8 +31,8 @@ class Workspace:
 
 
 def prepare(spec: ProblemSpec, mesh_points: int = DEFAULT_MESH_POINTS,
-            degree: int = DEFAULT_DEGREE, n_x: int = 100,
-            n_t: int = 100) -> Workspace:
+            degree: int = DEFAULT_DEGREE, n_x: int = DEFAULT_N_X,
+            n_t: int = DEFAULT_N_T) -> Workspace:
     """Tabulate q, build the particular solution and the basis table."""
     mesh = UniformMesh(0.0, spec.L, mesh_points)
     f = solve_particular(SampledFunction.from_callable(mesh, spec.q, "q"))

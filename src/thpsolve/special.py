@@ -14,6 +14,7 @@ import numpy as np
 
 from .assemble import ProblemSpec
 from .errors import DomainError
+from .pipeline import DEFAULT_N_T
 
 __all__ = ["ei", "ei_inv", "ExactBenchmark", "exact_benchmark",
            "BENCHMARK_L", "EI_INV_BRACKET"]
@@ -24,10 +25,8 @@ EI_INV_BRACKET = (0.05, 1.5)
 
 _EULER_GAMMA = 0.57721566490153286061
 _EPS = np.finfo(float).eps
-# Newton in ln x from the top of the default bracket settles every target
-# within 7 steps.  Higher up a wider bracket, where Ei(x) ~ e^x / x, a step
-# lowers x by only about 1, so the cap admits bracket tops up to about 95;
-# a target left short of the root fails the final residual check
+# Newton in ln x from the top of the bracket settles every target within 7
+# steps; a target left short of the root fails the final residual check
 _MAX_STEPS = 100
 
 
@@ -64,9 +63,9 @@ def ei(x):
     return _result(_EULER_GAMMA + np.log(x) + total)
 
 
-def ei_inv(y, bracket: tuple = EI_INV_BRACKET):
-    """Inverse of Ei on a bracket where it is strictly increasing, for a
-    scalar or an array of targets.
+def ei_inv(y):
+    """Inverse of Ei on ``EI_INV_BRACKET``, where it is strictly increasing,
+    for a scalar or an array of targets.
 
     Newton steps in u = ln x from the top of the bracket,
     x <- x exp(-(Ei(x) - y) e^(-x)).  Ei(e^u) is increasing and convex in
@@ -74,7 +73,7 @@ def ei_inv(y, bracket: tuple = EI_INV_BRACKET):
     bracket.  Each target stops at the iterate where its own step falls
     below a few ulps, so an array gives what scalar calls give.
     """
-    lo, hi = bracket
+    lo, hi = EI_INV_BRACKET
     flo, fhi = ei(lo), ei(hi)
     y = np.asarray(y, dtype=float)
     bad = ~((flo <= y) & (y <= fhi))   # NaN included
@@ -91,7 +90,7 @@ def ei_inv(y, bracket: tuple = EI_INV_BRACKET):
         x = step
         if not active.any():
             break
-    # Ei' = e^x / x stays below 21 on the default bracket, so a root found
+    # Ei' = e^x / x stays below 21 on the bracket, so a root found
     # to a few ulps leaves the residual far inside this check
     missed = np.abs(ei(x) - y) > 1e-12
     if missed.any():
@@ -113,10 +112,10 @@ class ExactBenchmark:
 
 def exact_benchmark(times: np.ndarray | None = None) -> ExactBenchmark:
     """Reference problem with q = x^2, Dirichlet data on the moving
-    boundary tabulated at the given collocation times (101 equispaced
-    points on [0, 1] by default)."""
+    boundary tabulated at the given collocation times (by default those of
+    ``prepare``: DEFAULT_N_T + 1 equispaced points on [0, 1])."""
     if times is None:
-        times = np.linspace(0.0, 1.0, 101)
+        times = np.linspace(0.0, 1.0, DEFAULT_N_T + 1)
     times = np.asarray(times, dtype=float)
     C = 0.5 * ei(0.5) + 1.0
 

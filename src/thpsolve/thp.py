@@ -12,20 +12,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .formal_powers import FormalPowerTable
 from .numerics import Interpolant
 
 __all__ = ["heat_coeff", "heat_poly", "basis", "solution_eval", "pde_residual"]
 
-MAX_DEGREE = 20  # c_k^n fits comfortably in an int64 up to here
 FD_STEP = 1e-4   # x-step of the finite differences in pde_residual
 
 
 def heat_coeff(n: int, k: int) -> int:
     """Exact coefficient n! / ((n-2k)! k!)."""
-    if n > MAX_DEGREE:
-        raise ConfigurationError(f"degree {n} exceeds supported maximum {MAX_DEGREE}")
     if n < 0 or k < 0 or 2 * k > n:
         raise DomainError(f"coefficient undefined for n={n}, k={k}")
     return math.factorial(n) // (math.factorial(n - 2 * k) * math.factorial(k))
@@ -43,11 +40,16 @@ def heat_poly(n: int, x: float, t: float) -> float:
 
 @lru_cache(maxsize=None)
 def _heat_coeff_matrix(degree: int) -> np.ndarray:
-    """C[k, n] = c_k^n for n <= degree, zero where 2k > n (read-only)."""
+    """C[k, n] = c_k^n for n <= degree, zero where 2k > n (read-only).
+    Raises DomainError where c_k^n exceeds the float range (n >= 266)."""
     c = np.zeros((degree // 2 + 1, degree + 1))
     for n in range(degree + 1):
         for k in range(n // 2 + 1):
-            c[k, n] = heat_coeff(n, k)
+            try:
+                c[k, n] = heat_coeff(n, k)
+            except OverflowError:
+                raise DomainError(
+                    f"heat coefficient c_{k}^{n} exceeds the float range") from None
     c.setflags(write=False)
     return c
 

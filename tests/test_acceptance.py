@@ -175,3 +175,25 @@ def test_criterion_9_property_suite(benchmark_solution, table_q1):
     repeat = T.solve_free_boundary(work, T.OptimizerSettings(K=6))
     report("criterion 9f: optimizer determinism",
            np.array_equal(repeat.b, fit.b), "bit-identical coefficients")
+
+
+def test_high_degree_closed_form_boundary():
+    # q = -20 (complex branch): u = cos(x) e^(19t) grows fast in t while
+    # H_n has t-degree only n // 2, so only a high degree resolves it; the
+    # boundary error was 6.4e-6 at N = 20, the highest degree once allowed
+    def s(t):
+        return 1.0 + 0.5 * t + 0.3 * t * t
+
+    spec = T.ProblemSpec(
+        q=lambda x: -20.0, L=2.0, l=1.0, T=0.2,
+        g1=np.cos,
+        g2=lambda t: 0.0,
+        g3=lambda t: np.cos(s(t)) * np.exp(19.0 * t),
+        flux_data=lambda t: -np.sin(s(t)) * np.exp(19.0 * t),
+    )
+    work = T.prepare(spec, degree=28)
+    fit = T.solve_free_boundary(work, T.OptimizerSettings(K=2))
+    ts = np.linspace(0.0, 0.2, 201)
+    err = np.max(np.abs(fit.boundary.s_eval(ts) - s(ts)))
+    report("high degree: q = -20 boundary at N = 28", err <= 1e-9,
+           f"max |s_K - s_exact| = {err:.3e}, F {fit.F:.2e}")

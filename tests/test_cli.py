@@ -238,3 +238,48 @@ def test_command_loads_no_scipy(command, config_path, tmp_path):
     argv = [command, *inputs, "--out", str(tmp_path / "out")]
     code = f"from thpsolve.cli import main\nassert main({argv!r}) == 0"
     assert _scipy_modules_after(code) == "[]"
+
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+
+
+def _docs_example() -> str:
+    text = DOCS.read_text()
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_solve_above_degree_20_without_initial_data(tmp_path, capsys):
+    # without g1 or g2 the first basis call happens inside the search, which
+    # turned the old N <= 20 cap into "numeric failure" (exit 3)
+    path = tmp_path / "n24.cfg"
+    path.write_text("q = x^2\nl = 1.0\nl_domain = 1.5\nt_final = 1.0\n"
+                    "g3 = 1\nn = 24\n")
+    assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "converged" in capsys.readouterr().out
+
+
+def test_solve_docs_example_above_degree_20(tmp_path):
+    # the N <= 20 cap made this a config error (exit 2)
+    path = tmp_path / "docs.cfg"
+    path.write_text(_docs_example())
+    assert main(["solve", str(path), "--N", "24",
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "basis-dump"])
+@pytest.mark.parametrize("key", ["n_x", "n_t"])
+def test_empty_collocation_grid_is_a_config_error(command, key, tmp_path):
+    # basis-dump read n_t but not n_x, so n_x = 0 passed there and failed
+    # only in solve
+    path = tmp_path / "bad.cfg"
+    path.write_text(GOOD_CONFIG + f"{key} = 0\n")
+    inputs = [str(path), "--n", "2"] if command == "basis-dump" else [str(path)]
+    assert main([command, *inputs, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_degree_past_float_range_exits_numeric(config_path, tmp_path, capsys):
+    # with no degree cap, c_k^n outgrows a float from n = 266 on; the int to
+    # float conversion raised a bare OverflowError (exit 1, with a traceback)
+    assert main(["solve", config_path, "--N", "300", "--mesh", "201",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "float range" in capsys.readouterr().err

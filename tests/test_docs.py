@@ -1,0 +1,46 @@
+"""docs/config.md states the discretization defaults; they live in
+pipeline.prepare and OptimizerSettings, and the docs must not drift."""
+
+import inspect
+import re
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+
+from thpsolve import OptimizerSettings, prepare
+
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+
+# config key -> default held by the library
+_PREPARE = inspect.signature(prepare).parameters
+_SEARCH = {f.name: f.default for f in fields(OptimizerSettings)}
+LIBRARY_DEFAULTS = {
+    "mesh_points": _PREPARE["mesh_points"].default,
+    "n": _PREPARE["degree"].default,
+    "n_x": _PREPARE["n_x"].default,
+    "n_t": _PREPARE["n_t"].default,
+    "k": _SEARCH["K"],
+    "max_iterations": _SEARCH["max_iterations"],
+}
+
+
+def _numbers_table() -> dict:
+    """Key -> default column of the docs' "Numbers" table, one entry per
+    key of a row like ``| `n_x`, `n_t` | int | ... | 100 |``."""
+    text = DOCS.read_text().split("Numbers:", 1)[1].split("\n\n", 2)[1]
+    table = {}
+    for row in text.splitlines()[2:]:
+        cells = [c.strip() for c in row.strip().strip("|").split("|")]
+        for key in re.findall(r"`(\w+)`", cells[0]):
+            table[key] = cells[-1]
+    return table
+
+
+@pytest.mark.parametrize("key", sorted(LIBRARY_DEFAULTS))
+def test_docs_state_library_default(key):
+    assert _numbers_table()[key] == str(LIBRARY_DEFAULTS[key])
+    # the example's discretization block says "defaults shown"
+    example = DOCS.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    value = re.search(rf"^{key}\s*=\s*(\d+)", example, re.M).group(1)
+    assert int(value) == LIBRARY_DEFAULTS[key]

@@ -69,16 +69,18 @@ def test_normalization_matches_spline_derivative():
 def test_wronskian_of_both_branches():
     m = UniformMesh(0.0, 1.0, 2001)
     q = SampledFunction(m, m.nodes ** 2 + 0j)
-    y1, y1p = _series_solution(q, np.ones(m.n_points), 50, 1e-14)
-    y2, y2p = _series_solution(q, m.nodes, 50, 1e-14)
+    y1, y1p = _series_solution(q, np.ones(m.n_points))
+    y2, y2p = _series_solution(q, m.nodes)
     wronskian = y1 * y2p - y1p * y2
     assert np.max(np.abs(wronskian - 1.0)) < 1e-6
 
 
 def test_nonconvergence_reported():
+    # q = 3600: the 50th term, (60 x)^100 / 100! ~ 1e20 at x = 1, is far
+    # from the tolerance
     m = UniformMesh(0.0, 1.0, 101)
     with pytest.raises(ConvergenceError):
-        solve_particular(SampledFunction.constant(m, 40.0), max_terms=2)
+        solve_particular(SampledFunction.constant(m, 3600.0))
 
 
 def test_complex_fallback_when_f_vanishes():

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from thpsolve import (ConfigurationError, DomainError, basis, heat_coeff,
-                      heat_poly, pde_residual)
+from thpsolve import DomainError, basis, heat_coeff, heat_poly, pde_residual
 
 
 def test_heat_coeff_values():
@@ -16,8 +15,9 @@ def test_heat_coeff_values():
 def test_heat_coeff_guards():
     with pytest.raises(DomainError):
         heat_coeff(2, 2)
-    with pytest.raises(ConfigurationError):
-        heat_coeff(21, 1)
+    # no degree cap: the coefficients are exact Python integers at any n
+    assert heat_coeff(21, 1) == 420
+    assert heat_coeff(40, 20) == 335367096786357081410764800000
 
 
 def test_heat_poly_values():
