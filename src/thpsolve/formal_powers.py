@@ -48,7 +48,10 @@ class FormalPowerTable:
 
 
 def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
-    """Run the recursive-integral construction up to index ``degree``."""
+    """Run the recursive-integral construction up to index ``degree``.
+
+    The chains run in the dtype of f and f' (float for a real f); the table
+    is complex either way."""
     if degree < 0:
         raise ConfigurationError("degree must be nonnegative")
     mesh = f.mesh
@@ -59,19 +62,21 @@ def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
     f2 = fv * fv
     inv_f2 = 1.0 / f2
 
-    values = np.empty((mesh.n_points, 2, degree + 1), dtype=complex)
-    values[:, 0, 0] = fv
-    values[:, 1, 0] = fpv
+    # rows[n] = (phi_n, phi_n') node values, one contiguous row each
+    rows = np.empty((degree + 1, 2, mesh.n_points), dtype=np.result_type(fv, fpv))
+    rows[0] = fv, fpv
     # X^(n): weight 1/f^2 for odd n, f^2 for even n; X~(n) the other way
     # round.  Only the last two terms of each chain are live, which keeps
     # the working set at a few mesh-sized arrays whatever the degree.
-    big_x = big_xt = np.ones(mesh.n_points, dtype=complex)
+    big_x = big_xt = np.ones(mesh.n_points, dtype=rows.dtype)
     for n in range(1, degree + 1):
         w, wt = (inv_f2, f2) if n % 2 else (f2, inv_f2)
         next_x = n * cumulative_integral(SampledFunction(mesh, big_x * w)).values
         next_xt = n * cumulative_integral(SampledFunction(mesh, big_xt * wt)).values
         chain, prev = (next_x, big_x) if n % 2 else (next_xt, big_xt)
-        values[:, 0, n] = fv * chain
-        values[:, 1, n] = fpv * chain + n * prev / fv
+        rows[n, 0] = fv * chain
+        rows[n, 1] = fpv * chain + n * prev / fv
         big_x, big_xt = next_x, next_xt
+    # one transposed copy into the table's (n_points, 2, N+1) complex layout
+    values = rows.T.astype(complex, order="C")
     return FormalPowerTable(degree=degree, values=values, f=f)

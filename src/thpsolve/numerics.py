@@ -10,7 +10,6 @@ slopes provides off-node evaluation and first derivatives, with no solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -28,34 +27,15 @@ __all__ = [
 _BLOCK = 5  # intervals per Newton-Cotes block (6 nodes)
 
 
-def _cumulative_weights() -> np.ndarray:
-    """Exact weights W[j, i] = integral from 0 to j of the i-th Lagrange
-    basis polynomial on the unit-spaced nodes 0..5 (rational arithmetic,
-    converted to float once)."""
-    nodes = range(_BLOCK + 1)
-    w = np.zeros((_BLOCK + 1, _BLOCK + 1))
-    for i in nodes:
-        # Lagrange basis coefficients (ascending powers) as Fractions.
-        coeffs = [Fraction(1)]
-        denom = Fraction(1)
-        for m in nodes:
-            if m == i:
-                continue
-            denom *= Fraction(i - m)
-            # multiply poly by (x - m)
-            new = [Fraction(0)] * (len(coeffs) + 1)
-            for p, c in enumerate(coeffs):
-                new[p] -= c * m
-                new[p + 1] += c
-            coeffs = new
-        coeffs = [c / denom for c in coeffs]
-        anti = [Fraction(0)] + [c / (p + 1) for p, c in enumerate(coeffs)]
-        for j in nodes:
-            w[j, i] = float(sum(c * Fraction(j) ** p for p, c in enumerate(anti)))
-    return w
-
-
-_W = _cumulative_weights()
+# W[j, i] = integral from 0 to j of the i-th Lagrange basis polynomial on
+# the unit-spaced nodes 0..5; 1440 W is an integer matrix, so this literal is
+# the exact rational table rounded once (tests derive it in rationals)
+_W = np.array([[0, 0, 0, 0, 0, 0],
+               [475, 1427, -798, 482, -173, 27],
+               [448, 2064, 224, 224, -96, 16],
+               [459, 1971, 1026, 1026, -189, 27],
+               [448, 2048, 768, 2048, 448, 0],
+               [475, 1875, 1250, 1250, 1875, 475]]) / 1440
 
 
 @dataclass(frozen=True)
@@ -117,13 +97,15 @@ def tabulate(datum, points: np.ndarray, what: str,
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Complex values tabulated at the nodes of a uniform mesh."""
+    """Values tabulated at the nodes of a uniform mesh: complex128 if the
+    input is complex, float64 otherwise."""
 
     mesh: UniformMesh
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.asarray(self.values)
+        vals = vals.astype(complex if np.iscomplexobj(vals) else float, copy=False)
         if vals.shape != (self.mesh.n_points,):
             raise ConfigurationError(
                 f"values shape {vals.shape} does not match mesh with "
@@ -222,20 +204,24 @@ class Interpolant:
 
 
 def cumulative_integral(sf: SampledFunction) -> SampledFunction:
-    """Antiderivative of a tabulated function, vanishing at the left end.
+    """Antiderivative of a tabulated function, vanishing at the left end, in
+    the dtype of ``sf`` (real data are integrated in float).
 
     Within each block of five intervals the degree-5 interpolant of the six
     node values is integrated exactly, so node values of the result are exact
     (to rounding) whenever ``sf`` samples a polynomial of degree <= 5.
     """
-    mesh = sf.mesh
+    mesh, v = sf.mesh, sf.values
     n_blocks = (mesh.n_points - 1) // _BLOCK
-    # overlapping view: block k covers nodes 5k .. 5k+5
-    idx = _BLOCK * np.arange(n_blocks)[:, None] + np.arange(_BLOCK + 1)[None, :]
-    blocks = sf.values[idx]                          # (n_blocks, 6)
-    inc = mesh.h * blocks @ _W.T                     # (n_blocks, 6), inc[:,0] = 0
-    offsets = np.concatenate(([0.0], np.cumsum(inc[:, _BLOCK])[:-1]))
-    out = np.empty(mesh.n_points, dtype=complex)
+    # block k covers nodes 5k .. 5k+5: the first five are a reshape of the
+    # values, the sixth every fifth value from node 5
+    blocks = np.empty((n_blocks, _BLOCK + 1), dtype=v.dtype)
+    blocks[:, :_BLOCK] = v[:-1].reshape(n_blocks, _BLOCK)
+    blocks[:, _BLOCK] = v[_BLOCK::_BLOCK]
+    inc = (mesh.h * blocks) @ _W[1:].T       # integral from 5k to 5k + j
+    out = np.empty_like(v)
     out[0] = 0.0
-    out[idx[:, 1:]] = offsets[:, None] + inc[:, 1:]
+    body = out[1:].reshape(n_blocks, _BLOCK)  # a view: nodes 5k+1 .. 5k+5
+    body[:] = inc
+    body[1:] += np.cumsum(inc[:-1, -1])[:, None]
     return SampledFunction(mesh, out)

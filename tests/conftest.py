@@ -9,6 +9,21 @@ def mesh01():
     return T.UniformMesh(0.0, 1.0, 2001)
 
 
+@pytest.fixture
+def integral_calls(monkeypatch):
+    """A one-item list counting the cumulative_integral calls made by the
+    particular and formal_powers modules, wrapped in their namespaces the
+    way the benchmark's tracer wraps them."""
+    calls = [0]
+
+    def counted(sf):
+        calls[0] += 1
+        return T.cumulative_integral(sf)
+    for module in (T.particular, T.formal_powers):
+        monkeypatch.setattr(module, "cumulative_integral", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def table_q0(mesh01):
     """Formal powers for q = 0 on [0, 1]: phi_n = x^n."""

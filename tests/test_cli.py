@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -214,21 +215,26 @@ def test_flag_of_another_command_is_refused(command, flags, config_path,
     assert not (tmp_path / "out").exists()
 
 
-_LOADED_SCIPY = ("import sys; print(sorted(m for m in sys.modules "
-                 "if m == 'scipy' or m.startswith('scipy.')))")
-
-
-def _scipy_modules_after(code: str) -> str:
-    # a fresh interpreter: this test process has long since imported scipy
+def _modules_after(code: str, names: list) -> list:
+    """The modules among ``names`` (packages with their submodules) that a
+    fresh interpreter has loaded after running ``code``: this test process
+    has long since imported them all."""
     env = dict(os.environ, PYTHONPATH=str(Path(thpsolve.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", code + "\n" + _LOADED_SCIPY],
+    report = (f"import sys; print(sorted(m for m in sys.modules "
+              f"if m.split('.')[0] in {names!r}))")
+    run = subprocess.run([sys.executable, "-c", code + "\n" + report],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    return run.stdout.splitlines()[-1]
+    return ast.literal_eval(run.stdout.splitlines()[-1])
 
 
 def test_cli_import_loads_no_scipy():
-    assert _scipy_modules_after("import thpsolve.cli") == "[]"
+    assert _modules_after("import thpsolve.cli", ["scipy"]) == []
+
+
+def test_cli_import_loads_no_rational_arithmetic():
+    # the quadrature weights are a float literal, not rebuilt in fractions
+    assert _modules_after("import thpsolve.cli", ["fractions", "decimal"]) == []
 
 
 @pytest.mark.parametrize("command", ["basis-dump", "solve", "validate-example"])
@@ -237,7 +243,7 @@ def test_command_loads_no_scipy(command, config_path, tmp_path):
               "validate-example": []}[command]
     argv = [command, *inputs, "--out", str(tmp_path / "out")]
     code = f"from thpsolve.cli import main\nassert main({argv!r}) == 0"
-    assert _scipy_modules_after(code) == "[]"
+    assert _modules_after(code, ["scipy"]) == []
 
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from thpsolve import DomainError, basis, build_formal_powers
+from thpsolve import (DomainError, SampledFunction, UniformMesh, basis,
+                      build_formal_powers, solve_particular)
 
 
 def test_monomials_for_zero_potential(table_q0):
@@ -106,3 +107,32 @@ def test_spline_built_on_first_use(table_q0):
     spline = table.spline
     basis(table, 0.5, 0.1)
     assert table.spline is spline
+
+
+def test_real_potential_table_has_zero_imaginary_part(table_q1):
+    # for real q the chains run in float: the complex table loses nothing
+    assert not np.any(table_q1.values.imag)
+    assert not np.any(table_q1.f.f.values.imag)
+
+
+def test_ode_property_on_complex_branch():
+    # q = -20 on [0, 2] takes the y1 + i y2 branch (y1 = cos(sqrt(20) x)
+    # changes sign); (d^2/dx^2 - q) phi_n = n (n-1) phi_(n-2) at the nodes
+    mesh = UniformMesh(0.0, 2.0, 2001)
+    f = solve_particular(SampledFunction.constant(mesh, -20.0))
+    table = build_formal_powers(f, 12)
+    assert np.any(table.values.imag)
+    phi = table.values[:, 0]
+    for n in (2, 3, 6, 9, 12):
+        second = (phi[2:, n] - 2 * phi[1:-1, n] + phi[:-2, n]) / mesh.h ** 2
+        lhs = second + 20.0 * phi[1:-1, n]
+        rhs = n * (n - 1) * phi[1:-1, n - 2]
+        scale = np.maximum(np.abs(rhs), 1.0)
+        assert np.max(np.abs(lhs - rhs) / scale) <= 1e-4
+
+
+@pytest.mark.parametrize("degree", [0, 1, 12])
+def test_two_integrals_per_degree(table_q1, integral_calls, degree):
+    # every integral goes through the one traced entry point
+    build_formal_powers(table_q1.f, degree)
+    assert integral_calls[0] == 2 * degree

@@ -1,10 +1,70 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from thpsolve import (ConfigurationError, DomainError, Interpolant,
                       SampledFunction, UniformMesh, cumulative_integral)
+from thpsolve.numerics import _W
+
+
+def _lagrange_weights() -> list:
+    """W[j][i] = integral from 0 to j of the i-th Lagrange basis polynomial
+    on the unit-spaced nodes 0..5, in exact rational arithmetic."""
+    nodes = range(6)
+    w = [[Fraction(0)] * 6 for _ in nodes]
+    for i in nodes:
+        coeffs = [Fraction(1)]   # ascending powers
+        denom = Fraction(1)
+        for m in nodes:
+            if m == i:
+                continue
+            denom *= i - m
+            new = [Fraction(0)] * (len(coeffs) + 1)   # times (x - m)
+            for p, c in enumerate(coeffs):
+                new[p] -= c * m
+                new[p + 1] += c
+            coeffs = new
+        anti = [Fraction(0)] + [c / denom / (p + 1) for p, c in enumerate(coeffs)]
+        for j in nodes:
+            w[j][i] = sum(c * Fraction(j) ** p for p, c in enumerate(anti))
+    return w
+
+
+def _block_formula(v: np.ndarray, h: float) -> np.ndarray:
+    """out[5k + j] = h sum_{b<k} sum_i W[5, i] v[5b + i]
+                     + h sum_i W[j, i] v[5k + i], written out directly."""
+    n_blocks = (len(v) - 1) // 5
+    idx = 5 * np.arange(n_blocks)[:, None] + np.arange(6)
+    part = np.einsum("ji,ki->kj", _W, h * v[idx])      # (n_blocks, 6)
+    before = np.concatenate(([0.0], np.cumsum(part[:-1, 5])))
+    out = np.zeros_like(v)
+    out[idx[:, 1:]] = before[:, None] + part[:, 1:]
+    return out
+
+
+def test_weights_are_the_rational_lagrange_integrals():
+    exact = _lagrange_weights()
+    # each float weight is its rational value rounded once
+    assert np.array_equal(_W, [[float(c) for c in row] for row in exact])
+    # row j integrates the constant 1 from 0 to j
+    assert [sum(row) for row in exact] == list(range(6))
+    assert np.allclose(_W.sum(axis=1), np.arange(6), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_points", [2001, 20001])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cumulative_matches_block_formula(n_points, dtype):
+    rng = np.random.default_rng(n_points)
+    m = UniformMesh(0.0, 2.0, n_points)
+    v = rng.normal(size=n_points)
+    if dtype is complex:
+        v = v + 1j * rng.normal(size=n_points)
+    got = cumulative_integral(SampledFunction(m, v)).values
+    assert got.dtype == dtype
+    expected = _block_formula(v, m.h)
+    assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 def test_mesh_invariants():
@@ -36,6 +96,16 @@ def test_cumulative_degree5_exact():
     m = UniformMesh(0.0, 1.0, 11)
     F = cumulative_integral(SampledFunction(m, m.nodes ** 5 + 0j))
     assert F.values[-1].real == pytest.approx(1.0 / 6.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_degree5_exactness_float_input(k):
+    # real data stay float, and lose nothing by it
+    m = UniformMesh(0.0, 1.0, 16)
+    F = cumulative_integral(SampledFunction(m, m.nodes ** k))
+    assert F.values.dtype == np.float64
+    exact = m.nodes ** (k + 1) / (k + 1)
+    assert np.max(np.abs(F.values - exact)[1:] / exact[1:]) < 1e-12
 
 
 @pytest.mark.parametrize("k", range(6))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from thpsolve import (ConvergenceError, Interpolant, SampledFunction,
                       UniformMesh, build_formal_powers, pde_residual,
                       solve_particular)
-from thpsolve.particular import _series_solution
+from thpsolve.particular import TOLERANCE, _series_solution
 
 
 def rk4_second_order(q, x_end, h):
@@ -105,3 +106,15 @@ def test_complex_branch_when_real_y1_changes_sign_between_nodes():
     table = build_formal_powers(sol, 4)
     pts = [(x, 0.5) for x in np.linspace(0.05, 1.95, 39)]
     assert pde_residual(table, [0, 1], pts) <= 1e-5
+
+
+def test_two_integrals_per_series_term(mesh01, integral_calls):
+    solve_particular(SampledFunction.constant(mesh01, 0.0))
+    assert integral_calls[0] == 2   # q = 0: the first term vanishes
+    # q = 1 on [0, 1]: term k has sup-norm 1/(2k)!, and the series stops at
+    # the first term below the tolerance times max |f| = cosh(1)
+    terms = next(k for k in itertools.count(1)
+                 if 1.0 / math.factorial(2 * k) <= TOLERANCE * math.cosh(1.0))
+    integral_calls[0] = 0
+    solve_particular(SampledFunction.constant(mesh01, 1.0))
+    assert integral_calls[0] == 2 * terms
