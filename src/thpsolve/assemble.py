@@ -67,6 +67,10 @@ class ProblemSpec:
     flux_data: Optional[BoundaryData] = None
 
     def __post_init__(self):
+        for name in ("L", "l", "T"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {name}={getattr(self, name)}")
         if not (0 < self.l <= self.L):
             raise ConfigurationError(f"need 0 < l <= L, got l={self.l}, L={self.L}")
         if self.T <= 0:
@@ -193,7 +197,7 @@ class InnerSolver:
                 blocks[name] = slice(row, row)
                 return
             mats.append(mat)
-            rhss.append(np.asarray(rhs, dtype=complex))
+            rhss.append(rhs)
             blocks[name] = slice(row, row + mat.shape[0])
             row += mat.shape[0]
 
@@ -207,7 +211,7 @@ class InnerSolver:
         system = self.system_for(model, clamp=clamp)
         if a is None:
             a = solve_linear(system)
-        a = np.asarray(a, dtype=complex)
+        a = np.asarray(a)
         residual = system.matrix @ a - system.rhs
         norms, maxima = [], []
         for name in ("initial", "lateral", "dirichlet", "flux"):

@@ -23,10 +23,11 @@ __all__ = ["FormalPowerTable", "build_formal_powers"]
 @dataclass(frozen=True)
 class FormalPowerTable:
     """Node values of phi_0..phi_N and their derivatives, stacked as
-    ``values[i, 0, n] = phi_n(x_i)`` and ``values[i, 1, n] = phi_n'(x_i)``."""
+    ``values[n, 0, i] = phi_n(x_i)`` and ``values[n, 1, i] = phi_n'(x_i)``
+    in the dtype of f: float64 for a real f, complex128 otherwise."""
 
     degree: int
-    values: np.ndarray = field(repr=False)    # (n_points, 2, N+1)
+    values: np.ndarray = field(repr=False)    # (N+1, 2, n_points)
     f: ParticularSolution = field(repr=False)
 
     @property
@@ -40,18 +41,18 @@ class FormalPowerTable:
         pay for it.  The slopes of (phi_n, phi_n') are (phi_n', phi_n''),
         with phi_n'' = q phi_n + n (n-1) phi_(n-2) from the recursion."""
         phi, phi_prime = self.values[:, 0], self.values[:, 1]
-        n = np.arange(self.degree + 1)
-        second = self.f.q.values[:, None] * phi
-        second[:, 2:] += n[2:] * (n[2:] - 1) * phi[:, :-2]
-        return Interpolant(self.mesh, self.values,
-                           slopes=np.stack([phi_prime, second], axis=1))
+        n = np.arange(self.degree + 1)[:, None]
+        second = self.f.q.values * phi
+        second[2:] += n[2:] * (n[2:] - 1) * phi[:-2]
+        return Interpolant(self.mesh, self.values.T,
+                           slopes=np.stack([phi_prime, second], axis=1).T)
 
 
 def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
     """Run the recursive-integral construction up to index ``degree``.
 
-    The chains run in the dtype of f and f' (float for a real f); the table
-    is complex either way."""
+    The chains run in the dtype of f and f' (float for a real f) and write
+    straight into the table's values, which are not copied."""
     if degree < 0:
         raise ConfigurationError("degree must be nonnegative")
     mesh = f.mesh
@@ -77,6 +78,4 @@ def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
         rows[n, 0] = fv * chain
         rows[n, 1] = fpv * chain + n * prev / fv
         big_x, big_xt = next_x, next_xt
-    # one transposed copy into the table's (n_points, 2, N+1) complex layout
-    values = rows.T.astype(complex, order="C")
-    return FormalPowerTable(degree=degree, values=values, f=f)
+    return FormalPowerTable(degree=degree, values=rows, f=f)

@@ -51,6 +51,9 @@ class UniformMesh:
     n_points: int
 
     def __post_init__(self):
+        if not (np.isfinite(self.x_start) and np.isfinite(self.x_end)):
+            raise ConfigurationError(
+                f"mesh ends must be finite, got [{self.x_start}, {self.x_end}]")
         if not self.x_start < self.x_end:
             raise ConfigurationError(
                 f"mesh requires x_start < x_end, got [{self.x_start}, {self.x_end}]"
@@ -72,7 +75,8 @@ class UniformMesh:
 
 def tabulate(datum, points: np.ndarray, what: str,
              default: Optional[complex] = None) -> np.ndarray:
-    """Complex values of the problem datum ``what`` at ``points``.  The datum
+    """Values of the problem datum ``what`` at ``points``, float for real
+    data and complex for complex data.  The datum
     is an array with one value per point, a callable applied once to the
     whole point array (a scalar result is the constant), or None for the
     constant ``default`` (an error without one).  Any other datum, or any
@@ -87,12 +91,12 @@ def tabulate(datum, points: np.ndarray, what: str,
         raise ConfigurationError(
             f"{what} is required but missing" if datum is None else
             f"{what} must be an array or a callable, got {datum!r}")
-    values = np.asarray(values, dtype=complex)
+    values = np.asarray(values)
     if values.shape != points.shape and (values.ndim or isinstance(datum, np.ndarray)):
         raise ConfigurationError(
             f"{what} has values of shape {values.shape}, expected "
             f"{points.shape}: one per point, or a scalar from a callable")
-    return np.full(points.shape, values, dtype=complex)
+    return np.full(points.shape, values, dtype=np.result_type(values, float))
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ class SampledFunction:
 
     @classmethod
     def constant(cls, mesh: UniformMesh, value: complex) -> "SampledFunction":
-        return cls(mesh, np.full(mesh.n_points, value, dtype=complex))
+        return cls(mesh, np.full(mesh.n_points, value))
 
 
 # fourth-order first-derivative stencils over five nodes, in units of
@@ -136,7 +140,7 @@ def _fd_slopes(values: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order finite-difference derivative at every node of a
     uniform mesh (``values`` has the mesh along its first axis)."""
     n = values.shape[0]
-    out = np.empty_like(values)
+    out = np.empty(values.shape, np.result_type(values, float))
     out[2:-2] = sum(w * values[j:n - 4 + j]
                     for j, w in enumerate(_FD_CENTRED) if w)
     for i, row in enumerate(_FD_LEFT):
@@ -149,11 +153,11 @@ class Interpolant:
     """Piecewise cubic Hermite interpolant over a uniform mesh; supports
     values and first derivatives at arbitrary points of the mesh interval.
 
-    ``values`` has the mesh along its first axis and any shape after it,
-    which evaluation results carry as their trailing shape.  ``slopes``,
-    of the same shape, are the derivatives at the nodes; without them the
-    slopes are fourth-order finite differences of ``values``, so cubics are
-    reproduced exactly.  There is no build step: a point's cell is found by
+    ``values``, real or complex, has the mesh along its first axis and any
+    shape after it, which evaluation results carry as their trailing shape.
+    ``slopes``, of the same shape, are the derivatives at the nodes; without
+    them the slopes are fourth-order finite differences of ``values``, so
+    cubics are reproduced exactly.  There is no build step: a point's cell is found by
     division, and the four nodal data of that cell give its cubic.
     """
 
@@ -163,9 +167,9 @@ class Interpolant:
     def __init__(self, mesh: UniformMesh, values: np.ndarray,
                  slopes: Optional[np.ndarray] = None):
         self.mesh = mesh
-        self.values = np.asarray(values, dtype=complex)
+        self.values = np.asarray(values)
         self.slopes = (_fd_slopes(self.values, mesh.h) if slopes is None
-                       else np.asarray(slopes, dtype=complex))
+                       else np.asarray(slopes))
         if self.slopes.shape != self.values.shape:
             raise ConfigurationError(
                 f"slopes shape {self.slopes.shape} does not match values "

@@ -115,7 +115,8 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
         except (SolverError, np.linalg.LinAlgError) as exc:
             raise OptimizationError(
                 f"inner fit failed ({type(exc).__name__}: {exc})") from exc
-        r = np.concatenate([fit.residual.real, fit.residual.imag,
+        # a complex residual enters as its interleaved (Re, Im) pairs
+        r = np.concatenate([fit.residual.view(float),
                             weight * model.violations(grid.t, spec.L)])
         if trace is not None:
             trace(settings.K, count, float(r @ r), np.asarray(b, float))

@@ -43,19 +43,18 @@ def _series_solution(q: SampledFunction,
                      seed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum of iterated double integrals starting from ``seed``.
 
-    Returns (y, y') tabulated on the mesh of q, in float when q has no
-    imaginary part and complex otherwise.  Each iteration maps
-    T -> integral of (integral of q*T), so T solves y'' = q y term by term.
+    Returns (y, y') tabulated on the mesh of q, in the dtype of q (float
+    for real data).  Each iteration maps T -> integral of (integral of
+    q*T), so T solves y'' = q y term by term.
     """
     mesh = q.mesh
-    qv = q.values if np.any(q.values.imag) else q.values.real
-    term = seed.astype(qv.dtype)
+    term = seed.astype(q.values.dtype)
     total = term.copy()
-    total_prime = np.zeros(mesh.n_points, dtype=qv.dtype)
+    total_prime = np.zeros_like(term)
     if len(seed) and seed[0] == 0.0:  # seed x has derivative 1
         total_prime += 1.0
     for _ in range(MAX_TERMS):
-        inner = cumulative_integral(SampledFunction(mesh, qv * term))
+        inner = cumulative_integral(SampledFunction(mesh, q.values * term))
         term = cumulative_integral(inner).values
         total += term
         total_prime += inner.values
@@ -75,9 +74,9 @@ def solve_particular(q: SampledFunction) -> ParticularSolution:
     near zero and, if real, does not change sign between nodes (a zero
     between nodes is still a zero).  Otherwise the combination y1 + i*y2 is
     returned; for real q its modulus is bounded away from zero because the
-    Wronskian of the two branches equals one.  For real q the series are
-    summed in float, so y1 is returned as float data and y1 + i*y2 as
-    complex.
+    Wronskian of the two branches equals one.  The series are summed in the
+    dtype of q, so for real q the branch y1 is float data and only
+    y1 + i*y2 is complex.
     """
     mesh = q.mesh
     ones = np.ones(mesh.n_points)

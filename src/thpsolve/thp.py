@@ -57,13 +57,13 @@ def _heat_coeff_matrix(degree: int) -> np.ndarray:
 def basis(table: FormalPowerTable, x, t) -> np.ndarray:
     """All basis functions at the points (x, t), broadcast against each
     other: H_n in ``[:, 0, n]`` and the x-derivative of H_n in ``[:, 1, n]``,
-    from H_n(x, t) = sum_k c_k^n phi_(n-2k)(x) t^k.  Raises DomainError for
-    x outside the mesh."""
+    from H_n(x, t) = sum_k c_k^n phi_(n-2k)(x) t^k, in the dtype of the
+    table.  Raises DomainError for x outside the mesh."""
     x, t = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
                                np.atleast_1d(np.asarray(t, dtype=float)))
     phi = table.spline(x)                      # (P, 2, N+1)
     coeff = _heat_coeff_matrix(table.degree)
-    out = np.zeros(phi.shape, dtype=complex)
+    out = np.zeros_like(phi)
     tk = np.ones(x.shape)
     for k in range(coeff.shape[0]):
         m = 2 * k
@@ -75,7 +75,7 @@ def basis(table: FormalPowerTable, x, t) -> np.ndarray:
 def solution_eval(table: FormalPowerTable, coeffs, x, t) -> np.ndarray:
     """u_N(x, t) = sum_n a_n H_n(x, t) for a coefficient vector a_0..a_M,
     M <= N, at the points (x, t) broadcast against each other."""
-    a = np.asarray(coeffs, dtype=complex)
+    a = np.asarray(coeffs)
     return basis(table, x, t)[:, 0, :len(a)] @ a
 
 
@@ -87,7 +87,7 @@ def pde_residual(table: FormalPowerTable, coeffs, sample_points) -> float:
     difference of the value interpolants alone would be dominated by their
     curvature error for the higher-degree basis functions)."""
     x, t = np.asarray(sample_points, dtype=float).reshape(-1, 2).T
-    a = np.asarray(coeffs, dtype=complex)
+    a = np.asarray(coeffs)
     q = Interpolant(table.mesh, table.f.q.values)
     # in t the basis is an exact polynomial, so a finer step costs nothing
     # in rounding noise and cuts the truncation error of the t-difference

@@ -62,8 +62,8 @@ def benchmark_solution():
     import time
 
     bench = T.exact_benchmark()
-    t0 = time.time()
+    t0 = time.perf_counter()
     work = T.prepare(bench.spec)
     fit = T.solve_free_boundary(work, T.OptimizerSettings(K=6))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     return bench, work, fit, elapsed

@@ -26,6 +26,11 @@ def test_spec_invariants():
         make_spec(T=0.0)
     with pytest.raises(ConfigurationError):
         make_spec(g3=None)
+    # T = nan was accepted: NaN fails no comparison
+    for name in ("L", "l", "T"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+                make_spec(**{name: value})
 
 
 @pytest.mark.parametrize("g1", [lambda x: np.ones(3), np.ones(3)],

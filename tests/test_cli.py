@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -289,3 +290,22 @@ def test_degree_past_float_range_exits_numeric(config_path, tmp_path, capsys):
     assert main(["solve", config_path, "--N", "300", "--mesh", "201",
                  "--out", str(tmp_path / "o")]) == 3
     assert "float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("l_domain, t_final, message", [
+    ("inf", "1", "L must be finite, got L=inf"),
+    ("2.0", "nan", "T must be finite, got T=nan"),
+    ("2.0", "inf", "T must be finite, got T=inf"),
+], ids=["l_domain-inf", "t_final-nan", "t_final-inf"])
+def test_nonfinite_geometry_is_a_config_error(l_domain, t_final, message,
+                                              tmp_path, capsys):
+    # l_domain = inf ran into the particular-solution series (exit 3, after
+    # numpy RuntimeWarnings); a non-finite t_final exited 2 with the wrong
+    # message "t grid must start at 0"
+    path = tmp_path / "nonfinite.cfg"
+    path.write_text(f"q = 0\nl = 1.0\nl_domain = {l_domain}\n"
+                    f"t_final = {t_final}\ng3 = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err

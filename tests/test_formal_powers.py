@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from thpsolve import (DomainError, SampledFunction, UniformMesh, basis,
-                      build_formal_powers, solve_particular)
+from thpsolve import (BoundaryModel, CollocationGrid, DomainError,
+                      InnerSolver, ProblemSpec, SampledFunction, UniformMesh,
+                      basis, build_formal_powers, solve_particular)
 
 
 def test_monomials_for_zero_potential(table_q0):
     nodes = table_q0.mesh.nodes
     for n in range(13):
-        assert np.max(np.abs(table_q0.values[:, 0, n] - nodes ** n)) < 1e-10
+        assert np.max(np.abs(table_q0.values[n, 0] - nodes ** n)) < 1e-10
 
 
 def test_phi0_is_f(table_q1):
-    assert np.array_equal(table_q1.values[:, 0, 0], table_q1.f.f.values)
+    assert np.array_equal(table_q1.values[0, 0], table_q1.f.f.values)
 
 
 def test_phi1_is_sinh_for_unit_potential(table_q1):
@@ -79,7 +80,7 @@ def test_ode_property(table_q1):
     h = mesh.h
     q = 1.0
     for n in (2, 3, 6):
-        vals = table_q1.values[:, 0, n].real
+        vals = table_q1.values[n, 0]
         second = (vals[6:-4] - 2 * vals[5:-5] + vals[4:-6]) / h ** 2
         lhs = second - q * vals[5:-5]
         rhs = n * (n - 1) * table_q1.spline(nodes)[:, 0, n - 2].real
@@ -103,16 +104,27 @@ def test_spline_built_on_first_use(table_q0):
     # reading node values must not pay for the spline
     table = build_formal_powers(table_q0.f, 3)
     assert "spline" not in vars(table)
-    assert np.array_equal(table.values, table_q0.values[:, :, :4])
+    assert np.array_equal(table.values, table_q0.values[:4])
     spline = table.spline
     basis(table, 0.5, 0.1)
     assert table.spline is spline
 
 
-def test_real_potential_table_has_zero_imaginary_part(table_q1):
-    # for real q the chains run in float: the complex table loses nothing
-    assert not np.any(table_q1.values.imag)
-    assert not np.any(table_q1.f.f.values.imag)
+@pytest.mark.parametrize("q, L, dtype", [(1.0, 1.0, np.float64),
+                                         (-20.0, 2.0, np.complex128)],
+                         ids=["real-branch", "complex-branch"])
+def test_dtype_follows_the_branch(q, L, dtype):
+    # q = 1 on [0, 1] takes the branch y1 = cosh and stays real end to end;
+    # q = -20 on [0, 2] takes y1 + i y2, the one source of complex values
+    mesh = UniformMesh(0.0, L, 2001)
+    table = build_formal_powers(solve_particular(SampledFunction.constant(mesh, q)), 8)
+    spec = ProblemSpec(q=lambda x: q, L=L, l=0.5, T=0.5, g1=np.cosh,
+                       g2=lambda t: 0.0, g3=lambda t: 1.0)
+    solver = InnerSolver(spec, CollocationGrid.equidistant(0.5, 0.5, 20, 20), table)
+    model = BoundaryModel(0.5, [0.1])
+    arrays = [table.values, basis(table, 0.3, 0.2),
+              solver.system_for(model).matrix, solver.fit(model).a]
+    assert [a.dtype for a in arrays] == [dtype] * 4
 
 
 def test_ode_property_on_complex_branch():
@@ -124,9 +136,9 @@ def test_ode_property_on_complex_branch():
     assert np.any(table.values.imag)
     phi = table.values[:, 0]
     for n in (2, 3, 6, 9, 12):
-        second = (phi[2:, n] - 2 * phi[1:-1, n] + phi[:-2, n]) / mesh.h ** 2
-        lhs = second + 20.0 * phi[1:-1, n]
-        rhs = n * (n - 1) * phi[1:-1, n - 2]
+        second = (phi[n, 2:] - 2 * phi[n, 1:-1] + phi[n, :-2]) / mesh.h ** 2
+        lhs = second + 20.0 * phi[n, 1:-1]
+        rhs = n * (n - 1) * phi[n - 2, 1:-1]
         scale = np.maximum(np.abs(rhs), 1.0)
         assert np.max(np.abs(lhs - rhs) / scale) <= 1e-4
 

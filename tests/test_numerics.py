@@ -74,6 +74,9 @@ def test_mesh_invariants():
         UniformMesh(0.0, 1.0, 12)  # 11 intervals, not divisible by 5
     with pytest.raises(ConfigurationError):
         UniformMesh(0.0, 1.0, 5)
+    for ends in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
+        with pytest.raises(ConfigurationError, match="mesh ends must be finite"):
+            UniformMesh(*ends, 11)
     m = UniformMesh(0.0, 1.0, 11)
     assert m.h == pytest.approx(0.1)
     assert len(m.nodes) == 11

@@ -79,7 +79,7 @@ def test_basis_solution_property(table_q1):
     for n in range(13):
         coeffs = np.zeros(13)
         coeffs[n] = 1.0
-        bound = 1e-3 * (1.0 + np.max(np.abs(table_q1.values[:, 0, n])))
+        bound = 1e-3 * (1.0 + np.max(np.abs(table_q1.values[n, 0])))
         assert pde_residual(table_q1, coeffs, pts) <= bound
 
 
