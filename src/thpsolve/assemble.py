@@ -6,7 +6,9 @@ data at x = 0, Dirichlet data on the moving boundary, flux balance on the
 moving boundary) stack into an overdetermined system B a ~ g, solved in the
 least-squares sense with each column of B scaled to unit length (minimum
 norm in the scaled coefficients).  The fit quality is summarized by the
-value function F = I1^2 + I2^2 + I3^2 + I4^2.
+value function F = I1^2 + I2^2 + I3^2 + I4^2.  The same factorization
+gives the derivative of the residual in the boundary coefficients
+(``InnerSolver.jacobian``), which the outer search steps on.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .boundary import BoundaryModel
 from .errors import ConfigurationError, DegenerateSystemError
 from .expr import Expression
 from .formal_powers import FormalPowerTable
-from .numerics import tabulate
+from .numerics import Interpolant, tabulate
 from .thp import basis
 
 __all__ = [
@@ -33,6 +35,8 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-12
+# a searched boundary is clipped to [S_FLOOR, L] (``system_for(clamp=True)``)
+S_FLOOR = 1e-8
 
 DataFunc = Union[Expression, Callable[[np.ndarray], Union[np.ndarray, complex]]]
 BoundaryData = Union[DataFunc, np.ndarray]
@@ -127,6 +131,10 @@ class FitResult:
     residual_norms: tuple    # (I1, I2, I3, I4); zero for absent blocks
     residual_maxima: tuple   # per-block max abs residual
     residual: np.ndarray = field(repr=False)   # stacked B a - g
+    system: Optional[LinearSystem] = field(default=None, repr=False)
+    # orthonormal basis of the column space that a solved fit projects g
+    # onto, so that residual = -(I - U U^H) g; None when a was given
+    range_basis: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def b(self) -> np.ndarray:
@@ -176,11 +184,12 @@ class InnerSolver:
         self._g3 = tabulate(spec.g3, grid.t, "g3")
         self._g4 = (None if spec.flux_data is None
                     else tabulate(spec.flux_data, grid.t, "flux data"))
+        self._q = Interpolant(table.mesh, table.f.q.values)
 
     def system_for(self, model: BoundaryModel, clamp: bool = False) -> LinearSystem:
         s_vals = np.atleast_1d(model.s_eval(self.grid.t))
         if clamp:
-            s_vals = np.clip(s_vals, 1e-8, self.spec.L)
+            s_vals = np.clip(s_vals, S_FLOOR, self.spec.L)
         elif model.constraint_violation(self.grid.t, self.spec.L) > 0:
             raise ConfigurationError(
                 "boundary candidate violates 0 < s(t) <= L on the grid"
@@ -209,8 +218,9 @@ class InnerSolver:
 
     def fit(self, model: BoundaryModel, a=None, clamp: bool = False) -> FitResult:
         system = self.system_for(model, clamp=clamp)
+        range_basis = None
         if a is None:
-            a = solve_linear(system)
+            a, range_basis = solve_linear(system)
         a = np.asarray(a)
         residual = system.matrix @ a - system.rhs
         norms, maxima = [], []
@@ -221,20 +231,61 @@ class InnerSolver:
         value = float(sum(v * v for v in norms))
         return FitResult(a=a, boundary=model, F=value,
                          residual_norms=tuple(norms),
-                         residual_maxima=tuple(maxima), residual=residual)
+                         residual_maxima=tuple(maxima), residual=residual,
+                         system=system, range_basis=range_basis)
+
+    def jacobian(self, fit: FitResult) -> np.ndarray:
+        """Kaufman's (1975) variable-projection Jacobian of the residual of
+        a solved fit in the boundary coefficients b_1..b_K, one column each:
+        (I - U U^H)(dB/db_j a - dg/db_j), with U the fit's ``range_basis``.
+        It leaves out a term of the exact derivative that lies in the
+        column space of B, orthogonal to the residual, so its transpose
+        times the residual is the exact gradient of |residual|^2 / 2.
+
+        A time where the fit clipped s (``clamp=True``) has s fixed, so its
+        matrix rows do not move.  The moving rows need only the Dirichlet
+        and flux blocks already built: d/ds H_n(s, t) is the flux block, and
+        d^2/ds^2 H_n = q(s) H_n + n (n-1) H_(n-2) by the equation and the
+        heat-polynomial identity d/dt H_n = n (n-1) H_(n-2).  Complex rows
+        come as interleaved (Re, Im) pairs, like ``residual.view(float)``.
+        """
+        system, a, t = fit.system, fit.a, self.grid.t
+        s = np.atleast_1d(fit.boundary.s_eval(t))
+        s_fit = np.clip(s, S_FLOOR, self.spec.L)
+        moves = s_fit == s
+        h = system.matrix[system.blocks["dirichlet"]]
+        h_x = system.matrix[system.blocks["flux"]]
+        n = np.arange(len(a))
+        h_xx_a = self._q(s_fit) * (h @ a) + h[:, :-2] @ (n * (n - 1) * a)[2:]
+        j = np.arange(1, fit.boundary.K + 1)[:, None]
+        powers = t ** j                                   # (K, times)
+        # rows of dr/db^T; g depends on b only through -s' in the flux rows
+        d = np.zeros((len(j), len(fit.residual)), dtype=fit.residual.dtype)
+        d[:, system.blocks["dirichlet"]] = powers * (moves * (h_x @ a))
+        d[:, system.blocks["flux"]] = powers * (moves * h_xx_a)
+        if self._g4 is None:
+            d[:, system.blocks["flux"]] += j * t ** (j - 1)
+        u = fit.range_basis
+        d -= (d @ u.conj()) @ u.T
+        return d.view(float).T
 
 
-def solve_linear(system: LinearSystem) -> np.ndarray:
+def solve_linear(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares solution via SVD of the column-equilibrated matrix:
     each column is scaled to unit 2-norm (a zero column keeps scale 1), and
     singular values below RANK_TOL * sigma_max are treated as zero.  The
     unscaled column norms span many decades (phi_n grows like x^n, H_n like
     t^(n/2)); from N = 18 their condition number passes 1/RANK_TOL and the
-    cut would drop directions the fit needs."""
+    cut would drop directions the fit needs.
+
+    Returns the solution a and the left singular vectors kept, an
+    orthonormal basis U of the column space the fit projects onto."""
     if not np.any(system.matrix):
         raise DegenerateSystemError("collocation matrix is identically zero")
     scale = np.linalg.norm(system.matrix, axis=0)
     scale[scale == 0.0] = 1.0
-    a, *_ = np.linalg.lstsq(system.matrix / scale, system.rhs, rcond=RANK_TOL)
-    return a / scale
-
+    u, sigma, vh = np.linalg.svd(system.matrix / scale, full_matrices=False)
+    keep = sigma > RANK_TOL * sigma[0]
+    u, sigma, vh = u[:, keep], sigma[keep], vh[keep]
+    a = vh.conj().T @ ((u.conj().T @ system.rhs) / sigma)
+    return a / scale, u

@@ -169,14 +169,14 @@ def _write_csv(path: Path, header: list, rows: np.ndarray):
 
 def _solution_grid(work: Workspace, fit: FitResult) -> np.ndarray:
     """Rows (x, t, Re u) on 50 times x 50 points from x = 0 to the fitted
-    boundary, t-major; evaluated one time at a time to keep the basis
-    arrays small."""
-    blocks = []
-    for t in np.linspace(0.0, work.spec.T, 50):
-        x = np.linspace(0.0, float(fit.boundary.s_eval(t)), 50)
-        u = solution_eval(work.table, fit.a, x, t).real
-        blocks.append(np.column_stack([x, np.full(50, t), u]))
-    return np.concatenate(blocks)
+    boundary, t-major; u comes from one evaluation over all 2500 points
+    (the basis arrays are 2500 x 2 x (N + 1) values)."""
+    times = np.linspace(0.0, work.spec.T, 50)
+    x = np.concatenate([np.linspace(0.0, float(fit.boundary.s_eval(t)), 50)
+                        for t in times])
+    t = np.repeat(times, 50)
+    u = solution_eval(work.table, fit.a, x, t).real
+    return np.column_stack([x, t, u])
 
 
 def _write_outputs(out_dir: Path, work: Workspace, fit: FitResult,

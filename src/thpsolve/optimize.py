@@ -5,7 +5,8 @@ linearly, so the inner least-squares fit eliminates them and leaves a
 residual vector in the boundary coefficients alone (Golub & Pereyra 1973;
 Kaufman 1975).  That projected residual, extended by the weighted per-time
 violations of the admissibility constraint, is minimized by Gauss-Newton
-steps on a central-difference Jacobian, with Levenberg-Marquardt damping
+steps on Kaufman's analytic variable-projection Jacobian, built from the
+factorization the fit has already made, with Levenberg-Marquardt damping
 (More 1978) added only after a step that fails to lower the objective.
 """
 
@@ -33,7 +34,6 @@ XTOL = FTOL = 1e-8
 # damping after a rejected undamped step, relative to each squared column
 # norm of the Jacobian; every further rejection multiplies it by 10
 INITIAL_DAMPING = 1e-3
-_FD_STEP = np.finfo(float).eps ** (1 / 3)
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class OptimizerSettings:
 
     K: int = 6
     initial_b: Optional[np.ndarray] = None     # default (0.1, 0, ..., 0)
-    # Gauss-Newton iterations, each one trial point (the start is the first)
-    # and at most one Jacobian, i.e. at most 2K + 1 inner fits
+    # Gauss-Newton iterations, each one trial point (the start is the first),
+    # i.e. one inner fit; the Jacobian reuses the fit's factorization
     max_iterations: int = 400
 
     def __post_init__(self):
@@ -61,16 +61,24 @@ class OptimizerSettings:
         object.__setattr__(self, "initial_b", b0)
 
 
-def _jacobian(residuals, b: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian, 2K residual evaluations; the step per
-    coefficient is eps^(1/3) max(1, |b_j|), as in scipy's "3-point"."""
-    columns = []
-    for j, step in enumerate(_FD_STEP * np.maximum(1.0, np.abs(b))):
-        lo, hi = b.copy(), b.copy()
-        lo[j] -= step
-        hi[j] += step
-        columns.append((residuals(hi) - residuals(lo)) / (hi[j] - lo[j]))
-    return np.column_stack(columns)
+def _residual(solver: InnerSolver, fit: FitResult) -> np.ndarray:
+    """Search residual of a clamped fit: the projected collocation residual
+    (a complex one as its interleaved (Re, Im) pairs), then the weighted
+    per-time violations of the admissibility constraint."""
+    violations = fit.boundary.violations(solver.grid.t, solver.spec.L)
+    return np.concatenate([fit.residual.view(float),
+                           np.sqrt(PENALTY_WEIGHT) * violations])
+
+
+def _residual_jacobian(solver: InnerSolver, fit: FitResult) -> np.ndarray:
+    """Jacobian of ``_residual`` in the boundary coefficients: the inner
+    solver's variable-projection rows, then d/db_j of the penalty rows,
+    sqrt(PENALTY_WEIGHT) t^j at the times whose violation is nonzero."""
+    t = solver.grid.t
+    live = fit.boundary.violations(t, solver.spec.L) != 0
+    powers = t[:, None] ** np.arange(1, fit.boundary.K + 1)
+    return np.vstack([solver.jacobian(fit),
+                      np.sqrt(PENALTY_WEIGHT) * live[:, None] * powers])
 
 
 def _step(jac: np.ndarray, r: np.ndarray, damping: float) -> np.ndarray:
@@ -95,48 +103,44 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
 
     Returns the converged fit; deterministic for fixed settings.  Each
     iteration evaluates the objective at one trial point (the start is the
-    first) and, after a point that lowers it, a central-difference Jacobian
-    there, so it costs at most 2K + 1 inner fits.  Raises
-    ``OptimizationError`` when ``max_iterations`` trial points do not reach
-    convergence.  The ``trace`` callback, when given, receives (K,
-    evaluation count, penalized objective, coefficients) for every
-    objective evaluation.
+    first), one inner fit; after a point that lowers it, the next step
+    takes the Jacobian from that fit.  Raises ``OptimizationError`` when
+    ``max_iterations`` trial points do not reach convergence.  The
+    ``trace`` callback, when given, receives (K, evaluation count,
+    penalized objective, coefficients) for every objective evaluation.
     """
     solver = InnerSolver(spec, grid, table)
-    weight = np.sqrt(PENALTY_WEIGHT)
     count = 0
 
-    def residuals(b):
+    def evaluate(b):
         nonlocal count
         count += 1
-        model = BoundaryModel(spec.l, b)
         try:
-            fit = solver.fit(model, clamp=True)
+            fit = solver.fit(BoundaryModel(spec.l, b), clamp=True)
         except (SolverError, np.linalg.LinAlgError) as exc:
             raise OptimizationError(
                 f"inner fit failed ({type(exc).__name__}: {exc})") from exc
-        # a complex residual enters as its interleaved (Re, Im) pairs
-        r = np.concatenate([fit.residual.view(float),
-                            weight * model.violations(grid.t, spec.L)])
+        r = _residual(solver, fit)
         if trace is not None:
             trace(settings.K, count, float(r @ r), np.asarray(b, float))
-        return r
+        return fit, r
 
     b = settings.initial_b.copy()
-    r = residuals(b)
+    fit, r = evaluate(b)
     value = r @ r
     jac, damping = None, 0.0
     for _ in range(settings.max_iterations - 1):
         if jac is None:
-            jac = _jacobian(residuals, b)
+            jac = _residual_jacobian(solver, fit)
         step = _step(jac, r, damping)
         trial = b + step
-        r_trial = residuals(trial)
+        fit_trial, r_trial = evaluate(trial)
         trial_value = r_trial @ r_trial
         done = np.linalg.norm(step) <= XTOL * (XTOL + np.linalg.norm(b))
         if trial_value < value:
             done |= value - trial_value <= FTOL * value
-            b, r, value, jac, damping = trial, r_trial, trial_value, None, 0.0
+            b, fit, r, value = trial, fit_trial, r_trial, trial_value
+            jac, damping = None, 0.0
         else:
             damping = max(10.0 * damping, INITIAL_DAMPING)
         if done:

@@ -205,22 +205,26 @@ def test_solve_linear_identity():
     eye = np.eye(3, dtype=complex)
     rhs = np.array([1.0, 0.0, 0.0], dtype=complex)
     system = LinearSystem(eye, rhs, {})
-    assert np.allclose(solve_linear(system), rhs)
+    sol, _ = solve_linear(system)
+    assert np.allclose(sol, rhs)
 
 
 def test_solve_linear_stacked_consistent():
     a = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     rhs = np.array([3.0, 1.0], dtype=complex)
     system = LinearSystem(np.vstack([a, a]), np.concatenate([rhs, rhs]), {})
-    sol = solve_linear(system)
+    sol, _ = solve_linear(system)
     assert np.allclose(a @ sol, rhs, atol=1e-12)
 
 
 def test_solve_linear_minimum_norm():
     mat = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
     rhs = np.array([2.0, 2.0], dtype=complex)
-    sol = solve_linear(LinearSystem(mat, rhs, {}))
+    sol, range_basis = solve_linear(LinearSystem(mat, rhs, {}))
     assert np.allclose(sol, [1.0, 1.0], atol=1e-12)
+    # rank one: the range basis is the one direction (1, 1) / sqrt(2)
+    assert range_basis.shape == (2, 1)
+    assert np.allclose(np.abs(range_basis[:, 0]), np.sqrt(0.5), atol=1e-12)
 
 
 def test_solve_linear_degenerate():
@@ -262,7 +266,7 @@ def test_separability(manufactured):
 def test_normal_equation_equivalence(manufactured):
     work, model = manufactured
     system = InnerSolver(work.spec, work.grid, work.table).system_for(model)
-    a = solve_linear(system)
+    a, _ = solve_linear(system)
     mat = system.matrix
     lhs = mat.conj().T @ (mat @ a)
     rhs = mat.conj().T @ system.rhs

@@ -179,7 +179,7 @@ def test_basis_dump_rejects_negative_index(config_path, tmp_path, capsys):
 
 
 def test_validate_example_evaluates_solution_grid_once(tmp_path, monkeypatch):
-    # one solution_eval per time row of the 50 x 50 grid, shared by the
+    # one solution_eval over all points of the 50 x 50 grid, shared by the
     # u-error check and solution.csv
     calls = []
 
@@ -189,15 +189,39 @@ def test_validate_example_evaluates_solution_grid_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "solution_eval", counted)
     assert main(["validate-example", "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 50
+    assert len(calls) == 1
+
+
+def test_solution_grid_matches_the_per_time_loop(manufactured):
+    # the grid is one solution_eval over all 2500 points; its reference is
+    # the loop it replaced, one call per time over the same x
+    work, model = manufactured
+    fit = thpsolve.InnerSolver(work.spec, work.grid, work.table).fit(model)
+    blocks = []
+    for t in np.linspace(0.0, work.spec.T, 50):
+        x = np.linspace(0.0, float(fit.boundary.s_eval(t)), 50)
+        u = solution_eval(work.table, fit.a, x, t).real
+        blocks.append(np.column_stack([x, np.full(50, t), u]))
+    expected = np.concatenate(blocks)
+    grid = cli._solution_grid(work, fit)
+    assert np.array_equal(grid[:, :2], expected[:, :2])
+    np.testing.assert_allclose(grid[:, 2], expected[:, 2], rtol=1e-14,
+                               atol=1e-14)
 
 
 def test_verbose_trace(config_path, tmp_path, capsys):
     assert main(["solve", config_path, "--out", str(tmp_path / "out"),
                  "--verbose"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("stage,iteration,objective,b_1")
-    assert len(lines) > 10
+    assert lines[0] == "stage,iteration,objective,b_1,b_2"
+    # one row per objective evaluation, numbered from 1, each with the
+    # stage K = 2 and K coefficients; the search ends no worse than it began
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert len(rows) >= 2
+    assert all(len(row) == 3 + 2 and row[0] == "2" for row in rows)
+    assert [int(row[1]) for row in rows] == list(range(1, len(rows) + 1))
+    assert float(rows[-1][2]) <= float(rows[0][2])
+    assert lines[-1].startswith("converged: F = ")
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -3,6 +3,7 @@ import pytest
 
 import thpsolve as T
 from thpsolve import ConfigurationError, OptimizerSettings
+from thpsolve.optimize import _residual, _residual_jacobian
 
 
 def test_settings_validation():
@@ -32,9 +33,9 @@ def test_restart_at_optimum_is_stable(manufactured):
 
 
 def test_evaluations_bounded_by_iterations(manufactured):
-    # each Gauss-Newton iteration costs one trial point and a central-
-    # difference Jacobian, i.e. at most 2K + 1 inner fits; three iterations
-    # do not reach convergence, which the search reports as an error
+    # each Gauss-Newton iteration costs one trial point, i.e. one inner fit
+    # (the Jacobian reuses that fit's factorization); three iterations do
+    # not reach convergence, which the search reports as an error
     work, _ = manufactured
     seen = []
 
@@ -44,7 +45,7 @@ def test_evaluations_bounded_by_iterations(manufactured):
     settings = OptimizerSettings(K=2, max_iterations=3)
     with pytest.raises(T.OptimizationError, match="max_iterations = 3"):
         T.minimize_boundary(work.spec, work.grid, work.table, settings, trace=trace)
-    assert 0 < len(seen) <= (2 * 2 + 1) * 3
+    assert len(seen) == 3
     assert [it for _, it, _ in seen] == list(range(1, len(seen) + 1))
     assert all(k == 2 and n == 2 for k, _, n in seen)
 
@@ -101,3 +102,88 @@ def test_reference_problem_at_N18():
     ts = np.linspace(0.0, 1.0, 101)
     err = np.max(np.abs(fit.boundary.s_eval(ts) - bench.exact_s(ts)))
     assert err <= 1e-4
+
+
+def _closed_form_q_minus_2():
+    # u = cos(x) e^t solves u_xx + 2 u = u_t; y1 = cos(sqrt(2) x) vanishes
+    # in [0, 2], so the basis is complex
+    def s(t):
+        return 1.0 + 0.5 * t + 0.3 * t * t
+
+    spec = T.ProblemSpec(
+        q=lambda x: -2.0, L=2.0, l=1.0, T=0.5,
+        g1=lambda x: np.cos(x), g2=lambda t: 0.0,
+        g3=lambda t: np.cos(s(t)) * np.exp(t),
+        flux_data=lambda t: -np.sin(s(t)) * np.exp(t))
+    return T.prepare(spec, degree=12)
+
+
+@pytest.mark.parametrize("case, b", [
+    ("reference", [0.1, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    ("manufactured", [0.3, 0.1]),
+    ("q=-2", [0.4, 0.1]),
+    # s(t) = 1 - 2.3 t passes 0 near t = 0.435 and 1 + 3 t - 0.5 t^2 passes
+    # L = 2 near t = 0.35, neither at a grid time: clamp and penalty are live
+    ("below-0", [-2.3, 0.0]),
+    ("above-L", [3.0, -0.5]),
+])
+def test_jacobian_gives_the_exact_gradient(case, b, manufactured,
+                                           benchmark_solution):
+    # Kaufman's Jacobian leaves out a term that lies in the column space of
+    # the collocation matrix, orthogonal to the residual: so J^T r is the
+    # gradient of |r|^2 / 2, and J is the finite-difference Jacobian
+    # projected off that column space.  The oracle is central differences
+    # at a non-optimal b.
+    if case == "reference":
+        work = benchmark_solution[1]
+    elif case == "q=-2":
+        work = _closed_form_q_minus_2()
+    else:
+        work = manufactured[0]
+    solver = T.InnerSolver(work.spec, work.grid, work.table)
+
+    def residual_at(b):
+        return _residual(
+            solver, solver.fit(T.BoundaryModel(work.spec.l, b), clamp=True))
+
+    b = np.asarray(b, float)
+    fit = solver.fit(T.BoundaryModel(work.spec.l, b), clamp=True)
+    if case == "q=-2":
+        assert np.iscomplexobj(fit.residual)
+    if case in ("below-0", "above-L"):
+        s = fit.boundary.s_eval(work.grid.t)
+        assert np.any((s <= 0) | (s > work.spec.L))
+    r, jac = _residual(solver, fit), _residual_jacobian(solver, fit)
+    oracle_gradient = np.empty_like(b)
+    oracle_jac = np.empty_like(jac)
+    for j in range(len(b)):
+        step = np.zeros_like(b)
+        step[j] = np.finfo(float).eps ** (1 / 3) * max(1.0, abs(b[j]))
+        hi, lo = residual_at(b + step), residual_at(b - step)
+        oracle_gradient[j] = (hi @ hi - lo @ lo) / (4 * step[j])
+        oracle_jac[:, j] = (hi - lo) / (2 * step[j])
+    gradient = jac.T @ r
+    assert (np.linalg.norm(gradient - oracle_gradient)
+            <= 1e-6 * np.linalg.norm(oracle_gradient))
+    # rows of the collocation residual, as complex columns where it is
+    # complex, projected with I - U U^H; the penalty rows need no projection
+    rows = fit.residual.view(float).size
+    columns = oracle_jac[:rows].T.copy().view(fit.residual.dtype)
+    u = fit.range_basis
+    projected = (columns - (columns @ u.conj()) @ u.T).view(float).T
+    assert (np.linalg.norm(projected - jac[:rows])
+            <= 1e-6 * np.linalg.norm(jac[:rows]))
+    assert np.allclose(oracle_jac[rows:], jac[rows:], rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("degree, gate", [(16, 1e-9), (20, 1e-10)])
+def test_reference_problem_at_K12_from_a_cold_start(degree, gate):
+    # with a central-difference Jacobian these searches took 3068 (N = 16)
+    # and 4136 (N = 20) fits and ended at boundary errors of 5.3e-5 and
+    # 8.5e-4; they converged only when started from the K = 10 optimum
+    bench = T.exact_benchmark()
+    work = T.prepare(bench.spec, degree=degree)
+    fit = T.solve_free_boundary(work, OptimizerSettings(K=12))
+    ts = np.linspace(0.0, 1.0, 1001)
+    err = np.max(np.abs(fit.boundary.s_eval(ts) - bench.exact_s(ts)))
+    assert err <= gate
