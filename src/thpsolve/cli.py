@@ -158,22 +158,34 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# rows per format call of _write_csv: one text block, never the whole table
+CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path: Path, header: list, rows: np.ndarray):
     """Write a 2-D float array under a header line, every value as
-    ``%.17g`` (the same text as ``_fmt``), with one format per row."""
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    ``%.17g`` (the same text as ``_fmt``).  A column that is +0.0 in every
+    row is the literal ``0`` (``%.17g`` of -0.0 is ``-0``, so a column with
+    a -0.0 keeps its format); the rest are formatted a block of
+    ``CSV_BLOCK_ROWS`` rows per call."""
+    zero = ~(rows.any(0) | np.signbit(rows).any(0))
+    line = ",".join(np.where(zero, "0", "%.17g")) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in rows.tolist())
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[start:start + CSV_BLOCK_ROWS, ~zero]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _solution_grid(work: Workspace, fit: FitResult) -> np.ndarray:
     """Rows (x, t, Re u) on 50 times x 50 points from x = 0 to the fitted
     boundary, t-major; u comes from one evaluation over all 2500 points
-    (the basis arrays are 2500 x 2 x (N + 1) values)."""
+    (the basis arrays are 2500 x 2 x (N + 1) values).  s is evaluated one
+    time at a time: the array form of ``s_eval`` is a matrix-vector product
+    that rounds differently in the last bit at some times."""
     times = np.linspace(0.0, work.spec.T, 50)
-    x = np.concatenate([np.linspace(0.0, float(fit.boundary.s_eval(t)), 50)
-                        for t in times])
+    s_vals = [fit.boundary.s_eval(t) for t in times]
+    x = np.linspace(0.0, s_vals, 50, axis=1).ravel()
     t = np.repeat(times, 50)
     u = solution_eval(work.table, fit.a, x, t).real
     return np.column_stack([x, t, u])
@@ -221,11 +233,11 @@ def cmd_solve(args) -> int:
             guess, spec.l, spec.T, settings.K))
     trace = None
     if args.verbose:
-        print("stage,iteration,objective," +
+        print("iteration,objective," +
               ",".join(f"b_{j}" for j in range(1, settings.K + 1)))
 
-        def trace(stage, it, value, b):
-            print(f"{stage},{it},{_fmt(value)}," + ",".join(_fmt(v) for v in b))
+        def trace(it, value, b):
+            print(f"{it},{_fmt(value)}," + ",".join(_fmt(v) for v in b))
 
     fit = solve_free_boundary(work, settings, trace=trace)
     _write_outputs(Path(args.out), work, fit, _solution_grid(work, fit))

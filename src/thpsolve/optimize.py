@@ -97,7 +97,7 @@ def _step(jac: np.ndarray, r: np.ndarray, damping: float) -> np.ndarray:
 def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
                       table: FormalPowerTable,
                       settings: OptimizerSettings = OptimizerSettings(),
-                      trace: Optional[Callable[[int, int, float, np.ndarray], None]] = None,
+                      trace: Optional[Callable[[int, float, np.ndarray], None]] = None,
                       ) -> FitResult:
     """Minimize the reduced value function over boundary coefficients.
 
@@ -106,8 +106,8 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
     first), one inner fit; after a point that lowers it, the next step
     takes the Jacobian from that fit.  Raises ``OptimizationError`` when
     ``max_iterations`` trial points do not reach convergence.  The
-    ``trace`` callback, when given, receives (K, evaluation count,
-    penalized objective, coefficients) for every objective evaluation.
+    ``trace`` callback, when given, receives (evaluation count, penalized
+    objective, coefficients) for every objective evaluation.
     """
     solver = InnerSolver(spec, grid, table)
     count = 0
@@ -122,7 +122,7 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
                 f"inner fit failed ({type(exc).__name__}: {exc})") from exc
         r = _residual(solver, fit)
         if trace is not None:
-            trace(settings.K, count, float(r @ r), np.asarray(b, float))
+            trace(count, float(r @ r), np.asarray(b, float))
         return fit, r
 
     b = settings.initial_b.copy()
@@ -149,7 +149,8 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
         raise OptimizationError(
             f"boundary search did not converge within max_iterations = "
             f"{settings.max_iterations} (objective {value:.6e})")
-    model = BoundaryModel(spec.l, b)
-    if model.constraint_violation(grid.t, spec.L) > 0:
+    # an admissible boundary lies inside [S_FLOOR, L], where the clamp of
+    # the last accepted fit changed nothing: that fit is the answer
+    if fit.boundary.constraint_violation(grid.t, spec.L) > 0:
         raise OptimizationError("optimizer returned an inadmissible boundary")
-    return solver.fit(model)
+    return fit

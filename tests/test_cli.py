@@ -193,8 +193,9 @@ def test_validate_example_evaluates_solution_grid_once(tmp_path, monkeypatch):
 
 
 def test_solution_grid_matches_the_per_time_loop(manufactured):
-    # the grid is one solution_eval over all 2500 points; its reference is
-    # the loop it replaced, one call per time over the same x
+    # the grid is one linspace and one solution_eval over all 2500 points;
+    # its reference is the loop it replaced, one call per time, whose x and
+    # t it must reproduce bit for bit
     work, model = manufactured
     fit = thpsolve.InnerSolver(work.spec, work.grid, work.table).fit(model)
     blocks = []
@@ -209,18 +210,63 @@ def test_solution_grid_matches_the_per_time_loop(manufactured):
                                atol=1e-14)
 
 
+def _reference_csv(header: list, rows: np.ndarray) -> str:
+    # the writer's text, one value at a time
+    lines = [",".join(header)]
+    lines += [",".join("%.17g" % v for v in row) for row in rows.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    np.column_stack([np.linspace(-1.0, 1.0, 7), np.zeros(7), np.full(7, 0.1)]),
+    np.column_stack([np.arange(5.0), np.array([0.0, 0.0, -0.0, 0.0, 0.0])]),
+    np.array([[np.nan, np.inf, -np.inf, 0.0], [1e-300, -2.5, 3e300, 0.0]]),
+    np.zeros((0, 3)),
+    np.column_stack([np.linspace(0.0, 2.0, cli.CSV_BLOCK_ROWS + 1),
+                     np.zeros(cli.CSV_BLOCK_ROWS + 1),
+                     np.sqrt(np.arange(cli.CSV_BLOCK_ROWS + 1.0))]),
+], ids=["plus-zero-column", "minus-zero-in-zero-column", "nan-and-inf",
+        "no-rows", "one-past-a-block"])
+def test_write_csv_text(rows, tmp_path):
+    # an all +0.0 column is the literal 0, as %.17g writes it; a -0.0 keeps
+    # its sign ("-0"), and a table one row past a block spans two format calls
+    header = [f"c{j}" for j in range(rows.shape[1])]
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, header, rows)
+    assert path.read_text() == _reference_csv(header, rows)
+
+
+def test_basis_dump_complex_branch_round_trips(tmp_path):
+    # q = -20 on [0, 2] takes the y1 + i y2 branch, so the im_phi columns
+    # hold values, and every written value parses back to the table's
+    path = tmp_path / "complex.cfg"
+    path.write_text("q = -20\nl = 1.0\nl_domain = 2.0\nt_final = 0.2\n"
+                    "g3 = 1\nmesh_points = 201\nn = 4\n")
+    out = tmp_path / "out"
+    assert main(["basis-dump", str(path), "--n", "4", "--out", str(out)]) == 0
+    data = np.loadtxt(out / "phi.csv", delimiter=",", skiprows=1)
+    work = thpsolve.prepare(cli.RunConfig.load(str(path)).build_spec(),
+                            mesh_points=201, degree=4)
+    phi = work.table.values[:, 0].T
+    assert phi.dtype == np.complex128
+    assert np.all(np.any(data[:, 6:] != 0, axis=0))
+    assert np.array_equal(data[:, 0], work.table.mesh.nodes)
+    assert np.array_equal(data[:, 1:6], phi.real)
+    assert np.array_equal(data[:, 6:], phi.imag)
+
+
 def test_verbose_trace(config_path, tmp_path, capsys):
     assert main(["solve", config_path, "--out", str(tmp_path / "out"),
                  "--verbose"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "stage,iteration,objective,b_1,b_2"
-    # one row per objective evaluation, numbered from 1, each with the
-    # stage K = 2 and K coefficients; the search ends no worse than it began
+    assert lines[0] == "iteration,objective,b_1,b_2"
+    # one row per objective evaluation, numbered from 1, each with K = 2
+    # coefficients; the search ends no worse than it began
     rows = [line.split(",") for line in lines[1:-1]]
     assert len(rows) >= 2
-    assert all(len(row) == 3 + 2 and row[0] == "2" for row in rows)
-    assert [int(row[1]) for row in rows] == list(range(1, len(rows) + 1))
-    assert float(rows[-1][2]) <= float(rows[0][2])
+    assert all(len(row) == 2 + 2 for row in rows)
+    assert [int(row[0]) for row in rows] == list(range(1, len(rows) + 1))
+    assert float(rows[-1][1]) <= float(rows[0][1])
     assert lines[-1].startswith("converged: F = ")
 
 

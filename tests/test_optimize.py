@@ -39,15 +39,39 @@ def test_evaluations_bounded_by_iterations(manufactured):
     work, _ = manufactured
     seen = []
 
-    def trace(k, it, value, b):
-        seen.append((k, it, len(b)))
+    def trace(it, value, b):
+        seen.append((it, len(b)))
 
     settings = OptimizerSettings(K=2, max_iterations=3)
     with pytest.raises(T.OptimizationError, match="max_iterations = 3"):
         T.minimize_boundary(work.spec, work.grid, work.table, settings, trace=trace)
     assert len(seen) == 3
-    assert [it for _, it, _ in seen] == list(range(1, len(seen) + 1))
-    assert all(k == 2 and n == 2 for k, _, n in seen)
+    assert [it for it, _ in seen] == list(range(1, len(seen) + 1))
+    assert all(n == 2 for _, n in seen)
+
+
+def test_search_fits_once_per_trial_point(benchmark_solution, monkeypatch):
+    # the search returned a refit at the converged b, one inner fit more
+    # than its trial points (7 against 6 on the reference problem); the
+    # last accepted fit is that same fit
+    _, work, _, _ = benchmark_solution
+    fits, rows = [], []
+    fit = T.InnerSolver.fit
+
+    def counted(self, *args, **kwargs):
+        fits.append(1)
+        return fit(self, *args, **kwargs)
+
+    monkeypatch.setattr(T.InnerSolver, "fit", counted)
+    result = T.minimize_boundary(work.spec, work.grid, work.table,
+                                 OptimizerSettings(),
+                                 trace=lambda *row: rows.append(row))
+    assert len(fits) == len(rows) == 6
+    refit = fit(T.InnerSolver(work.spec, work.grid, work.table), result.boundary)
+    assert np.array_equal(result.a, refit.a)
+    assert result.F == refit.F
+    assert np.array_equal(result.residual, refit.residual)
+    assert result.residual_maxima == refit.residual_maxima
 
 
 def test_reference_problem_at_K8(benchmark_solution):
