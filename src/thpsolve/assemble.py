@@ -38,7 +38,7 @@ RANK_TOL = 1e-12
 # a searched boundary is clipped to [S_FLOOR, L] (``system_for(clamp=True)``)
 S_FLOOR = 1e-8
 
-DataFunc = Union[Expression, Callable[[np.ndarray], Union[np.ndarray, complex]]]
+DataFunc = Union[Expression, Callable[[np.ndarray], Union[np.ndarray, float]]]
 BoundaryData = Union[DataFunc, np.ndarray]
 
 
@@ -133,7 +133,7 @@ class FitResult:
     residual: np.ndarray = field(repr=False)   # stacked B a - g
     system: Optional[LinearSystem] = field(default=None, repr=False)
     # orthonormal basis of the column space that a solved fit projects g
-    # onto, so that residual = -(I - U U^H) g; None when a was given
+    # onto, so that residual = -(I - U U^T) g; None when a was given
     range_basis: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
@@ -237,7 +237,7 @@ class InnerSolver:
     def jacobian(self, fit: FitResult) -> np.ndarray:
         """Kaufman's (1975) variable-projection Jacobian of the residual of
         a solved fit in the boundary coefficients b_1..b_K, one column each:
-        (I - U U^H)(dB/db_j a - dg/db_j), with U the fit's ``range_basis``.
+        (I - U U^T)(dB/db_j a - dg/db_j), with U the fit's ``range_basis``.
         It leaves out a term of the exact derivative that lies in the
         column space of B, orthogonal to the residual, so its transpose
         times the residual is the exact gradient of |residual|^2 / 2.
@@ -245,9 +245,10 @@ class InnerSolver:
         A time where the fit clipped s (``clamp=True``) has s fixed, so its
         matrix rows do not move.  The moving rows need only the Dirichlet
         and flux blocks already built: d/ds H_n(s, t) is the flux block, and
-        d^2/ds^2 H_n = q(s) H_n + n (n-1) H_(n-2) by the equation and the
-        heat-polynomial identity d/dt H_n = n (n-1) H_(n-2).  Complex rows
-        come as interleaved (Re, Im) pairs, like ``residual.view(float)``.
+        d^2/ds^2 H_n = (q(s) + c) H_n + n (n-1) H_(n-2), with c the table's
+        shift, from phi_m'' = (q + c) phi_m + m (m-1) phi_(m-2) and
+        c_k^n (n-2k) (n-2k-1) = n (n-1) c_k^(n-2); the factor e^(c t) of
+        every H_n passes through unchanged.
         """
         system, a, t = fit.system, fit.a, self.grid.t
         s = np.atleast_1d(fit.boundary.s_eval(t))
@@ -260,14 +261,14 @@ class InnerSolver:
         j = np.arange(1, fit.boundary.K + 1)[:, None]
         powers = t ** j                                   # (K, times)
         # rows of dr/db^T; g depends on b only through -s' in the flux rows
-        d = np.zeros((len(j), len(fit.residual)), dtype=fit.residual.dtype)
+        d = np.zeros((len(j), len(fit.residual)))
         d[:, system.blocks["dirichlet"]] = powers * (moves * (h_x @ a))
         d[:, system.blocks["flux"]] = powers * (moves * h_xx_a)
         if self._g4 is None:
             d[:, system.blocks["flux"]] += j * t ** (j - 1)
         u = fit.range_basis
-        d -= (d @ u.conj()) @ u.T
-        return d.view(float).T
+        d -= (d @ u) @ u.T
+        return d.T
 
 
 def solve_linear(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -287,5 +288,5 @@ def solve_linear(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
     u, sigma, vh = np.linalg.svd(system.matrix / scale, full_matrices=False)
     keep = sigma > RANK_TOL * sigma[0]
     u, sigma, vh = u[:, keep], sigma[keep], vh[keep]
-    a = vh.conj().T @ ((u.conj().T @ system.rhs) / sigma)
+    a = vh.T @ ((u.T @ system.rhs) / sigma)
     return a / scale, u

@@ -29,17 +29,19 @@ class BoundaryModel:
     def K(self) -> int:
         return len(self.coefficients)
 
+    # np.vecdot rounds an array of times like one scalar call per time (a
+    # matrix-vector product does not)
     def s_eval(self, t):
         t = np.asarray(t, dtype=float)
         powers = t[..., None] ** np.arange(1, self.K + 1)
-        out = self.l + powers @ self.coefficients
+        out = self.l + np.vecdot(powers, self.coefficients)
         return out if out.shape else float(out)
 
     def s_dot_eval(self, t):
         t = np.asarray(t, dtype=float)
         j = np.arange(1, self.K + 1)
         powers = t[..., None] ** (j - 1)
-        out = powers @ (j * self.coefficients)
+        out = np.vecdot(powers, j * self.coefficients)
         return out if out.shape else float(out)
 
     def violations(self, times, upper: float) -> np.ndarray:

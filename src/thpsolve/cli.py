@@ -178,16 +178,13 @@ def _write_csv(path: Path, header: list, rows: np.ndarray):
 
 
 def _solution_grid(work: Workspace, fit: FitResult) -> np.ndarray:
-    """Rows (x, t, Re u) on 50 times x 50 points from x = 0 to the fitted
+    """Rows (x, t, u) on 50 times x 50 points from x = 0 to the fitted
     boundary, t-major; u comes from one evaluation over all 2500 points
-    (the basis arrays are 2500 x 2 x (N + 1) values).  s is evaluated one
-    time at a time: the array form of ``s_eval`` is a matrix-vector product
-    that rounds differently in the last bit at some times."""
+    (the basis arrays are 2500 x 2 x (N + 1) values)."""
     times = np.linspace(0.0, work.spec.T, 50)
-    s_vals = [fit.boundary.s_eval(t) for t in times]
-    x = np.linspace(0.0, s_vals, 50, axis=1).ravel()
+    x = np.linspace(0.0, fit.boundary.s_eval(times), 50, axis=1).ravel()
     t = np.repeat(times, 50)
-    u = solution_eval(work.table, fit.a, x, t).real
+    u = solution_eval(work.table, fit.a, x, t)
     return np.column_stack([x, t, u])
 
 
@@ -200,15 +197,16 @@ def _write_outputs(out_dir: Path, work: Workspace, fit: FitResult,
     s_vals = np.atleast_1d(fit.boundary.s_eval(t_grid))
     _write_csv(out_dir / "boundary.csv", ["t", "s"], np.column_stack([t_grid, s_vals]))
 
-    a_real = fit.a.real
     with open(out_dir / "coefficients.txt", "w") as fh:
-        fh.write("# basis coefficients a_n\n")
-        for n, a in enumerate(a_real):
-            fh.write(f"a_{n} = {a:.8e}\n")
+        fh.write("# basis coefficients a_n (u = sum a_n H_n)\n")
+        for n, a in enumerate(fit.a):
+            fh.write(f"a_{n} = {_fmt(a)}\n")
+        fh.write("# spectral shift c (H_n carries e^(c t); phi_n are those of q + c)\n")
+        fh.write(f"shift = {_fmt(work.table.f.shift)}\n")
         fh.write("# boundary coefficients b_j (s(t) = l + sum b_j t^j)\n")
-        fh.write(f"l = {fit.boundary.l:.8f}\n")
+        fh.write(f"l = {_fmt(fit.boundary.l)}\n")
         for j, b in enumerate(fit.b, start=1):
-            fh.write(f"b_{j} = {b:.8f}\n")
+            fh.write(f"b_{j} = {_fmt(b)}\n")
 
     with open(out_dir / "residuals.txt", "w") as fh:
         names = ("initial", "lateral", "dirichlet", "flux")
@@ -258,7 +256,7 @@ def cmd_validate_example(args) -> int:
     def check(name, ok, detail):
         checks.append((name, bool(ok), detail))
 
-    a = fit.a.real
+    a = fit.a
     published = {0: (1.00000201, 1e-3), 2: (-0.50002066, 1e-3),
                  4: (1.0 / 24.0, 2e-3), 6: (-1.0 / 720.0, 5e-4)}
     for n, (ref, tol) in published.items():
@@ -308,9 +306,11 @@ def cmd_basis_dump(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     phi = work.table.values[:args.n_max + 1, 0].T
     indices = range(args.n_max + 1)
+    # phi_n of the shifted potential q + c (the paper's phi_n when q >= 0);
+    # the im_phi columns are all zero and kept for the file format
     _write_csv(out_dir / "phi.csv",
                ["x"] + [f"re_phi_{n}" for n in indices] + [f"im_phi_{n}" for n in indices],
-               np.column_stack([work.table.mesh.nodes, phi.real, phi.imag]))
+               np.column_stack([work.table.mesh.nodes, phi, np.zeros_like(phi)]))
     print(f"wrote {out_dir / 'phi.csv'}")
     return EXIT_OK
 

@@ -23,8 +23,8 @@ __all__ = ["FormalPowerTable", "build_formal_powers"]
 @dataclass(frozen=True)
 class FormalPowerTable:
     """Node values of phi_0..phi_N and their derivatives, stacked as
-    ``values[n, 0, i] = phi_n(x_i)`` and ``values[n, 1, i] = phi_n'(x_i)``
-    in the dtype of f: float64 for a real f, complex128 otherwise."""
+    ``values[n, 0, i] = phi_n(x_i)`` and ``values[n, 1, i] = phi_n'(x_i)``,
+    for the shifted potential ``f.q`` (see :mod:`thpsolve.particular`)."""
 
     degree: int
     values: np.ndarray = field(repr=False)    # (N+1, 2, n_points)
@@ -39,7 +39,8 @@ class FormalPowerTable:
         """One cubic Hermite interpolant of the whole stack with exact
         slopes, made on first use: callers that only read node values never
         pay for it.  The slopes of (phi_n, phi_n') are (phi_n', phi_n''),
-        with phi_n'' = q phi_n + n (n-1) phi_(n-2) from the recursion."""
+        with phi_n'' = (q + c) phi_n + n (n-1) phi_(n-2) from the recursion
+        (``f.q`` holds q + c)."""
         phi, phi_prime = self.values[:, 0], self.values[:, 1]
         n = np.arange(self.degree + 1)[:, None]
         second = self.f.q.values * phi
@@ -51,8 +52,8 @@ class FormalPowerTable:
 def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
     """Run the recursive-integral construction up to index ``degree``.
 
-    The chains run in the dtype of f and f' (float for a real f) and write
-    straight into the table's values, which are not copied."""
+    The chains write straight into the table's values, which are not
+    copied."""
     if degree < 0:
         raise ConfigurationError("degree must be nonnegative")
     mesh = f.mesh
@@ -64,12 +65,12 @@ def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
     inv_f2 = 1.0 / f2
 
     # rows[n] = (phi_n, phi_n') node values, one contiguous row each
-    rows = np.empty((degree + 1, 2, mesh.n_points), dtype=np.result_type(fv, fpv))
+    rows = np.empty((degree + 1, 2, mesh.n_points))
     rows[0] = fv, fpv
     # X^(n): weight 1/f^2 for odd n, f^2 for even n; X~(n) the other way
     # round.  Only the last two terms of each chain are live, which keeps
     # the working set at a few mesh-sized arrays whatever the degree.
-    big_x = big_xt = np.ones(mesh.n_points, dtype=rows.dtype)
+    big_x = big_xt = np.ones(mesh.n_points)
     for n in range(1, degree + 1):
         w, wt = (inv_f2, f2) if n % 2 else (f2, inv_f2)
         next_x = n * cumulative_integral(SampledFunction(mesh, big_x * w)).values

@@ -74,13 +74,13 @@ class UniformMesh:
 
 
 def tabulate(datum, points: np.ndarray, what: str,
-             default: Optional[complex] = None) -> np.ndarray:
-    """Values of the problem datum ``what`` at ``points``, float for real
-    data and complex for complex data.  The datum
+             default: Optional[float] = None) -> np.ndarray:
+    """Float values of the problem datum ``what`` at ``points``.  The datum
     is an array with one value per point, a callable applied once to the
     whole point array (a scalar result is the constant), or None for the
-    constant ``default`` (an error without one).  Any other datum, or any
-    other shape, is a ConfigurationError naming the datum."""
+    constant ``default`` (an error without one).  Any other datum, any
+    other shape, or complex values are a ConfigurationError naming the
+    datum."""
     if isinstance(datum, np.ndarray):
         values = datum
     elif callable(datum):
@@ -96,20 +96,23 @@ def tabulate(datum, points: np.ndarray, what: str,
         raise ConfigurationError(
             f"{what} has values of shape {values.shape}, expected "
             f"{points.shape}: one per point, or a scalar from a callable")
-    return np.full(points.shape, values, dtype=np.result_type(values, float))
+    if np.iscomplexobj(values):   # a cast to float would drop Im with a warning
+        raise ConfigurationError(f"{what} must be real, got complex values")
+    return np.full(points.shape, values, dtype=float)
 
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Values tabulated at the nodes of a uniform mesh: complex128 if the
-    input is complex, float64 otherwise."""
+    """Float64 values tabulated at the nodes of a uniform mesh."""
 
     mesh: UniformMesh
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values)
-        vals = vals.astype(complex if np.iscomplexobj(vals) else float, copy=False)
+        if np.iscomplexobj(vals):
+            raise ConfigurationError("sampled values must be real, got complex")
+        vals = vals.astype(float, copy=False)
         if vals.shape != (self.mesh.n_points,):
             raise ConfigurationError(
                 f"values shape {vals.shape} does not match mesh with "
@@ -124,7 +127,7 @@ class SampledFunction:
         return cls(mesh, tabulate(datum, mesh.nodes, what))
 
     @classmethod
-    def constant(cls, mesh: UniformMesh, value: complex) -> "SampledFunction":
+    def constant(cls, mesh: UniformMesh, value: float) -> "SampledFunction":
         return cls(mesh, np.full(mesh.n_points, value))
 
 
@@ -140,7 +143,7 @@ def _fd_slopes(values: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order finite-difference derivative at every node of a
     uniform mesh (``values`` has the mesh along its first axis)."""
     n = values.shape[0]
-    out = np.empty(values.shape, np.result_type(values, float))
+    out = np.empty(values.shape)
     out[2:-2] = sum(w * values[j:n - 4 + j]
                     for j, w in enumerate(_FD_CENTRED) if w)
     for i, row in enumerate(_FD_LEFT):
@@ -153,11 +156,11 @@ class Interpolant:
     """Piecewise cubic Hermite interpolant over a uniform mesh; supports
     values and first derivatives at arbitrary points of the mesh interval.
 
-    ``values``, real or complex, has the mesh along its first axis and any
-    shape after it, which evaluation results carry as their trailing shape.
-    ``slopes``, of the same shape, are the derivatives at the nodes; without
-    them the slopes are fourth-order finite differences of ``values``, so
-    cubics are reproduced exactly.  There is no build step: a point's cell is found by
+    ``values`` has the mesh along its first axis and any shape after it,
+    which evaluation results carry as their trailing shape.  ``slopes``, of
+    the same shape, are the derivatives at the nodes; without them the
+    slopes are fourth-order finite differences of ``values``, so cubics are
+    reproduced exactly.  There is no build step: a point's cell is found by
     division, and the four nodal data of that cell give its cubic.
     """
 
@@ -208,8 +211,7 @@ class Interpolant:
 
 
 def cumulative_integral(sf: SampledFunction) -> SampledFunction:
-    """Antiderivative of a tabulated function, vanishing at the left end, in
-    the dtype of ``sf`` (real data are integrated in float).
+    """Antiderivative of a tabulated function, vanishing at the left end.
 
     Within each block of five intervals the degree-5 interpolant of the six
     node values is integrated exactly, so node values of the result are exact
@@ -219,7 +221,7 @@ def cumulative_integral(sf: SampledFunction) -> SampledFunction:
     n_blocks = (mesh.n_points - 1) // _BLOCK
     # block k covers nodes 5k .. 5k+5: the first five are a reshape of the
     # values, the sixth every fifth value from node 5
-    blocks = np.empty((n_blocks, _BLOCK + 1), dtype=v.dtype)
+    blocks = np.empty((n_blocks, _BLOCK + 1))
     blocks[:, :_BLOCK] = v[:-1].reshape(n_blocks, _BLOCK)
     blocks[:, _BLOCK] = v[_BLOCK::_BLOCK]
     inc = (mesh.h * blocks) @ _W[1:].T       # integral from 5k to 5k + j

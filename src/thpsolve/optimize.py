@@ -62,11 +62,10 @@ class OptimizerSettings:
 
 
 def _residual(solver: InnerSolver, fit: FitResult) -> np.ndarray:
-    """Search residual of a clamped fit: the projected collocation residual
-    (a complex one as its interleaved (Re, Im) pairs), then the weighted
-    per-time violations of the admissibility constraint."""
+    """Search residual of a clamped fit: the projected collocation residual,
+    then the weighted per-time violations of the admissibility constraint."""
     violations = fit.boundary.violations(solver.grid.t, solver.spec.L)
-    return np.concatenate([fit.residual.view(float),
+    return np.concatenate([fit.residual,
                            np.sqrt(PENALTY_WEIGHT) * violations])
 
 

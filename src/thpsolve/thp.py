@@ -1,8 +1,8 @@
 """Classical heat polynomials and their transmuted counterparts.
 
 h_n(x,t) = sum_k c_k^n x^(n-2k) t^k solves the heat equation; replacing the
-monomials x^m by the formal powers phi_m yields functions H_n solving
-u_xx - q(x) u = u_t with the same t-structure.
+monomials x^m by the formal powers phi_m of q + c and multiplying by e^(c t)
+yields functions H_n solving u_xx - q(x) u = u_t with the same t-structure.
 """
 
 from __future__ import annotations
@@ -57,14 +57,15 @@ def _heat_coeff_matrix(degree: int) -> np.ndarray:
 def basis(table: FormalPowerTable, x, t) -> np.ndarray:
     """All basis functions at the points (x, t), broadcast against each
     other: H_n in ``[:, 0, n]`` and the x-derivative of H_n in ``[:, 1, n]``,
-    from H_n(x, t) = sum_k c_k^n phi_(n-2k)(x) t^k, in the dtype of the
-    table.  Raises DomainError for x outside the mesh."""
+    from H_n(x, t) = e^(c t) sum_k c_k^n phi_(n-2k)(x) t^k with the table's
+    shift c (for c = 0 the factor is exactly 1).  Raises DomainError for x
+    outside the mesh."""
     x, t = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
                                np.atleast_1d(np.asarray(t, dtype=float)))
     phi = table.spline(x)                      # (P, 2, N+1)
     coeff = _heat_coeff_matrix(table.degree)
     out = np.zeros_like(phi)
-    tk = np.ones(x.shape)
+    tk = np.exp(table.f.shift * t)             # e^(c t) t^k
     for k in range(coeff.shape[0]):
         m = 2 * k
         out[:, :, m:] += coeff[k, m:] * phi[:, :, :phi.shape[2] - m] * tk[:, None, None]
@@ -80,7 +81,8 @@ def solution_eval(table: FormalPowerTable, coeffs, x, t) -> np.ndarray:
 
 
 def pde_residual(table: FormalPowerTable, coeffs, sample_points) -> float:
-    """Max of |u_xx - q u - u_t| over interior sample points (x, t).
+    """Max of |u_xx - q u - u_t| over interior sample points (x, t), for
+    the problem's potential q (the table's shifted one less the shift).
 
     Derivatives are central finite differences of step ``FD_STEP``; the
     second x-derivative differences the closed-form u_x (a second
@@ -88,7 +90,7 @@ def pde_residual(table: FormalPowerTable, coeffs, sample_points) -> float:
     curvature error for the higher-degree basis functions)."""
     x, t = np.asarray(sample_points, dtype=float).reshape(-1, 2).T
     a = np.asarray(coeffs)
-    q = Interpolant(table.mesh, table.f.q.values)
+    q = Interpolant(table.mesh, table.f.q.values - table.f.shift)
     # in t the basis is an exact polynomial, so a finer step costs nothing
     # in rounding noise and cuts the truncation error of the t-difference
     t_step = FD_STEP / 10.0

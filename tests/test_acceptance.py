@@ -40,7 +40,7 @@ def test_criterion_2_formal_power_oracles(table_q1):
 
     from test_particular import rk4_second_order
     mesh = T.UniformMesh(0.0, 1.5, 2001)
-    sol = T.solve_particular(T.SampledFunction(mesh, mesh.nodes ** 2 + 0j))
+    sol = T.solve_particular(T.SampledFunction(mesh, mesh.nodes ** 2))
     oracle = rk4_second_order(lambda x: x * x, 1.0, 1e-5)
     err_f = abs(T.Interpolant(mesh, sol.f.values)(1.0) - oracle)
     elapsed = time.perf_counter() - t0
@@ -64,7 +64,7 @@ def test_criterion_3_inner_problem_exactness(manufactured):
 
 def test_criterion_4_benchmark_coefficients(benchmark_solution):
     _, _, fit, _ = benchmark_solution
-    a = fit.a.real
+    a = fit.a
     targets = {0: (1.00000201, 1e-3), 2: (-0.50002066, 1e-3),
                4: (1.0 / 24.0, 2e-3), 6: (-1.0 / 720.0, 5e-4)}
     errs = {n: abs(a[n] - ref) for n, (ref, _) in targets.items()}
@@ -100,7 +100,7 @@ def test_criterion_6_solution_accuracy(benchmark_solution):
                         for t in ts])
     t = np.repeat(ts, 50)
     u = T.solution_eval(work.table, fit.a, x, t)
-    err = np.max(np.abs(u.real - bench.exact_u(x, t)))
+    err = np.max(np.abs(u - bench.exact_u(x, t)))
     report("criterion 6: solution accuracy", err <= 1e-2,
            f"max |u_N - u_exact| = {err:.3e}")
 
@@ -122,9 +122,9 @@ def test_criterion_9_property_suite(benchmark_solution, table_q1):
     mesh = T.UniformMesh(0.0, 1.0, 16)
     quad_ok = True
     for k in range(6):
-        F = T.cumulative_integral(T.SampledFunction(mesh, mesh.nodes ** k + 0j))
+        F = T.cumulative_integral(T.SampledFunction(mesh, mesh.nodes ** k))
         exact = mesh.nodes ** (k + 1) / (k + 1)
-        err = np.max(np.abs(F.values.real - exact)[1:]
+        err = np.max(np.abs(F.values - exact)[1:]
                      / np.maximum(np.abs(exact[1:]), 1e-30))
         quad_ok = quad_ok and err < 1e-12
     report("criterion 9a: quadrature degree-5 exactness", quad_ok, "")
@@ -132,7 +132,7 @@ def test_criterion_9_property_suite(benchmark_solution, table_q1):
     # spline cubic reproduction
     m = T.UniformMesh(0.0, 2.0, 21)
     cube = lambda x: x ** 3 - 2 * x
-    interp = T.Interpolant(m, cube(m.nodes) + 0j)
+    interp = T.Interpolant(m, cube(m.nodes))
     xs = np.linspace(0.0, 2.0, 777)
     spline_err = np.max(np.abs(interp(xs) - cube(xs)))
     report("criterion 9b: spline cubic reproduction", spline_err < 1e-12,
@@ -182,17 +182,21 @@ def test_criterion_9_property_suite(benchmark_solution, table_q1):
     pytest.param(4.0, lambda x, t: np.cosh(x) * np.exp(-3.0 * t),
                  lambda x, t: np.sinh(x) * np.exp(-3.0 * t),
                  0.5, 16, 4, 1e-6, np.float64, id="q=+4"),
-    # q = -2 (complex branch: y1 = cos(sqrt(2) x) vanishes in [0, 2]):
-    # u = cos(x) e^t
+    # q = -2 (the unshifted y1 = cos(sqrt(2) x) vanishes in [0, 2]; with
+    # the shift c = 2 the table is real): u = cos(x) e^t
     pytest.param(-2.0, lambda x, t: np.cos(x) * np.exp(t),
                  lambda x, t: -np.sin(x) * np.exp(t),
-                 0.5, 16, 2, 1e-10, np.complex128, id="q=-2"),
-    # q = -20 (complex branch): u = cos(x) e^(19t) grows fast in t while
-    # H_n has t-degree only n // 2, so only a high degree resolves it; the
-    # boundary error was 6.4e-6 at N = 20, the highest degree once allowed
+                 0.5, 16, 2, 1e-10, np.float64, id="q=-2"),
+    # q = -20: u = cos(x) e^(19t) grows fast in t.  Unshifted, the
+    # polynomial t-part of H_n (degree n // 2) had to resolve that growth:
+    # boundary errors 6.4e-6 at N = 20 and 6.1e-11 at N = 28 (T = 0.2), and
+    # 0.67 at N = 20 (T = 0.5); the factor e^(20 t) now carries it
     pytest.param(-20.0, lambda x, t: np.cos(x) * np.exp(19.0 * t),
                  lambda x, t: -np.sin(x) * np.exp(19.0 * t),
-                 0.2, 28, 2, 1e-9, np.complex128, id="q=-20"),
+                 0.2, 28, 2, 1e-9, np.float64, id="q=-20"),
+    pytest.param(-20.0, lambda x, t: np.cos(x) * np.exp(19.0 * t),
+                 lambda x, t: -np.sin(x) * np.exp(19.0 * t),
+                 0.5, 20, 2, 1e-10, np.float64, id="q=-20,T=0.5"),
 ])
 def test_high_degree_closed_form_boundary(q, u, u_x, t_final, degree, K,
                                           gate, dtype):
@@ -212,7 +216,8 @@ def test_high_degree_closed_form_boundary(q, u, u_x, t_final, degree, K,
     fit = T.solve_free_boundary(work, T.OptimizerSettings(K=K))
     ts = np.linspace(0.0, t_final, 201)
     err = np.max(np.abs(fit.boundary.s_eval(ts) - s(ts)))
-    report(f"closed form: q = {q:+g} boundary at N = {degree}, K = {K}",
+    report(f"closed form: q = {q:+g}, T = {t_final:g} boundary at N = {degree}, "
+           f"K = {K}",
            err <= gate and max(fit.residual_maxima) <= 1e-2
            and work.table.values.dtype == dtype,
            f"max |s_K - s_exact| = {err:.3e}, F {fit.F:.2e}, residual maxima "

@@ -48,6 +48,18 @@ def test_linearity_in_coefficients():
     assert np.allclose(lhs, rhs, atol=1e-13)
 
 
+def test_array_calls_round_like_scalar_calls():
+    # with a matrix-vector product, 2736 of these 10000 values of s and
+    # 4641 of s' rounded differently from the scalar calls; boundary.csv
+    # and the solution grid share times
+    rng = np.random.default_rng(11)
+    t = np.linspace(0.0, 1.0, 50)
+    for _ in range(200):
+        m = BoundaryModel(rng.normal(), rng.normal(size=rng.integers(1, 13)))
+        assert np.array_equal(m.s_eval(t), [m.s_eval(v) for v in t])
+        assert np.array_equal(m.s_dot_eval(t), [m.s_dot_eval(v) for v in t])
+
+
 def test_derivative_matches_finite_differences():
     m = BoundaryModel(1.0, REFERENCE_B)
     h = 1e-6

@@ -56,11 +56,72 @@ def test_outputs_deterministic(config_path, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def _coefficients(out: Path) -> dict:
+    """name -> value of every ``name = value`` line of coefficients.txt."""
+    lines = (out / "coefficients.txt").read_text().splitlines()
+    return {name: float(value) for name, value in
+            (line.split(" = ") for line in lines if not line.startswith("#"))}
+
+
 def test_coefficients_format(config_path, tmp_path):
+    # every number as %.17g, which parses back to the float it came from
     out = tmp_path / "out"
     main(["solve", config_path, "--out", str(out)])
-    text = (out / "coefficients.txt").read_text()
-    assert "b_1 = 0.50000000" in text
+    fields = _coefficients(out)
+    assert abs(fields["b_1"] - 0.5) <= 1e-8
+    assert fields["shift"] == 0.0
+    for line in (out / "coefficients.txt").read_text().splitlines():
+        if not line.startswith("#"):
+            text = line.split(" = ")[1]
+            assert text == "%.17g" % float(text)
+
+
+Q_MINUS_2_CONFIG = """\
+# u = cos(x) e^t solves u_xx + 2 u = u_t; shift c = 2
+q = -2
+l = 1.0
+l_domain = 2.0
+t_final = 0.5
+g1 = cos(x)
+g2 = 0
+g3 = cos(1 + 0.5*t + 0.3*t^2) * exp(t)
+flux = -sin(1 + 0.5*t + 0.3*t^2) * exp(t)
+n = 16
+k = 2
+"""
+
+
+@pytest.mark.parametrize("command", ["validate-example", "q=-2"])
+def test_coefficients_rebuild_the_solution(command, tmp_path):
+    # coefficients.txt carries the whole answer: with the prepared phi_n,
+    # u = e^(c t) sum_n a_n sum_k c_k^n phi_(n-2k)(x) t^k from the file's a
+    # and c reproduces solution.csv, and l, b reproduce boundary.csv
+    out = tmp_path / "out"
+    if command == "validate-example":
+        spec, args = thpsolve.exact_benchmark().spec, {}
+        assert main(["validate-example", "--out", str(out)]) == 0
+    else:
+        path = tmp_path / "q.cfg"
+        path.write_text(Q_MINUS_2_CONFIG)
+        spec, args = cli.RunConfig.load(str(path)).build_spec(), {"degree": 16}
+        assert main(["solve", str(path), "--out", str(out)]) == 0
+    fields = _coefficients(out)
+    # the file lists a_0, a_1, ... and b_1, b_2, ... in order
+    a = [v for name, v in fields.items() if name.startswith("a_")]
+    b = [v for name, v in fields.items() if name.startswith("b_")]
+    table = thpsolve.prepare(spec, **args).table
+    assert fields["shift"] == table.f.shift == max(0.0, -spec.q(0.0))
+
+    x, t, u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1).T
+    phi = table.spline(x)[:, 0]
+    rebuilt = sum(a[n] * thpsolve.heat_coeff(n, k) * phi[:, n - 2 * k] * t ** k
+                  for n in range(len(a)) for k in range(n // 2 + 1))
+    rebuilt *= np.exp(fields["shift"] * t)
+    # measured 1.0e-15 (reference) and 1.3e-15 (q = -2)
+    assert np.max(np.abs(rebuilt - u)) <= 1e-14 * np.max(np.abs(u))
+
+    times, s = np.loadtxt(out / "boundary.csv", delimiter=",", skiprows=1).T
+    assert np.array_equal(thpsolve.BoundaryModel(fields["l"], b).s_eval(times), s)
 
 
 def test_seed_boundary_override(config_path, tmp_path):
@@ -201,7 +262,7 @@ def test_solution_grid_matches_the_per_time_loop(manufactured):
     blocks = []
     for t in np.linspace(0.0, work.spec.T, 50):
         x = np.linspace(0.0, float(fit.boundary.s_eval(t)), 50)
-        u = solution_eval(work.table, fit.a, x, t).real
+        u = solution_eval(work.table, fit.a, x, t)
         blocks.append(np.column_stack([x, np.full(50, t), u]))
     expected = np.concatenate(blocks)
     grid = cli._solution_grid(work, fit)
@@ -237,8 +298,9 @@ def test_write_csv_text(rows, tmp_path):
 
 
 def test_basis_dump_complex_branch_round_trips(tmp_path):
-    # q = -20 on [0, 2] takes the y1 + i y2 branch, so the im_phi columns
-    # hold values, and every written value parses back to the table's
+    # q = -20 on [0, 2] once took the y1 + i y2 branch; now phi.csv holds
+    # the real phi_n of q + c = 0, the im_phi columns are all zero, and
+    # every written value parses back to the table's
     path = tmp_path / "complex.cfg"
     path.write_text("q = -20\nl = 1.0\nl_domain = 2.0\nt_final = 0.2\n"
                     "g3 = 1\nmesh_points = 201\nn = 4\n")
@@ -248,11 +310,21 @@ def test_basis_dump_complex_branch_round_trips(tmp_path):
     work = thpsolve.prepare(cli.RunConfig.load(str(path)).build_spec(),
                             mesh_points=201, degree=4)
     phi = work.table.values[:, 0].T
-    assert phi.dtype == np.complex128
-    assert np.all(np.any(data[:, 6:] != 0, axis=0))
+    assert phi.dtype == np.float64 and work.table.f.shift == 20.0
     assert np.array_equal(data[:, 0], work.table.mesh.nodes)
-    assert np.array_equal(data[:, 1:6], phi.real)
-    assert np.array_equal(data[:, 6:], phi.imag)
+    assert np.array_equal(data[:, 1:6], phi)
+    assert not np.any(data[:, 6:])
+
+
+def test_phi_csv_header(config_path, tmp_path):
+    # the benchmark's basis oracle (perfbench/oracles.py, check_basis)
+    # requires exactly these columns, so the format keeps its all-zero
+    # im_phi columns, written as the literal 0
+    out = tmp_path / "out"
+    assert main(["basis-dump", config_path, "--n", "2", "--out", str(out)]) == 0
+    lines = (out / "phi.csv").read_text().splitlines()
+    assert lines[0] == "x,re_phi_0,re_phi_1,re_phi_2,im_phi_0,im_phi_1,im_phi_2"
+    assert all(line.endswith(",0,0,0") for line in lines[1:])
 
 
 def test_verbose_trace(config_path, tmp_path, capsys):

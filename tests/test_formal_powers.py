@@ -83,7 +83,7 @@ def test_ode_property(table_q1):
         vals = table_q1.values[n, 0]
         second = (vals[6:-4] - 2 * vals[5:-5] + vals[4:-6]) / h ** 2
         lhs = second - q * vals[5:-5]
-        rhs = n * (n - 1) * table_q1.spline(nodes)[:, 0, n - 2].real
+        rhs = n * (n - 1) * table_q1.spline(nodes)[:, 0, n - 2]
         scale = np.maximum(np.abs(rhs), 1.0)
         assert np.max(np.abs(lhs - rhs) / scale) < 1e-4
 
@@ -93,7 +93,7 @@ def test_rejects_vanishing_f(table_q0):
     bad = dataclasses.replace(
         table_q0.f,
         f=type(table_q0.f.f)(table_q0.mesh,
-                             np.zeros(table_q0.mesh.n_points, dtype=complex)),
+                             np.zeros(table_q0.mesh.n_points)),
     )
     from thpsolve import ConfigurationError
     with pytest.raises(ConfigurationError):
@@ -110,12 +110,10 @@ def test_spline_built_on_first_use(table_q0):
     assert table.spline is spline
 
 
-@pytest.mark.parametrize("q, L, dtype", [(1.0, 1.0, np.float64),
-                                         (-20.0, 2.0, np.complex128)],
-                         ids=["real-branch", "complex-branch"])
+@pytest.mark.parametrize("q, L, dtype", [(1.0, 1.0, np.float64)],
+                         ids=["real-branch"])
 def test_dtype_follows_the_branch(q, L, dtype):
-    # q = 1 on [0, 1] takes the branch y1 = cosh and stays real end to end;
-    # q = -20 on [0, 2] takes y1 + i y2, the one source of complex values
+    # q = 1 on [0, 1] takes the branch y1 = cosh and stays real end to end
     mesh = UniformMesh(0.0, L, 2001)
     table = build_formal_powers(solve_particular(SampledFunction.constant(mesh, q)), 8)
     spec = ProblemSpec(q=lambda x: q, L=L, l=0.5, T=0.5, g1=np.cosh,
@@ -128,16 +126,19 @@ def test_dtype_follows_the_branch(q, L, dtype):
 
 
 def test_ode_property_on_complex_branch():
-    # q = -20 on [0, 2] takes the y1 + i y2 branch (y1 = cos(sqrt(20) x)
-    # changes sign); (d^2/dx^2 - q) phi_n = n (n-1) phi_(n-2) at the nodes
+    # q = -20 on [0, 2] once took the y1 + i y2 branch (y1 = cos(sqrt(20) x)
+    # changes sign); the table is now real, built for q + c = 0, so phi_n is
+    # x^n, and (d^2/dx^2 - (q + c)) phi_n = n (n-1) phi_(n-2) at the nodes
     mesh = UniformMesh(0.0, 2.0, 2001)
     f = solve_particular(SampledFunction.constant(mesh, -20.0))
     table = build_formal_powers(f, 12)
-    assert np.any(table.values.imag)
+    assert table.values.dtype == np.float64 and f.shift == 20.0
     phi = table.values[:, 0]
+    x = mesh.nodes
     for n in (2, 3, 6, 9, 12):
+        assert np.max(np.abs(phi[n] - x ** n)) <= 1e-12 * 2.0 ** n
         second = (phi[n, 2:] - 2 * phi[n, 1:-1] + phi[n, :-2]) / mesh.h ** 2
-        lhs = second + 20.0 * phi[n, 1:-1]
+        lhs = second - f.q.values[1:-1] * phi[n, 1:-1]
         rhs = n * (n - 1) * phi[n - 2, 1:-1]
         scale = np.maximum(np.abs(rhs), 1.0)
         assert np.max(np.abs(lhs - rhs) / scale) <= 1e-4

@@ -6,8 +6,8 @@ import pytest
 
 from thpsolve import (ConvergenceError, Interpolant, SampledFunction,
                       UniformMesh, build_formal_powers, pde_residual,
-                      solve_particular)
-from thpsolve.particular import TOLERANCE, _series_solution
+                      solution_eval, solve_particular)
+from thpsolve.particular import TOLERANCE
 
 
 def rk4_second_order(q, x_end, h):
@@ -42,7 +42,7 @@ def test_unit_potential_is_cosh():
 
 def test_quadratic_potential_vs_rk4():
     m = UniformMesh(0.0, 1.5, 2001)
-    sol = solve_particular(SampledFunction(m, m.nodes ** 2 + 0j))
+    sol = solve_particular(SampledFunction(m, m.nodes ** 2))
     assert sol.f.values[0] == 1.0
     assert abs(sol.f_prime.values[0]) == 0.0
     oracle = rk4_second_order(lambda x: x * x, 1.0, 1e-5)
@@ -52,7 +52,7 @@ def test_quadratic_potential_vs_rk4():
 
 def test_residual_invariant():
     m = UniformMesh(0.0, 1.5, 2001)
-    q = SampledFunction(m, m.nodes ** 2 + 0j)
+    q = SampledFunction(m, m.nodes ** 2)
     sol = solve_particular(q)
     fpp = Interpolant(m, sol.f_prime.values).derivative(m.nodes)
     resid = np.max(np.abs(fpp - q.values * sol.f.values))
@@ -61,19 +61,10 @@ def test_residual_invariant():
 
 def test_normalization_matches_spline_derivative():
     m = UniformMesh(0.0, 1.0, 2001)
-    sol = solve_particular(SampledFunction(m, np.sin(3 * m.nodes) + 0j))
+    sol = solve_particular(SampledFunction(m, np.sin(3 * m.nodes)))
     assert sol.f.values[0] == 1.0
     spline_deriv = Interpolant(m, sol.f.values).derivative(0.0)
     assert abs(spline_deriv - sol.f_prime.values[0]) < 1e-8
-
-
-def test_wronskian_of_both_branches():
-    m = UniformMesh(0.0, 1.0, 2001)
-    q = SampledFunction(m, m.nodes ** 2 + 0j)
-    y1, y1p = _series_solution(q, np.ones(m.n_points))
-    y2, y2p = _series_solution(q, m.nodes)
-    wronskian = y1 * y2p - y1p * y2
-    assert np.max(np.abs(wronskian - 1.0)) < 1e-6
 
 
 def test_nonconvergence_reported():
@@ -84,28 +75,51 @@ def test_nonconvergence_reported():
         solve_particular(SampledFunction.constant(m, 3600.0))
 
 
-def test_complex_fallback_when_f_vanishes():
-    # q = -(pi/2)^2: y1 = cos(pi x / 2) vanishes at the last node x = 1, so
-    # the complex combination y1 + i y2 must be returned instead
-    m = UniformMesh(0.0, 1.0, 2001)
-    w = math.pi / 2
-    sol = solve_particular(SampledFunction.constant(m, -w * w))
-    assert np.min(np.abs(sol.f.values)) > 0.6
-    expected = np.cos(w * m.nodes) + 1j * np.sin(w * m.nodes) / w
-    assert np.max(np.abs(sol.f.values - expected)) < 1e-10
-    assert abs(sol.f_prime.values[0] - 1j) < 1e-12
+@pytest.mark.parametrize("q, shift", [(0.0, 0.0), (4.0, 0.0), (-20.0, 20.0)])
+def test_shift_makes_the_potential_nonnegative(q, shift):
+    # c = max(0, -min q): q >= 0 keeps its table bit for bit; q = -20 is
+    # solved as q + c = 0, where f = 1
+    m = UniformMesh(0.0, 2.0, 201)
+    potential = SampledFunction.constant(m, q)
+    sol = solve_particular(potential)
+    assert sol.shift == shift
+    assert np.array_equal(sol.q.values, potential.values + shift)
+    assert sol.f.values.dtype == np.float64
+    assert np.min(sol.f.values) >= 1.0
 
 
 def test_complex_branch_when_real_y1_changes_sign_between_nodes():
-    # q = -20 on [0, 2]: y1 = cos(sqrt(20) x) changes sign three times
-    # without touching a node; the real branch then gives a basis that fails
-    # u_xx - q u = u_t by ~1e6, the complex branch by ~4e-7
+    # q = -20 on [0, 2]: the unshifted y1 = cos(sqrt(20) x) changes sign
+    # three times without touching a node, and its basis failed
+    # u_xx - q u = u_t by ~1e6; this input once took the y1 + i y2 branch.
+    # The shifted table is real and its basis solves the equation to
+    # rounding relative to |u| (measured 1.3e-7)
     m = UniformMesh(0.0, 2.0, 2001)
     sol = solve_particular(SampledFunction.constant(m, -20.0))
-    assert np.max(np.abs(sol.f.values.imag)) > 0.1
+    assert sol.shift == 20.0 and sol.f.values.dtype == np.float64
     table = build_formal_powers(sol, 4)
     pts = [(x, 0.5) for x in np.linspace(0.05, 1.95, 39)]
-    assert pde_residual(table, [0, 1], pts) <= 1e-5
+    x, t = np.array(pts).T
+    u_max = np.max(np.abs(solution_eval(table, [0, 1], x, t)))
+    assert pde_residual(table, [0, 1], pts) <= 1e-6 * u_max
+
+
+def test_basis_solves_the_equation_where_unshifted_y1_vanishes():
+    # q = x^2 - 20 on [0, 2]: the unshifted y1 vanishes in the interval; the
+    # shifted basis e^(c t) H_n[q + c] solves u_xx - q u = u_t for each n
+    # (measured at most 9.3e-8 relative to max |u|)
+    m = UniformMesh(0.0, 2.0, 2001)
+    sol = solve_particular(SampledFunction(m, m.nodes ** 2 - 20.0))
+    assert sol.shift == 20.0
+    table = build_formal_powers(sol, 12)
+    x, t = np.meshgrid(np.linspace(0.05, 1.95, 20), np.linspace(0.05, 0.5, 5))
+    x, t = x.ravel(), t.ravel()
+    pts = np.column_stack([x, t])
+    for n in range(13):
+        a = np.zeros(n + 1)
+        a[n] = 1.0
+        u_max = np.max(np.abs(solution_eval(table, a, x, t)))
+        assert pde_residual(table, a, pts) <= 1e-6 * u_max, n
 
 
 def test_two_integrals_per_series_term(mesh01, integral_calls):
