@@ -35,8 +35,6 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-12
-# a searched boundary is clipped to [S_FLOOR, L] (``system_for(clamp=True)``)
-S_FLOOR = 1e-8
 
 DataFunc = Union[Expression, Callable[[np.ndarray], Union[np.ndarray, float]]]
 BoundaryData = Union[DataFunc, np.ndarray]
@@ -187,10 +185,10 @@ class InnerSolver:
         self._q = Interpolant(table.mesh, table.f.q.values)
 
     def system_for(self, model: BoundaryModel, clamp: bool = False) -> LinearSystem:
-        s_vals = np.atleast_1d(model.s_eval(self.grid.t))
-        if clamp:
-            s_vals = np.clip(s_vals, S_FLOOR, self.spec.L)
-        elif model.constraint_violation(self.grid.t, self.spec.L) > 0:
+        """Collocation system of ``model``, with s clipped into its
+        admissible band (``clamp``) or required to lie inside it."""
+        s_vals, violation = model.clamp(self.grid.t, self.spec.L)
+        if not clamp and violation.any():
             raise ConfigurationError(
                 "boundary candidate violates 0 < s(t) <= L on the grid"
             )
@@ -242,30 +240,29 @@ class InnerSolver:
         column space of B, orthogonal to the residual, so its transpose
         times the residual is the exact gradient of |residual|^2 / 2.
 
-        A time where the fit clipped s (``clamp=True``) has s fixed, so its
-        matrix rows do not move.  The moving rows need only the Dirichlet
-        and flux blocks already built: d/ds H_n(s, t) is the flux block, and
+        A time where the fit clipped s (``clamp=True``: a nonzero violation
+        from ``BoundaryModel.clamp``) has s fixed, so its matrix rows do not
+        move.  The moving rows need only the Dirichlet and flux blocks
+        already built: d/ds H_n(s, t) is the flux block, and
         d^2/ds^2 H_n = (q(s) + c) H_n + n (n-1) H_(n-2), with c the table's
         shift, from phi_m'' = (q + c) phi_m + m (m-1) phi_(m-2) and
         c_k^n (n-2k) (n-2k-1) = n (n-1) c_k^(n-2); the factor e^(c t) of
         every H_n passes through unchanged.
         """
-        system, a, t = fit.system, fit.a, self.grid.t
-        s = np.atleast_1d(fit.boundary.s_eval(t))
-        s_fit = np.clip(s, S_FLOOR, self.spec.L)
-        moves = s_fit == s
+        system, a, t, model = fit.system, fit.a, self.grid.t, fit.boundary
+        s_fit, violation = model.clamp(t, self.spec.L)
+        moves = violation == 0
         h = system.matrix[system.blocks["dirichlet"]]
         h_x = system.matrix[system.blocks["flux"]]
         n = np.arange(len(a))
         h_xx_a = self._q(s_fit) * (h @ a) + h[:, :-2] @ (n * (n - 1) * a)[2:]
-        j = np.arange(1, fit.boundary.K + 1)[:, None]
-        powers = t ** j                                   # (K, times)
+        powers = model.shape(t).T                         # (K, times)
         # rows of dr/db^T; g depends on b only through -s' in the flux rows
-        d = np.zeros((len(j), len(fit.residual)))
+        d = np.zeros((model.K, len(fit.residual)))
         d[:, system.blocks["dirichlet"]] = powers * (moves * (h_x @ a))
         d[:, system.blocks["flux"]] = powers * (moves * h_xx_a)
         if self._g4 is None:
-            d[:, system.blocks["flux"]] += j * t ** (j - 1)
+            d[:, system.blocks["flux"]] += model.shape_dot(t).T
         u = fit.range_basis
         d -= (d @ u) @ u.T
         return d.T

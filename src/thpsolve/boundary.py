@@ -8,7 +8,7 @@ import numpy as np
 
 __all__ = ["BoundaryModel"]
 
-# admissibility margin for the lower bound s > 0 and upper bound s <= L
+# the admissible band of s is [CONSTRAINT_MARGIN, L]: s > 0 with a margin
 CONSTRAINT_MARGIN = 1e-6
 
 
@@ -29,29 +29,31 @@ class BoundaryModel:
     def K(self) -> int:
         return len(self.coefficients)
 
+    def shape(self, t) -> np.ndarray:
+        """Shape functions d s / d b_j = t^j, j = 1..K, along a last axis."""
+        return np.asarray(t, dtype=float)[..., None] ** np.arange(1, self.K + 1)
+
+    def shape_dot(self, t) -> np.ndarray:
+        """Their time derivatives d s' / d b_j = j t^(j-1), along a last axis."""
+        j = np.arange(1, self.K + 1)
+        return j * np.asarray(t, dtype=float)[..., None] ** (j - 1)
+
     # np.vecdot rounds an array of times like one scalar call per time (a
     # matrix-vector product does not)
     def s_eval(self, t):
-        t = np.asarray(t, dtype=float)
-        powers = t[..., None] ** np.arange(1, self.K + 1)
-        out = self.l + np.vecdot(powers, self.coefficients)
+        out = self.l + np.vecdot(self.shape(t), self.coefficients)
         return out if out.shape else float(out)
 
     def s_dot_eval(self, t):
         t = np.asarray(t, dtype=float)
         j = np.arange(1, self.K + 1)
-        powers = t[..., None] ** (j - 1)
-        out = np.vecdot(powers, j * self.coefficients)
+        out = np.vecdot(t[..., None] ** (j - 1), j * self.coefficients)
         return out if out.shape else float(out)
 
-    def violations(self, times, upper: float) -> np.ndarray:
-        """Per-time violation of 0 < s(t) <= L over the sample times: the
-        distance below the margin or above L, zero inside the band."""
+    def clamp(self, times, upper: float) -> tuple[np.ndarray, np.ndarray]:
+        """s at the sample times clipped into the admissible band
+        [CONSTRAINT_MARGIN, upper], and the violation s - clipped, zero
+        exactly where s lies inside the band."""
         s = np.atleast_1d(self.s_eval(times))
-        return np.minimum(s - CONSTRAINT_MARGIN, 0.0) + np.maximum(s - upper, 0.0)
-
-    def constraint_violation(self, times, upper: float) -> float:
-        """Summed squared violation of 0 < s(t) <= L over the sample times;
-        zero when the boundary stays inside the band with margin."""
-        v = self.violations(times, upper)
-        return float(v @ v)
+        clipped = np.clip(s, CONSTRAINT_MARGIN, upper)
+        return clipped, s - clipped

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import expr
 from .assemble import FitResult, ProblemSpec
+from .boundary import BoundaryModel
 from .errors import ConfigurationError, SolverError
 from .optimize import OptimizerSettings
 from .pipeline import DEFAULT_N_T, Workspace, prepare, solve_free_boundary
@@ -148,9 +149,8 @@ def _fit_initial_boundary(source_expr, l: float, T: float, K: int) -> np.ndarray
             f"initial boundary guess has s(0) = {s0}, expected l = {l}"
         )
     ts = np.linspace(0.0, T, 101)
-    target = source_expr(ts) - l
-    powers = ts[:, None] ** np.arange(1, K + 1)
-    coeffs, *_ = np.linalg.lstsq(powers, target, rcond=None)
+    shape = BoundaryModel(l, np.zeros(K)).shape(ts)
+    coeffs, *_ = np.linalg.lstsq(shape, source_expr(ts) - l, rcond=None)
     return coeffs
 
 

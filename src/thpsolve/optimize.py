@@ -64,20 +64,19 @@ class OptimizerSettings:
 def _residual(solver: InnerSolver, fit: FitResult) -> np.ndarray:
     """Search residual of a clamped fit: the projected collocation residual,
     then the weighted per-time violations of the admissibility constraint."""
-    violations = fit.boundary.violations(solver.grid.t, solver.spec.L)
-    return np.concatenate([fit.residual,
-                           np.sqrt(PENALTY_WEIGHT) * violations])
+    violation = fit.boundary.clamp(solver.grid.t, solver.spec.L)[1]
+    return np.concatenate([fit.residual, np.sqrt(PENALTY_WEIGHT) * violation])
 
 
 def _residual_jacobian(solver: InnerSolver, fit: FitResult) -> np.ndarray:
     """Jacobian of ``_residual`` in the boundary coefficients: the inner
     solver's variable-projection rows, then d/db_j of the penalty rows,
-    sqrt(PENALTY_WEIGHT) t^j at the times whose violation is nonzero."""
+    sqrt(PENALTY_WEIGHT) t^j at the times whose violation is nonzero (the
+    times where the Jacobian's s does not move)."""
     t = solver.grid.t
-    live = fit.boundary.violations(t, solver.spec.L) != 0
-    powers = t[:, None] ** np.arange(1, fit.boundary.K + 1)
-    return np.vstack([solver.jacobian(fit),
-                      np.sqrt(PENALTY_WEIGHT) * live[:, None] * powers])
+    live = fit.boundary.clamp(t, solver.spec.L)[1] != 0
+    return np.vstack([solver.jacobian(fit), np.sqrt(PENALTY_WEIGHT)
+                      * live[:, None] * fit.boundary.shape(t)])
 
 
 def _step(jac: np.ndarray, r: np.ndarray, damping: float) -> np.ndarray:
@@ -148,8 +147,8 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
         raise OptimizationError(
             f"boundary search did not converge within max_iterations = "
             f"{settings.max_iterations} (objective {value:.6e})")
-    # an admissible boundary lies inside [S_FLOOR, L], where the clamp of
-    # the last accepted fit changed nothing: that fit is the answer
-    if fit.boundary.constraint_violation(grid.t, spec.L) > 0:
+    # an admissible boundary lies inside the band, where the clamp of the
+    # last accepted fit changed nothing: that fit is the answer
+    if fit.boundary.clamp(grid.t, spec.L)[1].any():
         raise OptimizationError("optimizer returned an inadmissible boundary")
     return fit

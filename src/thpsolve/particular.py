@@ -44,6 +44,9 @@ class ParticularSolution:
         return self.f.mesh
 
 
+# an overflow ends the series in ConvergenceError (a non-finite sum), not
+# in a numpy warning
+@np.errstate(over="ignore", invalid="ignore")
 def _series_solution(q: SampledFunction) -> tuple[np.ndarray, np.ndarray]:
     """Sum of iterated double integrals starting from the seed 1.
 
@@ -55,11 +58,14 @@ def _series_solution(q: SampledFunction) -> tuple[np.ndarray, np.ndarray]:
     term = np.ones(mesh.n_points)
     total = term.copy()
     total_prime = np.zeros_like(term)
-    for _ in range(MAX_TERMS):
+    for k in range(1, MAX_TERMS + 1):
         inner = cumulative_integral(SampledFunction(mesh, q.values * term))
         term = cumulative_integral(inner).values
         total += term
         total_prime += inner.values
+        if not (np.isfinite(total).all() and np.isfinite(total_prime).all()):
+            raise ConvergenceError(f"iterated-integral series overflows at "
+                                   f"term {k}; the potential is too large")
         term_norm = np.max(np.abs(term))
         if term_norm <= TOLERANCE * max(np.max(np.abs(total)), 1.0):
             return total, total_prime

@@ -14,7 +14,6 @@ import numpy as np
 
 from .assemble import ProblemSpec
 from .errors import DomainError
-from .pipeline import DEFAULT_N_T
 
 __all__ = ["ei", "ei_inv", "ExactBenchmark", "exact_benchmark",
            "BENCHMARK_L", "EI_INV_BRACKET"]
@@ -110,13 +109,9 @@ class ExactBenchmark:
     exact_s: Callable
 
 
-def exact_benchmark(times: np.ndarray | None = None) -> ExactBenchmark:
-    """Reference problem with q = x^2, Dirichlet data on the moving
-    boundary tabulated at the given collocation times (by default those of
-    ``prepare``: DEFAULT_N_T + 1 equispaced points on [0, 1])."""
-    if times is None:
-        times = np.linspace(0.0, 1.0, DEFAULT_N_T + 1)
-    times = np.asarray(times, dtype=float)
+def exact_benchmark() -> ExactBenchmark:
+    """Reference problem with q = x^2; its Dirichlet data on the moving
+    boundary, u(s(t), t), is a callable, so any collocation grid takes it."""
     C = 0.5 * ei(0.5) + 1.0
 
     def exact_s(t):
@@ -125,7 +120,6 @@ def exact_benchmark(times: np.ndarray | None = None) -> ExactBenchmark:
     def exact_u(x, t):
         return np.exp(-0.5 * x * x - t)
 
-    g3_values = exact_u(exact_s(times), times)
     spec = ProblemSpec(
         q=lambda x: x * x,
         L=BENCHMARK_L,
@@ -133,6 +127,6 @@ def exact_benchmark(times: np.ndarray | None = None) -> ExactBenchmark:
         T=1.0,
         g1=lambda x: np.exp(-0.5 * x * x),
         g2=lambda t: 0.0,
-        g3=g3_values,
+        g3=lambda t: exact_u(exact_s(t), t),
     )
     return ExactBenchmark(spec=spec, C=C, exact_u=exact_u, exact_s=exact_s)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from thpsolve import BoundaryModel
+from thpsolve.boundary import CONSTRAINT_MARGIN
 
 # coefficients of the reference fitted boundary (constant term is l = 1)
 REFERENCE_B = [0.60657885, -0.30458770, 0.03631846, 0.06761711,
@@ -22,20 +23,42 @@ def test_reference_boundary_values():
 
 def test_constraint_inside_band():
     m = BoundaryModel(1.0, [0.0])
-    assert m.constraint_violation(np.linspace(0, 1, 11), 2.0) == 0.0
+    times = np.linspace(0, 1, 11)
+    s, violation = m.clamp(times, 2.0)
+    assert np.array_equal(s, m.s_eval(times))
+    assert not violation.any()
 
 
 def test_constraint_negative_boundary():
     m = BoundaryModel(1.0, [-2.0])
     times = np.linspace(0.0, 1.0, 5)  # includes t = 1 where s = -1
-    assert m.constraint_violation(times, 10.0) > 0.0
+    s, violation = m.clamp(times, 10.0)
+    # one lower bound: the clip and the violation share the margin
+    assert s[-1] == CONSTRAINT_MARGIN
+    assert violation[-1] == -1.0 - CONSTRAINT_MARGIN
+    assert np.allclose(s + violation, m.s_eval(times), rtol=0, atol=1e-15)
 
 
 def test_constraint_upper_bound():
     upper = 2.0
     m = BoundaryModel(upper + 0.5, [0.0])
     times = np.linspace(0.0, 1.0, 7)
-    assert m.constraint_violation(times, upper) == pytest.approx(0.25 * len(times))
+    s, violation = m.clamp(times, upper)
+    assert np.all(s == upper)
+    assert np.all(violation == 0.5)
+
+
+def test_shape_functions_are_the_derivatives_in_b():
+    # s = l + shape . b and s' = shape_dot . b; one column per b_j
+    m = BoundaryModel(1.0, REFERENCE_B)
+    t = np.linspace(0.0, 1.0, 21)
+    assert m.shape(t).shape == m.shape_dot(t).shape == (21, m.K)
+    assert m.shape(0.5).shape == (m.K,)
+    assert np.allclose(1.0 + m.shape(t) @ m.coefficients, m.s_eval(t),
+                       rtol=0, atol=1e-15)
+    assert np.allclose(m.shape_dot(t) @ m.coefficients, m.s_dot_eval(t),
+                       rtol=0, atol=1e-15)
+    assert np.array_equal(m.shape_dot(0.0), np.eye(m.K)[0])
 
 
 def test_linearity_in_coefficients():

@@ -196,6 +196,16 @@ def test_expression_underflow_is_not_an_error(tmp_path):
                  "--out", str(tmp_path / "o")]) == 0
 
 
+def test_overflowing_potential_exits_numeric(tmp_path, capsys):
+    # q = 1e200 printed two RuntimeWarnings from the particular-solution
+    # series before its ConvergenceError
+    path = tmp_path / "overflow.cfg"
+    path.write_text("q = 1e200\nl = 1.0\nl_domain = 2.0\nt_final = 1.0\ng3 = 1\n")
+    assert main(["basis-dump", str(path), "--n", "2",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert main(["solve", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "o")]) == 2

@@ -1,16 +1,23 @@
 """docs/config.md states the discretization defaults; they live in
-pipeline.prepare and OptimizerSettings, and the docs must not drift."""
+pipeline.prepare and OptimizerSettings, and the docs must not drift.  The
+README's Python examples must run as written."""
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import thpsolve
 from thpsolve import OptimizerSettings, prepare
 
-DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = ROOT / "docs" / "config.md"
+README = ROOT / "README.md"
 
 # config key -> default held by the library
 _PREPARE = inspect.signature(prepare).parameters
@@ -44,3 +51,15 @@ def test_docs_state_library_default(key):
     example = DOCS.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
     value = re.search(rf"^{key}\s*=\s*(\d+)", example, re.M).group(1)
     assert int(value) == LIBRARY_DEFAULTS[key]
+
+
+def test_readme_python_examples_run(tmp_path):
+    # each block in a fresh interpreter that turns every warning into an error
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(Path(thpsolve.__file__).parents[1]))
+    for code in blocks:
+        run = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                             cwd=tmp_path, env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr

@@ -85,7 +85,7 @@ def test_reference_problem_at_K8(benchmark_solution):
 def test_feasibility_of_result(manufactured):
     work, _ = manufactured
     fit = T.solve_free_boundary(work, OptimizerSettings(K=2))
-    assert fit.boundary.constraint_violation(work.grid.t, work.spec.L) == 0.0
+    assert not fit.boundary.clamp(work.grid.t, work.spec.L)[1].any()
 
 
 def test_determinism(manufactured):

@@ -75,6 +75,14 @@ def test_nonconvergence_reported():
         solve_particular(SampledFunction.constant(m, 3600.0))
 
 
+def test_overflowing_series_is_a_convergence_error():
+    # q = 1e200 overflows at the second term; the series then ran 50 NaN
+    # terms after numpy RuntimeWarnings, which the suite turns into errors
+    m = UniformMesh(0.0, 2.0, 201)
+    with pytest.raises(ConvergenceError, match="overflows at term 2"):
+        solve_particular(SampledFunction.constant(m, 1e200))
+
+
 @pytest.mark.parametrize("q, shift", [(0.0, 0.0), (4.0, 0.0), (-20.0, 20.0)])
 def test_shift_makes_the_potential_nonnegative(q, shift):
     # c = max(0, -min q): q >= 0 keeps its table bit for bit; q = -20 is

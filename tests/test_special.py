@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import thpsolve.special as special
-from thpsolve import DomainError, ei, ei_inv, exact_benchmark
+from thpsolve import (DomainError, ei, ei_inv, exact_benchmark, prepare,
+                      solve_free_boundary)
 
 
 def ei_oracle(x, terms=200):
@@ -121,9 +122,18 @@ def test_pde_residual_of_exact_solution():
 
 def test_boundary_data_consistency():
     times = np.linspace(0.0, 1.0, 101)
-    bench = exact_benchmark(times)
+    bench = exact_benchmark()
     want = [bench.exact_u(bench.exact_s(t), t) for t in times]
-    assert np.max(np.abs(bench.spec.g3 - want)) < 1e-10
+    assert np.max(np.abs(bench.spec.g3(times) - want)) < 1e-10
+
+
+def test_benchmark_data_fit_another_collocation_grid():
+    # g3 was tabulated at the 101 default times, so n_t = 50 was refused
+    # as "g3 has values of shape (101,), expected (51,)"
+    bench = exact_benchmark()
+    fit = solve_free_boundary(prepare(bench.spec, n_t=50))
+    ts = np.linspace(0.0, 1.0, 1001)
+    assert np.max(np.abs(fit.boundary.s_eval(ts) - bench.exact_s(ts))) <= 1e-5
 
 
 def test_stefan_identity():
