@@ -108,13 +108,23 @@ def test_cumulative_degree5_exact():
 
 
 @pytest.mark.parametrize("k", range(6))
-def test_degree5_exactness_all_monomials(k):
-    # float data stay float64 and integrate x^k exactly to rounding
+def test_degree5_exactness_float_input(k):
+    # real data stay float, and lose nothing by it
     m = UniformMesh(0.0, 1.0, 16)
     F = cumulative_integral(SampledFunction(m, m.nodes ** k))
     assert F.values.dtype == np.float64
     exact = m.nodes ** (k + 1) / (k + 1)
     assert np.max(np.abs(F.values - exact)[1:] / exact[1:]) < 1e-12
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_degree5_exactness_all_monomials(k):
+    # exact on an interval that does not start at 0 and crosses it, where
+    # the running integral changes sign
+    m = UniformMesh(-1.0, 2.0, 16)
+    F = cumulative_integral(SampledFunction(m, m.nodes ** k))
+    exact = (m.nodes ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+    assert np.max(np.abs(F.values - exact)) < 1e-12 * np.max(np.abs(exact))
 
 
 def test_cumulative_cos():
