@@ -112,11 +112,14 @@ class CollocationGrid:
 @dataclass(frozen=True)
 class LinearSystem:
     """Stacked collocation matrix and right-hand side, with named slices
-    for the four condition blocks (absent blocks map to empty slices)."""
+    for the four condition blocks (absent blocks map to empty slices), and
+    for a boundary its clipped s at the times and the violation s - clipped."""
 
     matrix: np.ndarray = field(repr=False)
     rhs: np.ndarray = field(repr=False)
     blocks: dict = field(repr=False)
+    s: Optional[np.ndarray] = field(default=None, repr=False)
+    violation: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -129,7 +132,7 @@ class FitResult:
     residual_norms: tuple    # (I1, I2, I3, I4); zero for absent blocks
     residual_maxima: tuple   # per-block max abs residual
     residual: np.ndarray = field(repr=False)   # stacked B a - g
-    system: Optional[LinearSystem] = field(default=None, repr=False)
+    system: LinearSystem = field(repr=False)
     # orthonormal basis of the column space that a solved fit projects g
     # onto, so that residual = -(I - U U^T) g; None when a was given
     range_basis: Optional[np.ndarray] = field(default=None, repr=False)
@@ -148,7 +151,7 @@ def _trace(table: FormalPowerTable, x, t, value_w: np.ndarray,
 
 
 class InnerSolver:
-    """Caches the boundary-independent blocks and solves the inner linear
+    """Lays out the collocation rows once and solves the inner linear
     least-squares problem for each boundary candidate."""
 
     def __init__(self, spec: ProblemSpec, grid: CollocationGrid,
@@ -163,56 +166,54 @@ class InnerSolver:
         self.grid = grid
         self.table = table
 
-        # initial condition at (x, 0), lateral condition at (0, t); the
-        # defaults are the trace u(x, 0) and the derivative u_x(0, t)
-        self._b_block = self._g1 = None
+        # the row blocks in stacking order; an absent condition has no rows
+        n_t = len(grid.t)
+        self.blocks, row = {}, 0
+        for name, size in (("initial", len(grid.x) if spec.g1 is not None else 0),
+                           ("lateral", n_t if spec.g2 is not None else 0),
+                           ("dirichlet", n_t), ("flux", n_t)):
+            self.blocks[name] = slice(row, row + size)
+            row += size
+        # B and g with the rows no boundary moves: initial condition at (x, 0),
+        # lateral at (0, t) (defaults: the trace u(x, 0), the derivative
+        # u_x(0, t)), and the data g1, g2, g3 and the flux data
+        self._matrix = np.zeros((row, table.degree + 1))
+        self._rhs = np.zeros(row)
         if spec.g1 is not None:
-            self._b_block = _trace(
+            self._matrix[self.blocks["initial"]] = _trace(
                 table, grid.x, 0.0,
                 tabulate(spec.gamma11, grid.x, "gamma11", 1.0),
                 tabulate(spec.gamma12, grid.x, "gamma12", 0.0))
-            self._g1 = tabulate(spec.g1, grid.x, "g1")
-        self._c_block = self._g2 = None
+            self._rhs[self.blocks["initial"]] = tabulate(spec.g1, grid.x, "g1")
         if spec.g2 is not None:
-            self._c_block = _trace(
+            self._matrix[self.blocks["lateral"]] = _trace(
                 table, 0.0, grid.t,
                 tabulate(spec.gamma21, grid.t, "gamma21", 0.0),
                 tabulate(spec.gamma22, grid.t, "gamma22", 1.0))
-            self._g2 = tabulate(spec.g2, grid.t, "g2")
-        self._g3 = tabulate(spec.g3, grid.t, "g3")
-        self._g4 = (None if spec.flux_data is None
-                    else tabulate(spec.flux_data, grid.t, "flux data"))
+            self._rhs[self.blocks["lateral"]] = tabulate(spec.g2, grid.t, "g2")
+        self._rhs[self.blocks["dirichlet"]] = tabulate(spec.g3, grid.t, "g3")
+        if spec.flux_data is not None:
+            self._rhs[self.blocks["flux"]] = tabulate(
+                spec.flux_data, grid.t, "flux data")
         self._q = Interpolant(table.mesh, table.f.q.values)
 
     def system_for(self, model: BoundaryModel, clamp: bool = False) -> LinearSystem:
-        """Collocation system of ``model``, with s clipped into its
-        admissible band (``clamp``) or required to lie inside it."""
-        s_vals, violation = model.clamp(self.grid.t, self.spec.L)
+        """Collocation system of ``model``: copies of the fixed rows with the
+        Dirichlet and flux rows at x = s(t) and, without flux data, the
+        melt-rate rhs -s'(t) written in; s clipped into its admissible band
+        (``clamp``) or required to lie inside it, the clip kept with it."""
+        s, violation = model.clamp(self.grid.t, self.spec.L)
         if not clamp and violation.any():
             raise ConfigurationError(
                 "boundary candidate violates 0 < s(t) <= L on the grid"
             )
-        h = basis(self.table, s_vals, self.grid.t)
-        flux_rhs = (-model.s_dot_eval(self.grid.t) if self._g4 is None
-                    else self._g4)
-        mats, rhss, blocks = [], [], {}
-        row = 0
-
-        def push(name, mat, rhs):
-            nonlocal row
-            if mat is None:
-                blocks[name] = slice(row, row)
-                return
-            mats.append(mat)
-            rhss.append(rhs)
-            blocks[name] = slice(row, row + mat.shape[0])
-            row += mat.shape[0]
-
-        push("initial", self._b_block, self._g1)
-        push("lateral", self._c_block, self._g2)
-        push("dirichlet", h[:, 0], self._g3)
-        push("flux", h[:, 1], flux_rhs)
-        return LinearSystem(np.vstack(mats), np.concatenate(rhss), blocks)
+        h = basis(self.table, s, self.grid.t)
+        matrix, rhs = self._matrix.copy(), self._rhs.copy()
+        matrix[self.blocks["dirichlet"]] = h[:, 0]
+        matrix[self.blocks["flux"]] = h[:, 1]
+        if self.spec.flux_data is None:
+            rhs[self.blocks["flux"]] = -model.s_dot_eval(self.grid.t)
+        return LinearSystem(matrix, rhs, self.blocks, s, violation)
 
     def fit(self, model: BoundaryModel, a=None, clamp: bool = False) -> FitResult:
         system = self.system_for(model, clamp=clamp)
@@ -221,16 +222,13 @@ class InnerSolver:
             a, range_basis = solve_linear(system)
         a = np.asarray(a)
         residual = system.matrix @ a - system.rhs
-        norms, maxima = [], []
-        for name in ("initial", "lateral", "dirichlet", "flux"):
-            block = residual[system.blocks[name]]
-            norms.append(float(np.linalg.norm(block)) if block.size else 0.0)
-            maxima.append(float(np.max(np.abs(block))) if block.size else 0.0)
-        value = float(sum(v * v for v in norms))
-        return FitResult(a=a, boundary=model, F=value,
-                         residual_norms=tuple(norms),
-                         residual_maxima=tuple(maxima), residual=residual,
-                         system=system, range_basis=range_basis)
+        blocks = [residual[rows] for rows in system.blocks.values()]
+        norms = tuple(float(np.linalg.norm(r)) for r in blocks)
+        maxima = tuple(float(np.abs(r).max(initial=0.0)) for r in blocks)
+        return FitResult(a=a, boundary=model, F=float(sum(v * v for v in norms)),
+                         residual_norms=norms, residual_maxima=maxima,
+                         residual=residual, system=system,
+                         range_basis=range_basis)
 
     def jacobian(self, fit: FitResult) -> np.ndarray:
         """Kaufman's (1975) variable-projection Jacobian of the residual of
@@ -240,8 +238,8 @@ class InnerSolver:
         column space of B, orthogonal to the residual, so its transpose
         times the residual is the exact gradient of |residual|^2 / 2.
 
-        A time where the fit clipped s (``clamp=True``: a nonzero violation
-        from ``BoundaryModel.clamp``) has s fixed, so its matrix rows do not
+        A time where the fit clipped s (``clamp=True``: a nonzero
+        ``violation`` of its system) has s fixed, so its matrix rows do not
         move.  The moving rows need only the Dirichlet and flux blocks
         already built: d/ds H_n(s, t) is the flux block, and
         d^2/ds^2 H_n = (q(s) + c) H_n + n (n-1) H_(n-2), with c the table's
@@ -250,18 +248,17 @@ class InnerSolver:
         every H_n passes through unchanged.
         """
         system, a, t, model = fit.system, fit.a, self.grid.t, fit.boundary
-        s_fit, violation = model.clamp(t, self.spec.L)
-        moves = violation == 0
+        moves = system.violation == 0
         h = system.matrix[system.blocks["dirichlet"]]
         h_x = system.matrix[system.blocks["flux"]]
         n = np.arange(len(a))
-        h_xx_a = self._q(s_fit) * (h @ a) + h[:, :-2] @ (n * (n - 1) * a)[2:]
+        h_xx_a = self._q(system.s) * (h @ a) + h[:, :-2] @ (n * (n - 1) * a)[2:]
         powers = model.shape(t).T                         # (K, times)
         # rows of dr/db^T; g depends on b only through -s' in the flux rows
         d = np.zeros((model.K, len(fit.residual)))
         d[:, system.blocks["dirichlet"]] = powers * (moves * (h_x @ a))
         d[:, system.blocks["flux"]] = powers * (moves * h_xx_a)
-        if self._g4 is None:
+        if self.spec.flux_data is None:
             d[:, system.blocks["flux"]] += model.shape_dot(t).T
         u = fit.range_basis
         d -= (d @ u) @ u.T

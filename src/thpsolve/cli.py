@@ -113,7 +113,8 @@ class RunConfig:
         if g3 is None and self.g3_table is not None:
             times, values = self.g3_table
             expected = np.linspace(0.0, t_final, n_t + 1)
-            if len(times) != len(expected) or np.max(np.abs(times - expected)) > 1e-9:
+            # written so that a NaN time fails too
+            if len(times) != len(expected) or not np.all(np.abs(times - expected) <= 1e-9):
                 raise ConfigurationError(
                     "g3_file times must match the equidistant collocation "
                     f"grid of {n_t + 1} points on [0, {t_final}]"
@@ -209,9 +210,8 @@ def _write_outputs(out_dir: Path, work: Workspace, fit: FitResult,
             fh.write(f"b_{j} = {_fmt(b)}\n")
 
     with open(out_dir / "residuals.txt", "w") as fh:
-        names = ("initial", "lateral", "dirichlet", "flux")
-        for i, (name, norm, mx) in enumerate(
-                zip(names, fit.residual_norms, fit.residual_maxima), start=1):
+        rows = zip(fit.system.blocks, fit.residual_norms, fit.residual_maxima)
+        for i, (name, norm, mx) in enumerate(rows, start=1):
             fh.write(f"I_{i} ({name}): norm = {norm:.8e}  max = {mx:.8e}\n")
         fh.write(f"F = {fit.F:.8e}\n")
 

@@ -79,8 +79,8 @@ def tabulate(datum, points: np.ndarray, what: str,
     is an array with one value per point, a callable applied once to the
     whole point array (a scalar result is the constant), or None for the
     constant ``default`` (an error without one).  Any other datum, any
-    other shape, or complex values are a ConfigurationError naming the
-    datum."""
+    other shape, complex values, or a NaN or infinite value are a
+    ConfigurationError naming the datum."""
     if isinstance(datum, np.ndarray):
         values = datum
     elif callable(datum):
@@ -98,7 +98,10 @@ def tabulate(datum, points: np.ndarray, what: str,
             f"{points.shape}: one per point, or a scalar from a callable")
     if np.iscomplexobj(values):   # a cast to float would drop Im with a warning
         raise ConfigurationError(f"{what} must be real, got complex values")
-    return np.full(points.shape, values, dtype=float)
+    values = np.full(points.shape, values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"{what} must be finite, got NaN or inf")
+    return values
 
 
 @dataclass(frozen=True)

@@ -64,8 +64,8 @@ class OptimizerSettings:
 def _residual(solver: InnerSolver, fit: FitResult) -> np.ndarray:
     """Search residual of a clamped fit: the projected collocation residual,
     then the weighted per-time violations of the admissibility constraint."""
-    violation = fit.boundary.clamp(solver.grid.t, solver.spec.L)[1]
-    return np.concatenate([fit.residual, np.sqrt(PENALTY_WEIGHT) * violation])
+    return np.concatenate([fit.residual,
+                           np.sqrt(PENALTY_WEIGHT) * fit.system.violation])
 
 
 def _residual_jacobian(solver: InnerSolver, fit: FitResult) -> np.ndarray:
@@ -73,10 +73,9 @@ def _residual_jacobian(solver: InnerSolver, fit: FitResult) -> np.ndarray:
     solver's variable-projection rows, then d/db_j of the penalty rows,
     sqrt(PENALTY_WEIGHT) t^j at the times whose violation is nonzero (the
     times where the Jacobian's s does not move)."""
-    t = solver.grid.t
-    live = fit.boundary.clamp(t, solver.spec.L)[1] != 0
+    live = fit.system.violation != 0
     return np.vstack([solver.jacobian(fit), np.sqrt(PENALTY_WEIGHT)
-                      * live[:, None] * fit.boundary.shape(t)])
+                      * live[:, None] * fit.boundary.shape(solver.grid.t)])
 
 
 def _step(jac: np.ndarray, r: np.ndarray, damping: float) -> np.ndarray:
@@ -149,6 +148,6 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
             f"{settings.max_iterations} (objective {value:.6e})")
     # an admissible boundary lies inside the band, where the clamp of the
     # last accepted fit changed nothing: that fit is the answer
-    if fit.boundary.clamp(grid.t, spec.L)[1].any():
+    if fit.system.violation.any():
         raise OptimizationError("optimizer returned an inadmissible boundary")
     return fit

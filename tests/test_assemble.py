@@ -179,6 +179,52 @@ def test_inadmissible_boundary_rejected(manufactured):
         InnerSolver(work.spec, work.grid, work.table).system_for(bad)
 
 
+@pytest.mark.parametrize("b", [[0.5, 0.0], [-2.3, 0.0], [3.0, -0.5]],
+                         ids=["inside", "below-0", "above-L"])
+def test_system_carries_the_clamped_boundary(manufactured, b):
+    # the search reads s and the violation from the system instead of
+    # clamping again; below-0 and above-L leave the band between grid times
+    work, _ = manufactured
+    model = BoundaryModel(work.spec.l, b)
+    system = InnerSolver(work.spec, work.grid, work.table).system_for(
+        model, clamp=True)
+    s, violation = model.clamp(work.grid.t, work.spec.L)
+    assert np.array_equal(system.s, s)
+    assert np.array_equal(system.violation, violation)
+    assert violation.any() == (b[0] != 0.5)
+
+
+@pytest.mark.parametrize("flux_data", ["given", None], ids=["flux", "melt-rate"])
+def test_writing_into_a_system_leaves_the_next_unchanged(manufactured,
+                                                         flux_data):
+    # every system starts from copies of the solver's fixed rows, so one
+    # caller's writes do not reach the next
+    work, model = manufactured
+    spec = work.spec if flux_data else make_spec(flux_data=None)
+    solver = InnerSolver(spec, work.grid, work.table)
+    first = solver.system_for(model)
+    matrix, rhs = first.matrix.copy(), first.rhs.copy()
+    first.matrix[:] = np.nan
+    first.rhs[:] = np.nan
+    again = solver.system_for(model)
+    assert np.array_equal(again.matrix, matrix)
+    assert np.array_equal(again.rhs, rhs)
+
+
+@pytest.mark.parametrize("key, name, datum", [
+    ("g1", "g1", lambda x: np.full_like(x, np.inf)),
+    ("g3", "g3", lambda t: np.full_like(t, np.nan)),
+    ("flux_data", "flux data", np.full(101, np.nan)),
+    ("gamma11", "gamma11", lambda x: np.full_like(x, np.nan)),
+    ("q", "q", np.full(2001, np.nan)),
+], ids=["g1-inf", "g3-nan", "flux-nan", "gamma11-nan", "q-nan"])
+def test_nonfinite_data_is_a_configuration_error(key, name, datum):
+    # a bare LinAlgError (g1, g3, flux data), an OptimizationError (gamma11)
+    # and a ConvergenceError "the potential is too large" (q) before
+    with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+        T.solve_free_boundary(T.prepare(make_spec(**{key: datum})))
+
+
 def test_manufactured_recovery(manufactured):
     work, model = manufactured
     fit = InnerSolver(work.spec, work.grid, work.table).fit(model)

@@ -211,9 +211,8 @@ def test_missing_config_file(tmp_path):
                  "--out", str(tmp_path / "o")]) == 2
 
 
-def test_g3_file_path(tmp_path):
-    times = np.linspace(0.0, 1.0, 101)
-    values = 1.0 + (1.0 + 0.5 * times) ** 2 + 2.0 * times
+def _g3_file_config(tmp_path, times, values) -> Path:
+    """GOOD_CONFIG with its g3 read from a file of the given rows."""
     data = tmp_path / "g3.csv"
     np.savetxt(data, np.column_stack([times, values]), delimiter=",")
     cfg = "\n".join(ln for ln in GOOD_CONFIG.splitlines()
@@ -221,7 +220,38 @@ def test_g3_file_path(tmp_path):
     cfg += f"\ng3_file = {data}\n"
     path = tmp_path / "problem.cfg"
     path.write_text(cfg)
+    return path
+
+
+G3_TIMES = np.linspace(0.0, 1.0, 101)
+G3_VALUES = 1.0 + (1.0 + 0.5 * G3_TIMES) ** 2 + 2.0 * G3_TIMES
+
+
+def test_g3_file_path(tmp_path):
+    path = _g3_file_config(tmp_path, G3_TIMES, G3_VALUES)
     assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("column, bad, message", [
+    (1, np.nan, "g3 must be finite"),
+    (1, np.inf, "g3 must be finite"),
+    (0, np.nan, "g3_file times must match"),
+], ids=["nan-value", "inf-value", "nan-time"])
+def test_nonfinite_g3_file_is_a_config_error(column, bad, message, tmp_path):
+    # a NaN value printed LAPACK DLASCL lines and a LinAlgError traceback
+    # (exit 1); a NaN time passed the grid check and the run exited 0
+    rows = np.column_stack([G3_TIMES, G3_VALUES])
+    rows[50, column] = bad
+    path = _g3_file_config(tmp_path, *rows.T)
+    env = dict(os.environ, PYTHONPATH=str(Path(thpsolve.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "thpsolve.cli", "solve", str(path),
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2
+    assert run.stdout == ""
+    (line,) = run.stderr.splitlines()
+    assert line.startswith("config error: ") and message in line
 
 
 def test_basis_dump_monomials(config_path, tmp_path):

@@ -63,3 +63,16 @@ def test_readme_python_examples_run(tmp_path):
                              cwd=tmp_path, env=env, capture_output=True,
                              text=True, timeout=300)
         assert run.returncode == 0, run.stderr
+
+
+def test_readme_layout_lists_every_module():
+    # the Layout block names each module of src/thpsolve but the package
+    # marker, once, and nothing else
+    block = re.search(r"^## Layout\n\n```\n(.*?)^```", README.read_text(),
+                      re.S | re.M).group(1)
+    header, *rows = block.splitlines()
+    assert header == "src/thpsolve/"
+    listed = sorted(row.split()[0] for row in rows)
+    modules = sorted(path.name for path in (ROOT / "src" / "thpsolve").glob("*.py")
+                     if path.name != "__init__.py")
+    assert listed == modules

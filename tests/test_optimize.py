@@ -74,6 +74,21 @@ def test_search_fits_once_per_trial_point(benchmark_solution, monkeypatch):
     assert result.residual_maxima == refit.residual_maxima
 
 
+def test_search_clamps_once_per_fit(benchmark_solution, monkeypatch):
+    # the collocation system, its Jacobian, the search residual and its
+    # Jacobian and the final admissibility check each clamped s again: 23
+    # clamps for the 6 fits of the reference search
+    _, work, _, _ = benchmark_solution
+    calls = {"fit": 0, "clamp": 0}
+    for cls, name in ((T.InnerSolver, "fit"), (T.BoundaryModel, "clamp")):
+        def counted(*args, _name=name, _method=getattr(cls, name), **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    T.minimize_boundary(work.spec, work.grid, work.table, OptimizerSettings())
+    assert calls == {"fit": 6, "clamp": 6}
+
+
 def test_reference_problem_at_K8(benchmark_solution):
     # a degree-8 boundary must fit the reference problem at least as well
     # as the published degree 6 does
