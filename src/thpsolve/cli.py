@@ -15,7 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,39 +35,45 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_X_KEYS = {"q", "g1", "gamma11", "gamma12"}
-_T_KEYS = {"g2", "g3", "gamma21", "gamma22", "flux", "initial_boundary"}
+# config key -> reader of its value: the one list of config keys
+_READERS = {
+    **dict.fromkeys(("q", "g1", "gamma11", "gamma12"),
+                    partial(expr.parse, variable_name="x")),
+    **dict.fromkeys(("g2", "g3", "gamma21", "gamma22", "flux", "initial_boundary"),
+                    partial(expr.parse, variable_name="t")),
+    **dict.fromkeys(("mesh_points", "n", "n_x", "n_t", "k", "max_iterations"), int),
+    **dict.fromkeys(("l", "l_domain", "t_final"), float),
+    # the first two columns of a CSV file: times, then values
+    "g3_file": lambda path: np.loadtxt(path, delimiter=",", ndmin=2)[:, [0, 1]].T,
+}
 # keyword argument -> (config key, flag) for prepare and OptimizerSettings
 _PREPARE_KEYS = {"mesh_points": ("mesh_points", "mesh"), "degree": ("n", "N"),
                  "n_x": ("n_x", None), "n_t": ("n_t", None)}
 _SEARCH_KEYS = {"K": ("k", "K"), "max_iterations": ("max_iterations", None)}
-_INT_KEYS = {key for key, _ in (*_PREPARE_KEYS.values(), *_SEARCH_KEYS.values())}
-_FLOAT_KEYS = {"l", "l_domain", "t_final"}
 
 
-def _chosen(keys: dict, args, numbers: dict) -> dict:
-    """The keyword arguments in ``keys`` that a flag or a config number
+def _chosen(keys: dict, args, values: dict) -> dict:
+    """The keyword arguments in ``keys`` that a flag or a config value
     sets, the flag first; the rest keep the library's defaults."""
     out = {}
     for name, (key, flag) in keys.items():
         value = getattr(args, flag) if flag else None
-        value = numbers.get(key) if value is None else value
+        value = values.get(key) if value is None else value
         if value is not None:
             out[name] = value
     return out
 
 
+@dataclass
 class RunConfig:
-    """Parsed config file: problem data plus discretization settings."""
+    """Parsed config file: the value of each key it sets, as read by the
+    key's reader."""
 
-    def __init__(self):
-        self.exprs: dict = {}
-        self.numbers: dict = {}
-        self.g3_table = None
+    values: dict
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
-        cfg = cls()
+        values = {}
         text = Path(path).read_text()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -78,66 +85,47 @@ class RunConfig:
                 )
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.lower()
+            if key not in _READERS:
+                raise ConfigurationError(f"unknown config key {key!r} in {path}")
             try:
-                cfg._assign(key, value, path)
+                values[key] = _READERS[key](value)
             except ConfigurationError:
                 raise
             except Exception as exc:
                 raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
-        return cfg
-
-    def _assign(self, key: str, value: str, path: str):
-        if key in _X_KEYS:
-            self.exprs[key] = expr.parse(value, "x")
-        elif key in _T_KEYS:
-            self.exprs[key] = expr.parse(value, "t")
-        elif key in _INT_KEYS:
-            self.numbers[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            self.numbers[key] = float(value)
-        elif key == "g3_file":
-            data = np.loadtxt(value, delimiter=",", dtype=float, ndmin=2)
-            self.g3_table = (data[:, 0], data[:, 1])
-        else:
-            raise ConfigurationError(f"unknown config key {key!r} in {path}")
+        return cls(values)
 
     def build_spec(self) -> ProblemSpec:
-        if "q" not in self.exprs:
+        v = self.values
+        if "q" not in v:
             raise ConfigurationError("config must define the potential q")
         for key in ("l", "l_domain", "t_final"):
-            if key not in self.numbers:
+            if key not in v:
                 raise ConfigurationError(f"config must define {key}")
-        g3 = self.exprs.get("g3")
-        n_t = self.numbers.get("n_t", DEFAULT_N_T)
-        t_final = self.numbers["t_final"]
-        if g3 is None and self.g3_table is not None:
-            times, values = self.g3_table
-            expected = np.linspace(0.0, t_final, n_t + 1)
+        if "g3" in v and "g3_file" in v:
+            raise ConfigurationError(
+                "g3 and g3_file are mutually exclusive; give one of them")
+        g3 = v.get("g3")
+        if "g3_file" in v:
+            times, g3 = v["g3_file"]
+            n_t = v.get("n_t", DEFAULT_N_T)
+            expected = np.linspace(0.0, v["t_final"], n_t + 1)
             # written so that a NaN time fails too
             if len(times) != len(expected) or not np.all(np.abs(times - expected) <= 1e-9):
                 raise ConfigurationError(
                     "g3_file times must match the equidistant collocation "
-                    f"grid of {n_t + 1} points on [0, {t_final}]"
+                    f"grid of {n_t + 1} points on [0, {v['t_final']}]"
                 )
-            g3 = values
         if g3 is None:
             raise ConfigurationError(
                 "config must define the Dirichlet data on the free boundary "
                 "(g3 or g3_file)"
             )
         return ProblemSpec(
-            q=self.exprs["q"],
-            L=self.numbers["l_domain"],
-            l=self.numbers["l"],
-            T=t_final,
-            gamma11=self.exprs.get("gamma11"),
-            gamma12=self.exprs.get("gamma12"),
-            gamma21=self.exprs.get("gamma21"),
-            gamma22=self.exprs.get("gamma22"),
-            g1=self.exprs.get("g1"),
-            g2=self.exprs.get("g2"),
-            g3=g3,
-            flux_data=self.exprs.get("flux"),
+            q=v["q"], L=v["l_domain"], l=v["l"], T=v["t_final"], g3=g3,
+            flux_data=v.get("flux"),
+            **{key: v.get(key) for key in ("gamma11", "gamma12", "gamma21",
+                                           "gamma22", "g1", "g2")},
         )
 
 
@@ -151,8 +139,10 @@ def _fit_initial_boundary(source_expr, l: float, T: float, K: int) -> np.ndarray
         )
     ts = np.linspace(0.0, T, 101)
     shape = BoundaryModel(l, np.zeros(K)).shape(ts)
-    coeffs, *_ = np.linalg.lstsq(shape, source_expr(ts) - l, rcond=None)
-    return coeffs
+    try:
+        return np.linalg.lstsq(shape, source_expr(ts) - l, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise ConfigurationError(f"initial_boundary cannot be projected: {exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -218,14 +208,15 @@ def _write_outputs(out_dir: Path, work: Workspace, fit: FitResult,
     _write_csv(out_dir / "solution.csv", ["x", "t", "u"], solution_rows)
 
 
-def cmd_solve(args) -> int:
-    cfg = RunConfig.load(args.config)
-    spec = cfg.build_spec()
-    work = prepare(spec, **_chosen(_PREPARE_KEYS, args, cfg.numbers))
-    settings = OptimizerSettings(**_chosen(_SEARCH_KEYS, args, cfg.numbers))
-    guess = cfg.exprs.get("initial_boundary")
+def _search(args, spec: ProblemSpec, values: dict) -> tuple:
+    """(workspace, fit, solution grid) of ``spec``, the path that solve and
+    validate-example share: flags override the config ``values``, and
+    ``--seed-boundary`` overrides their ``initial_boundary``."""
+    work = prepare(spec, **_chosen(_PREPARE_KEYS, args, values))
+    settings = OptimizerSettings(**_chosen(_SEARCH_KEYS, args, values))
+    guess = values.get("initial_boundary")
     if args.seed_boundary is not None:
-        guess = expr.parse(args.seed_boundary, "t")
+        guess = _READERS["initial_boundary"](args.seed_boundary)
     if guess is not None:
         settings = replace(settings, initial_b=_fit_initial_boundary(
             guess, spec.l, spec.T, settings.K))
@@ -238,7 +229,13 @@ def cmd_solve(args) -> int:
             print(f"{it},{_fmt(value)}," + ",".join(_fmt(v) for v in b))
 
     fit = solve_free_boundary(work, settings, trace=trace)
-    _write_outputs(Path(args.out), work, fit, _solution_grid(work, fit))
+    return work, fit, _solution_grid(work, fit)
+
+
+def cmd_solve(args) -> int:
+    cfg = RunConfig.load(args.config)
+    work, fit, solution_rows = _search(args, cfg.build_spec(), cfg.values)
+    _write_outputs(Path(args.out), work, fit, solution_rows)
     print(f"converged: F = {fit.F:.6e}; outputs in {args.out}")
     return EXIT_OK
 
@@ -246,9 +243,7 @@ def cmd_solve(args) -> int:
 def cmd_validate_example(args) -> int:
     t_start = time.perf_counter()
     bench = exact_benchmark()
-    work = prepare(bench.spec, **_chosen(_PREPARE_KEYS, args, {}))
-    fit = solve_free_boundary(
-        work, OptimizerSettings(**_chosen(_SEARCH_KEYS, args, {})))
+    work, fit, solution_rows = _search(args, bench.spec, {})
     elapsed = time.perf_counter() - t_start
 
     checks = []
@@ -271,7 +266,6 @@ def cmd_validate_example(args) -> int:
     s_err = np.max(np.abs(fit.boundary.s_eval(ts) - bench.exact_s(ts)))
     check("boundary max error <= 1e-2", s_err <= 1e-2, f"max error {s_err:.3e}")
 
-    solution_rows = _solution_grid(work, fit)
     x, t, u = solution_rows.T
     u_err = np.max(np.abs(u - bench.exact_u(x, t)))
     check("solution max error <= 1e-2", u_err <= 1e-2, f"max error {u_err:.3e}")
@@ -283,14 +277,11 @@ def cmd_validate_example(args) -> int:
 
     _write_outputs(Path(args.out), work, fit, solution_rows)
     width = max(len(name) for name, _, _ in checks)
-    failures = 0
     for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        failures += not ok
-        print(f"{status}  {name:<{width}}  {detail}")
-    print(f"{len(checks) - failures}/{len(checks)} checks passed "
-          f"({elapsed:.1f} s)")
-    return EXIT_OK if failures == 0 else EXIT_VALIDATION
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}")
+    passed = sum(ok for _, ok, _ in checks)
+    print(f"{passed}/{len(checks)} checks passed ({elapsed:.1f} s)")
+    return EXIT_OK if passed == len(checks) else EXIT_VALIDATION
 
 
 def cmd_basis_dump(args) -> int:
@@ -298,7 +289,7 @@ def cmd_basis_dump(args) -> int:
     spec = cfg.build_spec()
     if args.n_max < 0:
         raise ConfigurationError(f"--n must be nonnegative, got {args.n_max}")
-    work = prepare(spec, **_chosen(_PREPARE_KEYS, args, cfg.numbers))
+    work = prepare(spec, **_chosen(_PREPARE_KEYS, args, cfg.values))
     if args.n_max > work.table.degree:
         raise ConfigurationError(
             f"--n {args.n_max} exceeds basis degree {work.table.degree}")
@@ -345,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate-example",
                            help="solve the exact reference problem and verify it")
     _add_common(p_val, search=True)
-    p_val.set_defaults(func=cmd_validate_example)
+    p_val.set_defaults(func=cmd_validate_example, seed_boundary=None,
+                       verbose=False)    # read by _search, set by no flag here
 
     p_dump = sub.add_parser("basis-dump", help="write basis functions as CSV")
     p_dump.add_argument("config")
@@ -360,15 +352,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -58,6 +58,8 @@ class OptimizerSettings:
         b0 = np.asarray(b0, dtype=float)
         if len(b0) != self.K:
             raise ConfigurationError(f"initial_b must have length K={self.K}")
+        if not np.all(np.isfinite(b0)):
+            raise ConfigurationError(f"initial_b must be finite, got {b0.tolist()}")
         object.__setattr__(self, "initial_b", b0)
 
 
@@ -117,22 +119,27 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
         except (SolverError, np.linalg.LinAlgError) as exc:
             raise OptimizationError(
                 f"inner fit failed ({type(exc).__name__}: {exc})") from exc
-        r = _residual(solver, fit)
+        # a residual past the float range is not finite: a rejected step,
+        # or a start the search refuses below
+        with np.errstate(over="ignore"):
+            r = _residual(solver, fit)
+            value = r @ r
         if trace is not None:
-            trace(count, float(r @ r), np.asarray(b, float))
-        return fit, r
+            trace(count, float(value), np.asarray(b, float))
+        return fit, r, value
 
     b = settings.initial_b.copy()
-    fit, r = evaluate(b)
-    value = r @ r
+    fit, r, value = evaluate(b)
+    if not np.isfinite(value):
+        raise OptimizationError(
+            f"search residual is not finite at the initial point b = {b.tolist()}")
     jac, damping = None, 0.0
     for _ in range(settings.max_iterations - 1):
         if jac is None:
             jac = _residual_jacobian(solver, fit)
         step = _step(jac, r, damping)
         trial = b + step
-        fit_trial, r_trial = evaluate(trial)
-        trial_value = r_trial @ r_trial
+        fit_trial, r_trial, trial_value = evaluate(trial)
         done = np.linalg.norm(step) <= XTOL * (XTOL + np.linalg.norm(b))
         if trial_value < value:
             done |= value - trial_value <= FTOL * value

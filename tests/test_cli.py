@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -165,6 +166,37 @@ def test_config_syntax_error_reports_line(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+def _without(key: str) -> str:
+    """GOOD_CONFIG without its ``key`` line."""
+    return "".join(line + "\n" for line in GOOD_CONFIG.splitlines()
+                   if line.split(" = ")[0] != key)
+
+
+@pytest.mark.parametrize("config, argv, code, stream, pattern", [
+    ("flux 2\n" + GOOD_CONFIG, ["solve"], 2, "err",
+     r"config error: .*problem\.cfg:1: expected 'key = value', got 'flux 2'"),
+    (_without("q"), ["solve"], 2, "err",
+     r"config error: config must define the potential q"),
+    (_without("l"), ["solve"], 2, "err", r"config error: config must define l"),
+    (_without("l_domain"), ["basis-dump", "--n", "1"], 2, "err",
+     r"config error: config must define l_domain"),
+    (_without("t_final"), ["solve"], 2, "err",
+     r"config error: config must define t_final"),
+    (None, ["validate-example", "--N", "4"], 1, "out",
+     r"FAIL  a_6 vs reference +basis degree 4 < 6"),
+], ids=["line-without-equals", "missing-q", "missing-l", "missing-l_domain",
+        "missing-t_final", "validate-degree-below-6"])
+def test_command_outcome(config, argv, code, stream, pattern, tmp_path, capsys):
+    # the exit code and one whole line of the command's output
+    if config is not None:
+        path = tmp_path / "problem.cfg"
+        path.write_text(config)
+        argv = [argv[0], str(path), *argv[1:]]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == code
+    lines = getattr(capsys.readouterr(), stream).splitlines()
+    assert any(re.fullmatch(pattern, line) for line in lines), lines
+
+
 def test_config_nonpositive_max_iterations(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(GOOD_CONFIG + "max_iterations = 0\n")
@@ -223,6 +255,14 @@ def _g3_file_config(tmp_path, times, values) -> Path:
     return path
 
 
+def _run_cli(args: list, cwd: Path) -> subprocess.CompletedProcess:
+    """``python -W error -m thpsolve.cli`` with ``args``: any warning fails."""
+    env = dict(os.environ, PYTHONPATH=str(Path(thpsolve.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "thpsolve.cli",
+                           *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 G3_TIMES = np.linspace(0.0, 1.0, 101)
 G3_VALUES = 1.0 + (1.0 + 0.5 * G3_TIMES) ** 2 + 2.0 * G3_TIMES
 
@@ -243,15 +283,43 @@ def test_nonfinite_g3_file_is_a_config_error(column, bad, message, tmp_path):
     rows = np.column_stack([G3_TIMES, G3_VALUES])
     rows[50, column] = bad
     path = _g3_file_config(tmp_path, *rows.T)
-    env = dict(os.environ, PYTHONPATH=str(Path(thpsolve.__file__).parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-m", "thpsolve.cli", "solve", str(path),
-         "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, text=True, timeout=120)
+    run = _run_cli(["solve", str(path), "--out", str(tmp_path / "o")], tmp_path)
     assert run.returncode == 2
     assert run.stdout == ""
     (line,) = run.stderr.splitlines()
     assert line.startswith("config error: ") and message in line
+
+
+def test_g3_and_g3_file_together_are_a_config_error(tmp_path, capsys):
+    # the expression g3 silently won over the file
+    path = _g3_file_config(tmp_path, G3_TIMES, G3_VALUES)
+    path.write_text(path.read_text() + "g3 = 1 + (1 + 0.5*t)^2 + 2*t\n")
+    assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "g3 " in err and "g3_file" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_initial_boundary_fails_in_one_line(tmp_path):
+    # the projected b is about 1e308: the search printed two numpy overflow
+    # warnings, then failed on a NaN evaluation point (or, where the
+    # projection's SVD failed, a LinAlgError traceback)
+    path = tmp_path / "docs.cfg"
+    path.write_text(_docs_example().replace("1 + 0.1*t", "1 + 1e308*t*t"))
+    run = _run_cli(["solve", str(path), "--out", str(tmp_path / "o")], tmp_path)
+    assert run.returncode in (2, 3)
+    assert run.stdout == ""
+    (line,) = run.stderr.splitlines()
+    assert line.startswith(("config error: ", "numeric failure: "))
+
+
+def test_failed_guess_projection_is_a_config_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    with pytest.raises(thpsolve.ConfigurationError, match="initial_boundary"):
+        cli._fit_initial_boundary(thpsolve.expr.parse("1 + t", "t"), 1.0, 1.0, 2)
 
 
 def test_basis_dump_monomials(config_path, tmp_path):

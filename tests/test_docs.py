@@ -14,6 +14,7 @@ import pytest
 
 import thpsolve
 from thpsolve import OptimizerSettings, prepare
+from thpsolve.cli import _READERS
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs" / "config.md"
@@ -51,6 +52,18 @@ def test_docs_state_library_default(key):
     example = DOCS.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
     value = re.search(rf"^{key}\s*=\s*(\d+)", example, re.M).group(1)
     assert int(value) == LIBRARY_DEFAULTS[key]
+
+
+def test_docs_list_every_config_key():
+    # the keys of the three key tables and the g3_file bullet are the keys
+    # the config reader accepts
+    text = DOCS.read_text()
+    keys = set(_numbers_table()) | set(re.findall(r"^- `(\w+) = ", text, re.M))
+    for heading in ("Expressions in `x`", "Expressions in `t`"):
+        rows = text.split(heading, 1)[1].split("\n\n", 2)[1]
+        for row in rows.splitlines()[2:]:
+            keys |= set(re.findall(r"`(\w+)`", row.split("|")[1]))
+    assert keys == set(_READERS)
 
 
 def test_readme_python_examples_run(tmp_path):

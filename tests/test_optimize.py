@@ -13,6 +13,9 @@ def test_settings_validation():
         OptimizerSettings(K=3, initial_b=[0.1])
     with pytest.raises(ConfigurationError):
         OptimizerSettings(K=2, max_iterations=0)
+    # a NaN start failed only inside the search, as a DomainError
+    with pytest.raises(ConfigurationError, match="initial_b"):
+        OptimizerSettings(K=2, initial_b=[np.nan, 0.0])
     s = OptimizerSettings(K=6)
     assert s.initial_b[0] == 0.1
 
