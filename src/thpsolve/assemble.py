@@ -22,7 +22,7 @@ from .boundary import BoundaryModel
 from .errors import ConfigurationError, DegenerateSystemError
 from .expr import Expression
 from .formal_powers import FormalPowerTable
-from .numerics import Interpolant, tabulate
+from .numerics import tabulate
 from .thp import basis
 
 __all__ = [
@@ -45,8 +45,10 @@ class ProblemSpec:
     """Full description of one free boundary problem instance.
 
     Each function-like datum becomes values at the points where it is used
-    (the quadrature mesh for ``q``, the collocation points for the rest)
-    through :func:`thpsolve.numerics.tabulate`.
+    (the quadrature mesh and the boundary points s(t) for ``q``, the
+    collocation points for the rest) through
+    :func:`thpsolve.numerics.tabulate`.  So ``q`` must be a callable: node
+    values alone cannot be read at s(t).
 
     ``g1``/``g2`` may be None when the corresponding condition is absent.
     ``g3`` (Dirichlet data on the moving boundary) is mandatory, as is the
@@ -55,7 +57,7 @@ class ProblemSpec:
     generalization of the flux condition; also drives manufactured tests).
     """
 
-    q: BoundaryData
+    q: DataFunc
     L: float
     l: float
     T: float
@@ -69,6 +71,10 @@ class ProblemSpec:
     flux_data: Optional[BoundaryData] = None
 
     def __post_init__(self):
+        if not callable(self.q):
+            raise ConfigurationError(
+                f"q must be a callable of x, got {type(self.q).__name__}: it "
+                f"is read at the mesh nodes and at the boundary points s(t)")
         for name in ("L", "l", "T"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(
@@ -195,7 +201,6 @@ class InnerSolver:
         if spec.flux_data is not None:
             self._rhs[self.blocks["flux"]] = tabulate(
                 spec.flux_data, grid.t, "flux data")
-        self._q = Interpolant(table.mesh, table.f.q.values)
 
     def system_for(self, model: BoundaryModel, clamp: bool = False) -> LinearSystem:
         """Collocation system of ``model``: copies of the fixed rows with the
@@ -252,7 +257,8 @@ class InnerSolver:
         h = system.matrix[system.blocks["dirichlet"]]
         h_x = system.matrix[system.blocks["flux"]]
         n = np.arange(len(a))
-        h_xx_a = self._q(system.s) * (h @ a) + h[:, :-2] @ (n * (n - 1) * a)[2:]
+        q = tabulate(self.spec.q, system.s, "q") + self.table.f.shift
+        h_xx_a = q * (h @ a) + h[:, :-2] @ (n * (n - 1) * a)[2:]
         powers = model.shape(t).T                         # (K, times)
         # rows of dr/db^T; g depends on b only through -s' in the flux rows
         d = np.zeros((model.K, len(fit.residual)))

@@ -45,9 +45,7 @@ class BoundaryModel:
         return out if out.shape else float(out)
 
     def s_dot_eval(self, t):
-        t = np.asarray(t, dtype=float)
-        j = np.arange(1, self.K + 1)
-        out = np.vecdot(t[..., None] ** (j - 1), j * self.coefficients)
+        out = np.vecdot(self.shape_dot(t), self.coefficients)
         return out if out.shape else float(out)
 
     def clamp(self, times, upper: float) -> tuple[np.ndarray, np.ndarray]:

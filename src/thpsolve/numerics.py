@@ -134,48 +134,24 @@ class SampledFunction:
         return cls(mesh, np.full(mesh.n_points, value))
 
 
-# fourth-order first-derivative stencils over five nodes, in units of
-# 1/(12 h): one-sided at the two nodes nearest the left end (the right end
-# mirrors them) and centred elsewhere; all are exact for quartics
-_FD_LEFT = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
-                     [-3.0, -10.0, 18.0, -6.0, 1.0]])
-_FD_CENTRED = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
-
-
-def _fd_slopes(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order finite-difference derivative at every node of a
-    uniform mesh (``values`` has the mesh along its first axis)."""
-    n = values.shape[0]
-    out = np.empty(values.shape)
-    out[2:-2] = sum(w * values[j:n - 4 + j]
-                    for j, w in enumerate(_FD_CENTRED) if w)
-    for i, row in enumerate(_FD_LEFT):
-        out[i] = np.tensordot(row, values[:5], axes=1)
-        out[n - 1 - i] = -np.tensordot(row, values[::-1][:5], axes=1)
-    return out / (12.0 * h)
-
-
 class Interpolant:
     """Piecewise cubic Hermite interpolant over a uniform mesh; supports
     values and first derivatives at arbitrary points of the mesh interval.
 
     ``values`` has the mesh along its first axis and any shape after it,
     which evaluation results carry as their trailing shape.  ``slopes``, of
-    the same shape, are the derivatives at the nodes; without them the
-    slopes are fourth-order finite differences of ``values``, so cubics are
-    reproduced exactly.  There is no build step: a point's cell is found by
-    division, and the four nodal data of that cell give its cubic.
+    the same shape, are the derivatives at the nodes.  There is no build
+    step: a point's cell is found by division, and the four nodal data of
+    that cell give its cubic.
     """
 
     # slack for floating-point noise at the interval ends
     _EDGE_TOL = 1e-12
 
-    def __init__(self, mesh: UniformMesh, values: np.ndarray,
-                 slopes: Optional[np.ndarray] = None):
+    def __init__(self, mesh: UniformMesh, values: np.ndarray, slopes: np.ndarray):
         self.mesh = mesh
         self.values = np.asarray(values)
-        self.slopes = (_fd_slopes(self.values, mesh.h) if slopes is None
-                       else np.asarray(slopes))
+        self.slopes = np.asarray(slopes)
         if self.slopes.shape != self.values.shape:
             raise ConfigurationError(
                 f"slopes shape {self.slopes.shape} does not match values "

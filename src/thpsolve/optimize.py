@@ -63,7 +63,7 @@ class OptimizerSettings:
         object.__setattr__(self, "initial_b", b0)
 
 
-def _residual(solver: InnerSolver, fit: FitResult) -> np.ndarray:
+def _residual(fit: FitResult) -> np.ndarray:
     """Search residual of a clamped fit: the projected collocation residual,
     then the weighted per-time violations of the admissibility constraint."""
     return np.concatenate([fit.residual,
@@ -104,11 +104,20 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
     iteration evaluates the objective at one trial point (the start is the
     first), one inner fit; after a point that lowers it, the next step
     takes the Jacobian from that fit.  Raises ``OptimizationError`` when
-    ``max_iterations`` trial points do not reach convergence.  The
+    ``max_iterations`` trial points do not reach convergence, and
+    ``ConfigurationError`` when fewer collocation rows than the N + 1 + K
+    unknowns leave the boundary undetermined.  The
     ``trace`` callback, when given, receives (evaluation count, penalized
     objective, coefficients) for every objective evaluation.
     """
     solver = InnerSolver(spec, grid, table)
+    rows = solver.blocks["flux"].stop        # the flux block is stacked last
+    unknowns = table.degree + 1 + settings.K
+    if rows < unknowns:
+        raise ConfigurationError(
+            f"{rows} collocation rows cannot determine the N + 1 + K = "
+            f"{unknowns} unknowns (N = {table.degree}, K = {settings.K}); "
+            f"raise n_x or n_t, or lower n or k")
     count = 0
 
     def evaluate(b):
@@ -122,7 +131,7 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
         # a residual past the float range is not finite: a rejected step,
         # or a start the search refuses below
         with np.errstate(over="ignore"):
-            r = _residual(solver, fit)
+            r = _residual(fit)
             value = r @ r
         if trace is not None:
             trace(count, float(value), np.asarray(b, float))

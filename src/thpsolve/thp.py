@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .formal_powers import FormalPowerTable
-from .numerics import Interpolant
+from .numerics import tabulate
 
 __all__ = ["heat_coeff", "heat_poly", "basis", "solution_eval", "pde_residual"]
 
@@ -80,9 +80,10 @@ def solution_eval(table: FormalPowerTable, coeffs, x, t) -> np.ndarray:
     return basis(table, x, t)[:, 0, :len(a)] @ a
 
 
-def pde_residual(table: FormalPowerTable, coeffs, sample_points) -> float:
+def pde_residual(table: FormalPowerTable, q, coeffs, sample_points) -> float:
     """Max of |u_xx - q u - u_t| over interior sample points (x, t), for
-    the problem's potential q (the table's shifted one less the shift).
+    the problem's potential datum ``q`` (read with :func:`tabulate`), so the
+    check holds the basis to the equation it was built for.
 
     Derivatives are central finite differences of step ``FD_STEP``; the
     second x-derivative differences the closed-form u_x (a second
@@ -90,7 +91,6 @@ def pde_residual(table: FormalPowerTable, coeffs, sample_points) -> float:
     curvature error for the higher-degree basis functions)."""
     x, t = np.asarray(sample_points, dtype=float).reshape(-1, 2).T
     a = np.asarray(coeffs)
-    q = Interpolant(table.mesh, table.f.q.values - table.f.shift)
     # in t the basis is an exact polynomial, so a finer step costs nothing
     # in rounding noise and cuts the truncation error of the t-difference
     t_step = FD_STEP / 10.0
@@ -99,4 +99,5 @@ def pde_residual(table: FormalPowerTable, coeffs, sample_points) -> float:
             - basis(table, x - FD_STEP, t)[:, 1, :len(a)] @ a) / (2 * FD_STEP)
     u_t = (solution_eval(table, a, x, t + t_step)
            - solution_eval(table, a, x, t - t_step)) / (2 * t_step)
-    return float(np.max(np.abs(u_xx - q(x) * u - u_t), initial=0.0))
+    return float(np.max(np.abs(u_xx - tabulate(q, x, "q") * u - u_t),
+                        initial=0.0))

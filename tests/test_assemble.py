@@ -46,8 +46,7 @@ def test_wrong_shape_data_is_a_configuration_error(table_q0, g1):
         InnerSolver(spec, grid, table_q0)
 
 
-@pytest.mark.parametrize("q", [lambda x: np.ones(3), np.ones(3)],
-                         ids=["callable", "array"])
+@pytest.mark.parametrize("q", [lambda x: np.ones(3)], ids=["callable"])
 def test_wrong_shape_potential_is_a_configuration_error(q):
     spec = make_spec(q=q)
     with pytest.raises(ConfigurationError, match=r"q .*\(3,\).*\(2001,\)"):
@@ -55,10 +54,17 @@ def test_wrong_shape_potential_is_a_configuration_error(q):
 
 
 def test_scalar_potential_is_a_configuration_error():
-    # neither an array nor a callable: this escaped as a bare TypeError
-    # "'float' object is not callable"
-    with pytest.raises(ConfigurationError, match="q must be an array or a callable"):
+    # not a callable: this escaped as a bare TypeError "'float' object is
+    # not callable"
+    with pytest.raises(ConfigurationError, match="q must be a callable"):
         T.prepare(make_spec(q=0.0))
+
+
+def test_array_potential_is_a_configuration_error():
+    # node values of q cannot be read at the boundary points s(t), where
+    # the search's Jacobian needs q
+    with pytest.raises(ConfigurationError, match=r"q must be a callable.*s\(t\)"):
+        make_spec(q=np.zeros(2001))
 
 
 def test_scalar_lateral_data_is_a_configuration_error(table_q0):
@@ -216,7 +222,7 @@ def test_writing_into_a_system_leaves_the_next_unchanged(manufactured,
     ("g3", "g3", lambda t: np.full_like(t, np.nan)),
     ("flux_data", "flux data", np.full(101, np.nan)),
     ("gamma11", "gamma11", lambda x: np.full_like(x, np.nan)),
-    ("q", "q", np.full(2001, np.nan)),
+    ("q", "q", lambda x: np.full_like(x, np.nan)),
 ], ids=["g1-inf", "g3-nan", "flux-nan", "gamma11-nan", "q-nan"])
 def test_nonfinite_data_is_a_configuration_error(key, name, datum):
     # a bare LinAlgError (g1, g3, flux data), an OptimizationError (gamma11)

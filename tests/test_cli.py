@@ -166,6 +166,18 @@ def test_config_syntax_error_reports_line(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+FEW_ROWS_CONFIG = """\
+q = 0
+l = 1
+l_domain = 2
+t_final = 1
+g1 = 1
+g3 = 1
+n_x = 1
+n_t = 1
+"""
+
+
 def _without(key: str) -> str:
     """GOOD_CONFIG without its ``key`` line."""
     return "".join(line + "\n" for line in GOOD_CONFIG.splitlines()
@@ -184,8 +196,13 @@ def _without(key: str) -> str:
      r"config error: config must define t_final"),
     (None, ["validate-example", "--N", "4"], 1, "out",
      r"FAIL  a_6 vs reference +basis degree 4 < 6"),
+    # 6 rows for 13 + 6 unknowns: the search "converged" at F ~ 1e-31 on
+    # rounding noise and exited 0 with a boundary set by its start
+    (FEW_ROWS_CONFIG, ["solve"], 2, "err",
+     r"config error: 6 collocation rows cannot determine the N \+ 1 \+ K = 19 "
+     r"unknowns \(N = 12, K = 6\); raise n_x or n_t, or lower n or k"),
 ], ids=["line-without-equals", "missing-q", "missing-l", "missing-l_domain",
-        "missing-t_final", "validate-degree-below-6"])
+        "missing-t_final", "validate-degree-below-6", "fewer-rows-than-unknowns"])
 def test_command_outcome(config, argv, code, stream, pattern, tmp_path, capsys):
     # the exit code and one whole line of the command's output
     if config is not None:

@@ -159,7 +159,7 @@ def test_convergence_order():
 def test_spline_reproduces_cubic():
     m = UniformMesh(0.0, 2.0, 21)
     p = lambda x: x ** 3 - 2 * x
-    interp = Interpolant(m, p(m.nodes))
+    interp = Interpolant(m, p(m.nodes), 3 * m.nodes ** 2 - 2)
     assert abs(interp(0.37) - p(0.37)) < 1e-13
     # interpolation property at a node
     assert abs(interp(m.nodes[7]) - p(m.nodes[7])) < 1e-14
@@ -167,13 +167,15 @@ def test_spline_reproduces_cubic():
 
 def test_spline_derivative_of_constant():
     m = UniformMesh(0.0, 1.0, 11)
-    interp = Interpolant(m, SampledFunction.constant(m, 5.0).values)
+    interp = Interpolant(m, SampledFunction.constant(m, 5.0).values,
+                         np.zeros(m.n_points))
     assert abs(interp.derivative(0.5)) < 1e-13
 
 
 def test_spline_domain_error():
     m = UniformMesh(0.0, 1.0, 11)
-    interp = Interpolant(m, SampledFunction.constant(m, 1.0).values)
+    interp = Interpolant(m, SampledFunction.constant(m, 1.0).values,
+                         np.zeros(m.n_points))
     with pytest.raises(DomainError):
         interp(1.5)
     with pytest.raises(DomainError):
@@ -189,7 +191,8 @@ def test_spline_fourth_order_on_quartic():
 
     def max_err(n_points):
         m = UniformMesh(0.0, 1.0, n_points)
-        interp = Interpolant(m, quartic(m.nodes))
+        interp = Interpolant(m, quartic(m.nodes),
+                             4 * m.nodes ** 3 - 0.6 * m.nodes + 0.1)
         return np.max(np.abs(interp(pts) - quartic(pts)))
 
     # halving h should shrink the error by about 2^4

@@ -60,14 +60,14 @@ def test_pde_residual_stationary(table_q1):
     coeffs = np.zeros(13)
     coeffs[0] = 1.0
     f_max = np.max(np.abs(table_q1.f.f.values))
-    assert pde_residual(table_q1, coeffs, pts) <= 1e-4 * f_max
+    assert pde_residual(table_q1, lambda x: 1.0, coeffs, pts) <= 1e-4 * f_max
 
 
 def test_pde_residual_classical_h2(table_q0):
     coeffs = np.zeros(13)
     coeffs[2] = 1.0
     pts = [(0.3, 0.2), (0.6, 0.7), (0.5, 0.5)]
-    assert pde_residual(table_q0, coeffs, pts) <= 1e-5
+    assert pde_residual(table_q0, lambda x: 0.0, coeffs, pts) <= 1e-5
 
 
 def test_basis_solution_property(table_q1):
@@ -80,7 +80,7 @@ def test_basis_solution_property(table_q1):
         coeffs = np.zeros(13)
         coeffs[n] = 1.0
         bound = 1e-3 * (1.0 + np.max(np.abs(table_q1.values[n, 0])))
-        assert pde_residual(table_q1, coeffs, pts) <= bound
+        assert pde_residual(table_q1, lambda x: 1.0, coeffs, pts) <= bound
 
 
 def test_t_degree(table_q1):
