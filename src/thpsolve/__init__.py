@@ -15,6 +15,6 @@ from .optimize import OptimizerSettings, minimize_boundary
 from .particular import ParticularSolution, solve_particular
 from .pipeline import Workspace, prepare, solve_free_boundary
 from .special import ExactBenchmark, ei, ei_inv, exact_benchmark
-from .thp import basis, heat_coeff, heat_poly, pde_residual, solution_eval
+from .thp import basis, heat_coeff, pde_residual, solution_eval
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError
-from .numerics import Interpolant, SampledFunction, cumulative_integral
+from .numerics import Interpolant, cumulative_integral
 from .particular import ParticularSolution, ZERO_THRESHOLD
 
 __all__ = ["FormalPowerTable", "build_formal_powers"]
@@ -50,7 +50,9 @@ class FormalPowerTable:
 
 
 def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
-    """Run the recursive-integral construction up to index ``degree``.
+    """Run the recursive-integral construction up to index ``degree``,
+    with one :func:`cumulative_integral` call per degree on the (2, P)
+    stack of both chains.
 
     The chains write straight into the table's values, which are not
     copied."""
@@ -62,21 +64,20 @@ def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
     if np.min(np.abs(fv)) <= ZERO_THRESHOLD:
         raise ConfigurationError("f vanishes on the mesh; recursion would divide by zero")
     f2 = fv * fv
-    inv_f2 = 1.0 / f2
 
     # rows[n] = (phi_n, phi_n') node values, one contiguous row each
     rows = np.empty((degree + 1, 2, mesh.n_points))
     rows[0] = fv, fpv
-    # X^(n): weight 1/f^2 for odd n, f^2 for even n; X~(n) the other way
-    # round.  Only the last two terms of each chain are live, which keeps
-    # the working set at a few mesh-sized arrays whatever the degree.
-    big_x = big_xt = np.ones(mesh.n_points)
+    # X^(n) integrates against 1/f^2 for odd n and f^2 for even n, X~(n)
+    # the other way round, and phi_n is made of X^(n) for odd n and X~(n)
+    # for even n.  So the stack holds that chain first, reversing at every
+    # degree, and its weights stay (1/f^2, f^2).  Only the last term of each
+    # chain is live, which keeps the working set at a few mesh-sized arrays.
+    weights = np.stack([1.0 / f2, f2])
+    chains = np.ones((2, mesh.n_points))
     for n in range(1, degree + 1):
-        w, wt = (inv_f2, f2) if n % 2 else (f2, inv_f2)
-        next_x = n * cumulative_integral(SampledFunction(mesh, big_x * w)).values
-        next_xt = n * cumulative_integral(SampledFunction(mesh, big_xt * wt)).values
-        chain, prev = (next_x, big_x) if n % 2 else (next_xt, big_xt)
-        rows[n, 0] = fv * chain
-        rows[n, 1] = fpv * chain + n * prev / fv
-        big_x, big_xt = next_x, next_xt
+        prev = chains[1]
+        chains = n * cumulative_integral(chains[::-1] * weights, mesh.h)
+        rows[n, 0] = fv * chains[0]
+        rows[n, 1] = fpv * chains[0] + n * prev / fv
     return FormalPowerTable(degree=degree, values=rows, f=f)

@@ -129,10 +129,6 @@ class SampledFunction:
         """Tabulate the datum ``what`` on the nodes with :func:`tabulate`."""
         return cls(mesh, tabulate(datum, mesh.nodes, what))
 
-    @classmethod
-    def constant(cls, mesh: UniformMesh, value: float) -> "SampledFunction":
-        return cls(mesh, np.full(mesh.n_points, value))
-
 
 class Interpolant:
     """Piecewise cubic Hermite interpolant over a uniform mesh; supports
@@ -189,24 +185,26 @@ class Interpolant:
         return (c1 + s * (2 * c2 + 3 * s * c3)) / self.mesh.h
 
 
-def cumulative_integral(sf: SampledFunction) -> SampledFunction:
-    """Antiderivative of a tabulated function, vanishing at the left end.
+def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:
+    """Antiderivatives of functions tabulated on a uniform mesh of spacing
+    ``h``, vanishing at the left end.  The mesh runs along the last axis of
+    ``values``, and each row along the leading axes is integrated alone,
+    bit for bit as it would be on its own.
 
     Within each block of five intervals the degree-5 interpolant of the six
     node values is integrated exactly, so node values of the result are exact
-    (to rounding) whenever ``sf`` samples a polynomial of degree <= 5.
+    (to rounding) wherever a row samples a polynomial of degree <= 5.
     """
-    mesh, v = sf.mesh, sf.values
-    n_blocks = (mesh.n_points - 1) // _BLOCK
+    lead, n_blocks = values.shape[:-1], (values.shape[-1] - 1) // _BLOCK
     # block k covers nodes 5k .. 5k+5: the first five are a reshape of the
     # values, the sixth every fifth value from node 5
-    blocks = np.empty((n_blocks, _BLOCK + 1))
-    blocks[:, :_BLOCK] = v[:-1].reshape(n_blocks, _BLOCK)
-    blocks[:, _BLOCK] = v[_BLOCK::_BLOCK]
-    inc = (mesh.h * blocks) @ _W[1:].T       # integral from 5k to 5k + j
-    out = np.empty_like(v)
-    out[0] = 0.0
-    body = out[1:].reshape(n_blocks, _BLOCK)  # a view: nodes 5k+1 .. 5k+5
+    blocks = np.empty(lead + (n_blocks, _BLOCK + 1))
+    blocks[..., :_BLOCK] = values[..., :-1].reshape(lead + (n_blocks, _BLOCK))
+    blocks[..., _BLOCK] = values[..., _BLOCK::_BLOCK]
+    inc = (h * blocks) @ _W[1:].T       # integral from 5k to 5k + j
+    out = np.empty(values.shape)
+    out[..., 0] = 0.0
+    body = out[..., 1:].reshape(inc.shape)  # a view: nodes 5k+1 .. 5k+5
     body[:] = inc
-    body[1:] += np.cumsum(inc[:-1, -1])[:, None]
-    return SampledFunction(mesh, out)
+    body[..., 1:, :] += np.cumsum(inc[..., :-1, -1], axis=-1)[..., None]
+    return out

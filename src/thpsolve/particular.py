@@ -5,9 +5,10 @@ the seed 1 each term is obtained by integrating against q + c and then
 against 1.  The series converges factorially on a bounded interval, so a
 handful of terms at tolerance 1e-14 suffices.
 
-The spectral shift c = max(0, -min q) makes q + c >= 0, so f is real,
-convex and at least 1 for every real q (Kravchenko & Porter 2010).  A basis
-built for q + c solves u_xx - q u = u_t once multiplied by e^(c t).
+The spectral shift c = max(0, -min q) makes q + c >= 0, so the exact f
+is real, convex and at least 1 for every real q (Kravchenko & Porter
+2010).  A basis built for q + c solves u_xx - q u = u_t once multiplied by
+e^(c t).
 """
 
 from __future__ import annotations
@@ -47,22 +48,23 @@ class ParticularSolution:
 # an overflow ends the series in ConvergenceError (a non-finite sum), not
 # in a numpy warning
 @np.errstate(over="ignore", invalid="ignore")
-def _series_solution(q: SampledFunction) -> tuple[np.ndarray, np.ndarray]:
+def _series_solution(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Sum of iterated double integrals starting from the seed 1.
 
-    Returns (y, y') tabulated on the mesh of q: the solution of y'' = q y
-    with y(0) = 1, y'(0) = 0.  Each iteration maps T -> integral of
-    (integral of q*T), so T solves y'' = q y term by term.
+    ``q`` holds node values on a uniform mesh of spacing ``h``.  Returns
+    (y, y') at the same nodes: the solution of y'' = q y with y(0) = 1,
+    y'(0) = 0.  Each iteration maps T -> integral of (integral of q*T), two
+    :func:`cumulative_integral` calls on plain arrays, so T solves y'' = q y
+    term by term.
     """
-    mesh = q.mesh
-    term = np.ones(mesh.n_points)
+    term = np.ones(q.shape)
     total = term.copy()
     total_prime = np.zeros_like(term)
     for k in range(1, MAX_TERMS + 1):
-        inner = cumulative_integral(SampledFunction(mesh, q.values * term))
-        term = cumulative_integral(inner).values
+        inner = cumulative_integral(q * term, h)
+        term = cumulative_integral(inner, h)
         total += term
-        total_prime += inner.values
+        total_prime += inner
         if not (np.isfinite(total).all() and np.isfinite(total_prime).all()):
             raise ConvergenceError(f"iterated-integral series overflows at "
                                    f"term {k}; the potential is too large")
@@ -78,13 +80,15 @@ def _series_solution(q: SampledFunction) -> tuple[np.ndarray, np.ndarray]:
 def solve_particular(q: SampledFunction) -> ParticularSolution:
     """Construct a zero-free f with f(0) = 1, f'(0) = 0 on the mesh of
     ``q``, for the shifted potential q + c with c = max(0, -min q over the
-    nodes).  Since q + c >= 0 and f(0) = 1, f is at least 1; a node with
-    f at or below ZERO_THRESHOLD (a vanishing f or a sign change, which
-    only rounding could cause) raises NonvanishingError.
+    nodes).  Since q + c >= 0 and f(0) = 1, the exact f is at least 1, but
+    the quadrature weights have negative entries: a q that the mesh does
+    not resolve can give node values below 1.  A node with f at or below
+    ZERO_THRESHOLD (a vanishing f or a sign change) raises
+    NonvanishingError.
     """
     shift = max(0.0, -float(np.min(q.values)))
     shifted = SampledFunction(q.mesh, q.values + shift)
-    y1, y1p = _series_solution(shifted)
+    y1, y1p = _series_solution(shifted.values, q.mesh.h)
     if np.min(y1) <= ZERO_THRESHOLD:
         raise NonvanishingError(
             f"particular solution vanishes on the mesh (min f = {np.min(y1):.3e})")

@@ -16,7 +16,7 @@ from .errors import DomainError
 from .formal_powers import FormalPowerTable
 from .numerics import tabulate
 
-__all__ = ["heat_coeff", "heat_poly", "basis", "solution_eval", "pde_residual"]
+__all__ = ["heat_coeff", "basis", "solution_eval", "pde_residual"]
 
 FD_STEP = 1e-4   # x-step of the finite differences in pde_residual
 
@@ -26,16 +26,6 @@ def heat_coeff(n: int, k: int) -> int:
     if n < 0 or k < 0 or 2 * k > n:
         raise DomainError(f"coefficient undefined for n={n}, k={k}")
     return math.factorial(n) // (math.factorial(n - 2 * k) * math.factorial(k))
-
-
-def heat_poly(n: int, x: float, t: float) -> float:
-    """Classical heat polynomial h_n(x, t)."""
-    total = 0.0
-    tk = 1.0
-    for k in range(n // 2 + 1):
-        total += heat_coeff(n, k) * x ** (n - 2 * k) * tk
-        tk *= t
-    return total
 
 
 @lru_cache(maxsize=None)

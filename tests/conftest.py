@@ -11,30 +11,44 @@ def mesh01():
 
 @pytest.fixture
 def integral_calls(monkeypatch):
-    """A one-item list counting the cumulative_integral calls made by the
-    particular and formal_powers modules, wrapped in their namespaces the
-    way the benchmark's tracer wraps them."""
-    calls = [0]
+    """The shape of the array integrated by each cumulative_integral call
+    made by the particular and formal_powers modules, wrapped in their
+    namespaces the way the benchmark's tracer wraps them."""
+    shapes = []
 
-    def counted(sf):
-        calls[0] += 1
-        return T.cumulative_integral(sf)
+    def recorded(*args):
+        shapes.append(args[0].shape)
+        return T.cumulative_integral(*args)
     for module in (T.particular, T.formal_powers):
-        monkeypatch.setattr(module, "cumulative_integral", counted)
-    return calls
+        monkeypatch.setattr(module, "cumulative_integral", recorded)
+    return shapes
+
+
+@pytest.fixture(scope="session")
+def heat_poly():
+    """The classical heat polynomial h_n(x, t) = sum_k c_k^n x^(n-2k) t^k
+    at a scalar point: the oracle of the basis kernel."""
+    def h(n: int, x: float, t: float) -> float:
+        total = 0.0
+        tk = 1.0
+        for k in range(n // 2 + 1):
+            total += T.heat_coeff(n, k) * x ** (n - 2 * k) * tk
+            tk *= t
+        return total
+    return h
 
 
 @pytest.fixture(scope="session")
 def table_q0(mesh01):
     """Formal powers for q = 0 on [0, 1]: phi_n = x^n."""
-    f = T.solve_particular(T.SampledFunction.constant(mesh01, 0.0))
+    f = T.solve_particular(T.SampledFunction(mesh01, np.full(mesh01.n_points, 0.0)))
     return T.build_formal_powers(f, 12)
 
 
 @pytest.fixture(scope="session")
 def table_q1(mesh01):
     """Formal powers for q = 1 on [0, 1]: f = cosh, phi_1 = sinh."""
-    f = T.solve_particular(T.SampledFunction.constant(mesh01, 1.0))
+    f = T.solve_particular(T.SampledFunction(mesh01, np.full(mesh01.n_points, 1.0)))
     return T.build_formal_powers(f, 12)
 
 

@@ -145,14 +145,14 @@ def test_rows_D_E_basics(table_q1):
     assert abs(e[2] - expected_e) < 1e-12
 
 
-def test_rows_D_E_reduce_classically(table_q0):
+def test_rows_D_E_reduce_classically(table_q0, heat_poly):
     s_val, t = 0.7, 0.4
     (d_row, e_row), = basis(table_q0, s_val, t)
     for n in (2, 3, 5):
         d, e = d_row[n], e_row[n]
-        assert abs(d - T.heat_poly(n, s_val, t)) < 1e-8
+        assert abs(d - heat_poly(n, s_val, t)) < 1e-8
         h = 1e-6
-        fd = (T.heat_poly(n, s_val + h, t) - T.heat_poly(n, s_val - h, t)) / (2 * h)
+        fd = (heat_poly(n, s_val + h, t) - heat_poly(n, s_val - h, t)) / (2 * h)
         assert abs(e - fd) < 1e-6
 
 

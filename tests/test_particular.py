@@ -46,14 +46,14 @@ def fd4_derivative(values, h):
 
 def test_zero_potential():
     m = UniformMesh(0.0, 1.0, 101)
-    sol = solve_particular(SampledFunction.constant(m, 0.0))
+    sol = solve_particular(SampledFunction(m, np.full(m.n_points, 0.0)))
     assert np.allclose(sol.f.values, 1.0)
     assert sol.f_prime.values[0] == 0.0
 
 
 def test_unit_potential_is_cosh():
     m = UniformMesh(0.0, 1.0, 2001)
-    sol = solve_particular(SampledFunction.constant(m, 1.0))
+    sol = solve_particular(SampledFunction(m, np.full(m.n_points, 1.0)))
     assert abs(sol.f.values[-1] - 1.5430806348) < 1e-8
     assert np.max(np.abs(sol.f.values - np.cosh(m.nodes))) < 1e-10
     assert np.max(np.abs(sol.f_prime.values - np.sinh(m.nodes))) < 1e-10
@@ -91,7 +91,7 @@ def test_nonconvergence_reported():
     # from the tolerance
     m = UniformMesh(0.0, 1.0, 101)
     with pytest.raises(ConvergenceError):
-        solve_particular(SampledFunction.constant(m, 3600.0))
+        solve_particular(SampledFunction(m, np.full(m.n_points, 3600.0)))
 
 
 def test_overflowing_series_is_a_convergence_error():
@@ -99,7 +99,7 @@ def test_overflowing_series_is_a_convergence_error():
     # terms after numpy RuntimeWarnings, which the suite turns into errors
     m = UniformMesh(0.0, 2.0, 201)
     with pytest.raises(ConvergenceError, match="overflows at term 2"):
-        solve_particular(SampledFunction.constant(m, 1e200))
+        solve_particular(SampledFunction(m, np.full(m.n_points, 1e200)))
 
 
 @pytest.mark.parametrize("q, shift", [(0.0, 0.0), (4.0, 0.0), (-20.0, 20.0)])
@@ -107,7 +107,7 @@ def test_shift_makes_the_potential_nonnegative(q, shift):
     # c = max(0, -min q): q >= 0 keeps its table bit for bit; q = -20 is
     # solved as q + c = 0, where f = 1
     m = UniformMesh(0.0, 2.0, 201)
-    potential = SampledFunction.constant(m, q)
+    potential = SampledFunction(m, np.full(m.n_points, q))
     sol = solve_particular(potential)
     assert sol.shift == shift
     assert np.array_equal(sol.q.values, potential.values + shift)
@@ -122,7 +122,7 @@ def test_complex_branch_when_real_y1_changes_sign_between_nodes():
     # The shifted table is real and its basis solves the equation to
     # rounding relative to |u| (measured 1.3e-7)
     m = UniformMesh(0.0, 2.0, 2001)
-    sol = solve_particular(SampledFunction.constant(m, -20.0))
+    sol = solve_particular(SampledFunction(m, np.full(m.n_points, -20.0)))
     assert sol.shift == 20.0 and sol.f.values.dtype == np.float64
     table = build_formal_powers(sol, 4)
     pts = [(x, 0.5) for x in np.linspace(0.05, 1.95, 39)]
@@ -151,12 +151,25 @@ def test_basis_solves_the_equation_where_unshifted_y1_vanishes():
 
 
 def test_two_integrals_per_series_term(mesh01, integral_calls):
-    solve_particular(SampledFunction.constant(mesh01, 0.0))
-    assert integral_calls[0] == 2   # q = 0: the first term vanishes
+    solve_particular(SampledFunction(mesh01, np.full(mesh01.n_points, 0.0)))
+    one_row = (mesh01.n_points,)
+    assert integral_calls == [one_row] * 2   # q = 0: the first term vanishes
     # q = 1 on [0, 1]: term k has sup-norm 1/(2k)!, and the series stops at
     # the first term below the tolerance times max |f| = cosh(1)
     terms = next(k for k in itertools.count(1)
                  if 1.0 / math.factorial(2 * k) <= TOLERANCE * math.cosh(1.0))
-    integral_calls[0] = 0
-    solve_particular(SampledFunction.constant(mesh01, 1.0))
-    assert integral_calls[0] == 2 * terms
+    integral_calls.clear()
+    solve_particular(SampledFunction(mesh01, np.full(mesh01.n_points, 1.0)))
+    assert integral_calls == [one_row] * (2 * terms)
+
+
+def test_unresolved_potential_gives_f_below_one():
+    # q >= 0 makes the exact f at least 1, but the Newton-Cotes weights have
+    # negative entries: a spike that the mesh does not resolve pulls f below
+    # 1 at the node before it (measured min f = 0.7517 at node 8)
+    m = UniformMesh(0.0, 2.0, 21)
+    q = np.zeros(m.n_points)
+    q[9] = 100.0
+    sol = solve_particular(SampledFunction(m, q))
+    assert sol.shift == 0.0
+    assert 0.0 < np.min(sol.f.values) < 1.0

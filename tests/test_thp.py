@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thpsolve import DomainError, basis, heat_coeff, heat_poly, pde_residual
+from thpsolve import DomainError, basis, heat_coeff, pde_residual
 
 
 def test_heat_coeff_values():
@@ -20,13 +20,13 @@ def test_heat_coeff_guards():
     assert heat_coeff(40, 20) == 335367096786357081410764800000
 
 
-def test_heat_poly_values():
+def test_heat_poly_values(heat_poly):
     assert heat_poly(0, 3.1, -2.0) == 1.0
     assert heat_poly(2, 1.0, 1.0) == pytest.approx(3.0)
     assert heat_poly(4, 2.0, 0.5) == pytest.approx(43.0)
 
 
-def test_reduction_to_classical(table_q0):
+def test_reduction_to_classical(table_q0, heat_poly):
     # for q = 0, H_n = h_n and its x-derivative is n h_(n-1)
     rng = np.random.default_rng(5)
     pts = rng.uniform(0.0, 1.0, size=(20, 2))
