@@ -4,8 +4,8 @@ heat-polynomial basis."""
 from .assemble import (CollocationGrid, FitResult, InnerSolver, LinearSystem,
                        ProblemSpec, solve_linear)
 from .boundary import BoundaryModel
-from .errors import (ConfigurationError, ConvergenceError, DegenerateSystemError,
-                     DomainError, ExpressionEvalError, ExpressionSyntaxError,
+from .errors import (ConfigurationError, ConvergenceError, DomainError,
+                     ExpressionEvalError, ExpressionSyntaxError,
                      NonvanishingError, OptimizationError, SolverError)
 from .expr import Expression, parse
 from .formal_powers import FormalPowerTable, build_formal_powers
@@ -14,7 +14,8 @@ from .numerics import (Interpolant, SampledFunction, UniformMesh,
 from .optimize import OptimizerSettings, minimize_boundary
 from .particular import ParticularSolution, solve_particular
 from .pipeline import Workspace, prepare, solve_free_boundary
-from .special import ExactBenchmark, ei, ei_inv, exact_benchmark
+from .special import (ExactBenchmark, ei, ei_inv, exact_benchmark,
+                      hermite_benchmark)
 from .thp import basis, heat_coeff, pde_residual, solution_eval
 
 __version__ = "0.1.0"

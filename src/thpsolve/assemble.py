@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .boundary import BoundaryModel
-from .errors import ConfigurationError, DegenerateSystemError
+from .errors import ConfigurationError
 from .expr import Expression
 from .formal_powers import FormalPowerTable
 from .numerics import tabulate
@@ -281,8 +281,6 @@ def solve_linear(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the solution a and the left singular vectors kept, an
     orthonormal basis U of the column space the fit projects onto."""
-    if not np.any(system.matrix):
-        raise DegenerateSystemError("collocation matrix is identically zero")
     scale = np.linalg.norm(system.matrix, axis=0)
     scale[scale == 0.0] = 1.0
     u, sigma, vh = np.linalg.svd(system.matrix / scale, full_matrices=False)

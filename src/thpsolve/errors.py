@@ -21,10 +21,6 @@ class NonvanishingError(SolverError):
     """No zero-free particular solution could be produced."""
 
 
-class DegenerateSystemError(SolverError):
-    """The collocation matrix is degenerate (e.g. all zeros)."""
-
-
 class OptimizationError(SolverError):
     """The outer boundary search failed."""
 

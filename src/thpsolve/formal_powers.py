@@ -75,9 +75,15 @@ def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
     # chain is live, which keeps the working set at a few mesh-sized arrays.
     weights = np.stack([1.0 / f2, f2])
     chains = np.ones((2, mesh.n_points))
+    work = np.empty_like(chains)    # the integrands, then n * prev / f
     for n in range(1, degree + 1):
         prev = chains[1]
-        chains = n * cumulative_integral(chains[::-1] * weights, mesh.h)
-        rows[n, 0] = fv * chains[0]
-        rows[n, 1] = fpv * chains[0] + n * prev / fv
+        chains = cumulative_integral(
+            np.multiply(chains[::-1], weights, out=work), mesh.h)
+        chains *= n
+        np.multiply(fv, chains[0], out=rows[n, 0])
+        np.multiply(fpv, chains[0], out=rows[n, 1])
+        np.multiply(n, prev, out=work[0])
+        work[0] /= fv
+        rows[n, 1] += work[0]
     return FormalPowerTable(degree=degree, values=rows, f=f)

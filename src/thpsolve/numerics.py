@@ -36,6 +36,10 @@ _W = np.array([[0, 0, 0, 0, 0, 0],
                [459, 1971, 1026, 1026, -189, 27],
                [448, 2048, 768, 2048, 448, 0],
                [475, 1875, 1250, 1250, 1875, 475]]) / 1440
+# its rows j = 1..5 as the (6, 5) right factor of the block product, copied
+# to C order: numpy's matrix product is faster with it than with the
+# transposed view, and gives the same bits from two blocks on
+_WT = np.ascontiguousarray(_W[1:].T)
 
 
 @dataclass(frozen=True)
@@ -193,7 +197,10 @@ def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:
 
     Within each block of five intervals the degree-5 interpolant of the six
     node values is integrated exactly, so node values of the result are exact
-    (to rounding) wherever a row samples a polynomial of degree <= 5.
+    (to rounding) wherever a row samples a polynomial of degree <= 5.  One
+    matrix product writes every block's five partial integrals straight into
+    the result, and the running sum of the whole blocks before each block is
+    then added as one vector.
     """
     lead, n_blocks = values.shape[:-1], (values.shape[-1] - 1) // _BLOCK
     # block k covers nodes 5k .. 5k+5: the first five are a reshape of the
@@ -201,10 +208,16 @@ def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:
     blocks = np.empty(lead + (n_blocks, _BLOCK + 1))
     blocks[..., :_BLOCK] = values[..., :-1].reshape(lead + (n_blocks, _BLOCK))
     blocks[..., _BLOCK] = values[..., _BLOCK::_BLOCK]
-    inc = (h * blocks) @ _W[1:].T       # integral from 5k to 5k + j
+    blocks *= h
     out = np.empty(values.shape)
     out[..., 0] = 0.0
-    body = out[..., 1:].reshape(inc.shape)  # a view: nodes 5k+1 .. 5k+5
-    body[:] = inc
-    body[..., 1:, :] += np.cumsum(inc[..., :-1, -1], axis=-1)[..., None]
+    # a view: nodes 5k+1 .. 5k+5
+    body = out[..., 1:].reshape(lead + (n_blocks, _BLOCK))
+    # a single block is a vector-matrix product, whose BLAS kernel sums in
+    # a different order for each layout of the factor: keep the view there
+    factor = _WT if n_blocks > 1 else _W[1:].T
+    np.matmul(blocks, factor, out=body)     # integral from 5k to 5k + j
+    # nodes from 6 on lie in blocks 1.., each after the blocks before it
+    out[..., _BLOCK + 1:] += np.repeat(body[..., :-1, -1].cumsum(axis=-1),
+                                       _BLOCK, axis=-1)
     return out

@@ -65,11 +65,12 @@ def _series_solution(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         term = cumulative_integral(inner, h)
         total += term
         total_prime += inner
-        if not (np.isfinite(total).all() and np.isfinite(total_prime).all()):
+        term_norm = np.abs(term).max()
+        total_norm = np.abs(total).max()    # inf or NaN once total overflows
+        if not (np.isfinite(total_norm) and np.isfinite(total_prime).all()):
             raise ConvergenceError(f"iterated-integral series overflows at "
                                    f"term {k}; the potential is too large")
-        term_norm = np.max(np.abs(term))
-        if term_norm <= TOLERANCE * max(np.max(np.abs(total)), 1.0):
+        if term_norm <= TOLERANCE * max(total_norm, 1.0):
             return total, total_prime
     raise ConvergenceError(
         f"iterated-integral series did not converge within {MAX_TERMS} terms "

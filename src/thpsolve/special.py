@@ -1,14 +1,18 @@
-"""Exponential integral Ei, its inverse, and the exact reference problem.
+"""Exponential integral Ei, its inverse, and problems with exact solutions.
 
 The reference free boundary problem uses q(x) = x^2 on [0, 1] x [0, 1]; it
 has the closed-form solution u(x, t) = exp(-x^2/2 - t) with the moving
 boundary s(t) = sqrt(2 * Ei^{-1}(2C - 2 e^{-t})), C = Ei(1/2)/2 + 1.
+
+The Hermite-mode problems use q(x) = x^2 - beta, a prescribed boundary
+s(t) = 1 + sin(2t)/2 and two Hermite functions w_k = H_k(x) e^(-x^2/2),
+which satisfy w_k'' = (x^2 - (2k + 1)) w_k, as the exact solution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -16,7 +20,7 @@ from .assemble import ProblemSpec
 from .errors import DomainError
 
 __all__ = ["ei", "ei_inv", "ExactBenchmark", "exact_benchmark",
-           "BENCHMARK_L", "EI_INV_BRACKET"]
+           "hermite_benchmark", "BENCHMARK_L", "EI_INV_BRACKET"]
 
 # mesh interval for the reference problem; s(t) stays below ~1.37 on [0, 1]
 BENCHMARK_L = 1.5
@@ -100,13 +104,14 @@ def ei_inv(y):
 
 @dataclass(frozen=True)
 class ExactBenchmark:
-    """Reference problem instance plus its closed-form solution pair; both
-    functions take scalars or arrays (broadcast together for exact_u)."""
+    """Problem instance plus its closed-form solution pair; both functions
+    take scalars or arrays (broadcast together for exact_u).  ``C`` is the
+    reference problem's constant, None for the other problems."""
 
     spec: ProblemSpec
-    C: float
     exact_u: Callable
     exact_s: Callable
+    C: Optional[float] = None
 
 
 def exact_benchmark() -> ExactBenchmark:
@@ -130,3 +135,38 @@ def exact_benchmark() -> ExactBenchmark:
         g3=lambda t: exact_u(exact_s(t), t),
     )
     return ExactBenchmark(spec=spec, C=C, exact_u=exact_u, exact_s=exact_s)
+
+
+def hermite_benchmark(beta: float, T: float) -> ExactBenchmark:
+    """Problem with q = x^2 - beta on [0, 2], l = 1 and final time ``T``,
+    whose exact solution is u = w_0 e^((beta - 1) t) + 0.3 w_2 e^((beta - 5) t)
+    with w_0 = e^(-x^2/2) and w_2 = (4x^2 - 2) e^(-x^2/2), and whose boundary
+    is s = 1 + sin(2t)/2.  u_x(0, t) = 0 since both modes are even; g3 and
+    the flux data are the traces u(s(t), t) and u_x(s(t), t).  For
+    beta >= 0 the spectral shift is beta, and f is never constant."""
+
+    def exact_s(t):
+        return 1.0 + 0.5 * np.sin(2.0 * t)
+
+    def exact_u(x, t):
+        h2 = 4.0 * x * x - 2.0      # H_2(x)
+        return np.exp(-0.5 * x * x) * (np.exp((beta - 1.0) * t)
+                                       + 0.3 * h2 * np.exp((beta - 5.0) * t))
+
+    def exact_u_x(x, t):
+        # w_0' = -x w_0 and w_2' = (8x - x H_2(x)) e^(-x^2/2)
+        h2 = 4.0 * x * x - 2.0
+        return x * np.exp(-0.5 * x * x) * (-np.exp((beta - 1.0) * t)
+                                           + 0.3 * (8.0 - h2) * np.exp((beta - 5.0) * t))
+
+    spec = ProblemSpec(
+        q=lambda x: x * x - beta,
+        L=2.0,
+        l=1.0,
+        T=T,
+        g1=lambda x: exact_u(x, 0.0),
+        g2=lambda t: 0.0,
+        g3=lambda t: exact_u(exact_s(t), t),
+        flux_data=lambda t: exact_u_x(exact_s(t), t),
+    )
+    return ExactBenchmark(spec=spec, exact_u=exact_u, exact_s=exact_s)

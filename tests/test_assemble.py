@@ -3,8 +3,8 @@ import pytest
 
 import thpsolve as T
 from thpsolve import (BoundaryModel, CollocationGrid, ConfigurationError,
-                      DegenerateSystemError, InnerSolver, LinearSystem,
-                      ProblemSpec, basis, solve_linear)
+                      InnerSolver, LinearSystem, ProblemSpec, basis,
+                      solve_linear)
 
 
 def make_spec(**overrides):
@@ -264,11 +264,6 @@ def test_solve_linear_minimum_norm():
     # rank one: the range basis is the one direction (1, 1) / sqrt(2)
     assert range_basis.shape == (2, 1)
     assert np.allclose(np.abs(range_basis[:, 0]), np.sqrt(0.5), atol=1e-12)
-
-
-def test_solve_linear_degenerate():
-    with pytest.raises(DegenerateSystemError):
-        solve_linear(LinearSystem(np.zeros((3, 2)), np.ones(3), {}))
 
 
 def test_value_function_zero_coefficients(manufactured):

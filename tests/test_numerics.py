@@ -6,7 +6,7 @@ import pytest
 
 from thpsolve import (ConfigurationError, DomainError, Interpolant,
                       SampledFunction, UniformMesh, cumulative_integral)
-from thpsolve.numerics import _W, tabulate
+from thpsolve.numerics import _BLOCK, _W, tabulate
 
 
 def _lagrange_weights() -> list:
@@ -44,6 +44,22 @@ def _block_formula(v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _reference_kernel(values: np.ndarray, h: float) -> np.ndarray:
+    """The block rule as one matrix product and a broadcast running sum,
+    in the operation order whose bits cumulative_integral keeps."""
+    lead, n_blocks = values.shape[:-1], (values.shape[-1] - 1) // _BLOCK
+    blocks = np.empty(lead + (n_blocks, _BLOCK + 1))
+    blocks[..., :_BLOCK] = values[..., :-1].reshape(lead + (n_blocks, _BLOCK))
+    blocks[..., _BLOCK] = values[..., _BLOCK::_BLOCK]
+    inc = (h * blocks) @ _W[1:].T
+    out = np.empty(values.shape)
+    out[..., 0] = 0.0
+    body = out[..., 1:].reshape(inc.shape)
+    body[:] = inc
+    body[..., 1:, :] += np.cumsum(inc[..., :-1, -1], axis=-1)[..., None]
+    return out
+
+
 def test_weights_are_the_rational_lagrange_integrals():
     exact = _lagrange_weights()
     # each float weight is its rational value rounded once
@@ -75,6 +91,16 @@ def test_stacked_rows_integrate_as_single_rows(n_points):
     assert got.shape == v.shape
     for row, values in zip(got, v):
         assert np.array_equal(row, cumulative_integral(values, m.h))
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (3,)])
+@pytest.mark.parametrize("n_points", [6, 11, 2001, 20001])
+def test_cumulative_keeps_the_reference_bits(n_points, lead):
+    # the block-formula test above allows 1e-15; this one allows no change
+    rng = np.random.default_rng(n_points + len(lead))
+    m = UniformMesh(0.0, 2.0, n_points)
+    v = rng.normal(size=lead + (n_points,))
+    assert np.array_equal(cumulative_integral(v, m.h), _reference_kernel(v, m.h))
 
 
 def test_mesh_invariants():

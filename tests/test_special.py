@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import thpsolve.special as special
-from thpsolve import (DomainError, ei, ei_inv, exact_benchmark, prepare,
-                      solve_free_boundary)
+from thpsolve import (DomainError, ei, ei_inv, exact_benchmark,
+                      hermite_benchmark, prepare, solve_free_boundary)
 
 
 def ei_oracle(x, terms=200):
@@ -118,6 +118,28 @@ def test_pde_residual_of_exact_solution():
     u_xx = (bench.exact_u(x + h, t) - 2 * u + bench.exact_u(x - h, t)) / h ** 2
     u_t = (bench.exact_u(x, t + h) - bench.exact_u(x, t - h)) / (2 * h)
     assert np.max(np.abs(u_xx - x * x * u - u_t)) <= 1e-6
+
+
+@pytest.mark.parametrize("beta, t_final", [(0.0, 1.0), (20.0, 0.5)])
+def test_hermite_benchmark_data(beta, t_final):
+    bench = hermite_benchmark(beta, t_final)
+    spec, u = bench.spec, bench.exact_u
+    h = 1e-4
+    t = np.linspace(0.05, t_final - 0.05, 40)
+    s = bench.exact_s(t)
+    x = np.linspace(0.01, s - 0.01, 40)   # column j at t[j]
+    q = spec.q(x)
+    u_xx = (u(x + h, t) - 2 * u(x, t) + u(x - h, t)) / h ** 2
+    u_t = (u(x, t + h) - u(x, t - h)) / (2 * h)
+    # the central differences in t of e^((beta - 1) t) are good to about
+    # 1e-5 at beta = 20
+    assert np.max(np.abs(u_xx - q * u(x, t) - u_t)) <= 1e-4 * np.max(np.abs(u(x, t)))
+    u_x = (u(s + h, t) - u(s - h, t)) / (2 * h)
+    assert np.max(np.abs(spec.flux_data(t) - u_x)) <= 1e-6 * np.max(np.abs(u_x))
+    assert np.array_equal(spec.g3(t), u(s, t))
+    assert u(0.3, 0.0) == spec.g1(0.3)
+    assert (u(h, t) - u(-h, t)).tolist() == [0.0] * len(t)   # u_x(0, t) = 0
+    assert bench.exact_s(0.0) == spec.l
 
 
 def test_boundary_data_consistency():
