@@ -40,7 +40,7 @@ DataFunc = Union[Expression, Callable[[np.ndarray], Union[np.ndarray, float]]]
 BoundaryData = Union[DataFunc, np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Full description of one free boundary problem instance.
 
@@ -89,7 +89,7 @@ class ProblemSpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollocationGrid:
     """Sample points: x on [0, l] for the initial condition, t on [0, T]
     for the three time-dependent conditions."""
@@ -115,7 +115,7 @@ class CollocationGrid:
         return cls(np.linspace(0.0, l, n_x + 1), np.linspace(0.0, T, n_t + 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """Stacked collocation matrix and right-hand side, with named slices
     for the four condition blocks (absent blocks map to empty slices), and
@@ -128,7 +128,7 @@ class LinearSystem:
     violation: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Outcome of one inner least-squares fit."""
 

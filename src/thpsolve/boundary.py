@@ -12,7 +12,7 @@ __all__ = ["BoundaryModel"]
 CONSTRAINT_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryModel:
     """Boundary curve anchored at s(0) = l with monomial shape functions
     t^1 .. t^K; the offset l absorbs the initial position so every candidate

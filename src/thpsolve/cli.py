@@ -64,7 +64,7 @@ def _chosen(keys: dict, args, values: dict) -> dict:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class RunConfig:
     """Parsed config file: the value of each key it sets, as read by the
     key's reader."""

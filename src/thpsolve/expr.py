@@ -32,8 +32,7 @@ _OPERATORS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
 class Expression:
     """Parsed single-variable expression; immutable and callable."""
 
-    def __init__(self, tree: ast.Expression, fn, variable: str, text: str):
-        self._tree = tree
+    def __init__(self, fn, variable: str, text: str):
         self._fn = fn
         self.variable = variable
         self.text = text
@@ -51,10 +50,6 @@ class Expression:
         except FloatingPointError as exc:
             raise ExpressionEvalError(f"{exc} in {self.text!r}") from exc
         return float(values) if values.ndim == 0 else values
-
-    def source(self) -> str:
-        """Normalized text that re-parses to an equivalent expression."""
-        return ast.unparse(self._tree).replace("**", "^")
 
     def __repr__(self):
         return f"Expression({self.text!r}, variable={self.variable!r})"
@@ -116,5 +111,5 @@ def parse(source: str, variable_name: str) -> Expression:
     except SyntaxError as exc:
         offset = exc.offset - 1 if exc.offset else 2 * len(source)
         raise ExpressionSyntaxError(exc.msg, _position(source, offset)) from None
-    return Expression(tree, _compile(tree.body, variable_name, source),
+    return Expression(_compile(tree.body, variable_name, source),
                       variable_name, source)

@@ -20,15 +20,18 @@ from .particular import ParticularSolution, ZERO_THRESHOLD
 __all__ = ["FormalPowerTable", "build_formal_powers"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormalPowerTable:
     """Node values of phi_0..phi_N and their derivatives, stacked as
     ``values[n, 0, i] = phi_n(x_i)`` and ``values[n, 1, i] = phi_n'(x_i)``,
     for the shifted potential ``f.q`` (see :mod:`thpsolve.particular`)."""
 
-    degree: int
     values: np.ndarray = field(repr=False)    # (N+1, 2, n_points)
     f: ParticularSolution = field(repr=False)
+
+    @property
+    def degree(self) -> int:
+        return len(self.values) - 1
 
     @property
     def mesh(self):
@@ -86,4 +89,4 @@ def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
         np.multiply(n, prev, out=work[0])
         work[0] /= fv
         rows[n, 1] += work[0]
-    return FormalPowerTable(degree=degree, values=rows, f=f)
+    return FormalPowerTable(values=rows, f=f)

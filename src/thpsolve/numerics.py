@@ -108,7 +108,7 @@ def tabulate(datum, points: np.ndarray, what: str,
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
     """Float64 values tabulated at the nodes of a uniform mesh."""
 
@@ -152,6 +152,10 @@ class Interpolant:
         self.mesh = mesh
         self.values = np.asarray(values)
         self.slopes = np.asarray(slopes)
+        if self.values.shape[:1] != (mesh.n_points,):
+            raise ConfigurationError(
+                f"values shape {self.values.shape} does not have the mesh's "
+                f"{mesh.n_points} nodes along its first axis")
         if self.slopes.shape != self.values.shape:
             raise ConfigurationError(
                 f"slopes shape {self.slopes.shape} does not match values "
@@ -201,7 +205,17 @@ def cumulative_integral(values: np.ndarray, h: float) -> np.ndarray:
     matrix product writes every block's five partial integrals straight into
     the result, and the running sum of the whole blocks before each block is
     then added as one vector.
+
+    Complex values, and a last axis that five-interval blocks do not tile
+    (length n with n - 1 not divisible by 5), are a ConfigurationError;
+    only the dtype and shape are checked, not the data.
     """
+    if np.iscomplexobj(values):   # the float result would drop Im with a warning
+        raise ConfigurationError("cumulative_integral needs real values, got complex")
+    if values.ndim == 0 or (values.shape[-1] - 1) % _BLOCK:
+        raise ConfigurationError(
+            f"cumulative_integral needs a last axis of 5k + 1 nodes, got shape "
+            f"{values.shape}")
     lead, n_blocks = values.shape[:-1], (values.shape[-1] - 1) // _BLOCK
     # block k covers nodes 5k .. 5k+5: the first five are a reshape of the
     # values, the sixth every fifth value from node 5

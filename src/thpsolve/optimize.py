@@ -36,7 +36,7 @@ XTOL = FTOL = 1e-8
 INITIAL_DAMPING = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizerSettings:
     """Knobs of the boundary search."""
 
@@ -47,10 +47,13 @@ class OptimizerSettings:
     max_iterations: int = 400
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ConfigurationError("K must be >= 1")
-        if self.max_iterations < 1:
-            raise ConfigurationError("max_iterations must be >= 1")
+        for name in ("K", "max_iterations"):
+            value = getattr(self, name)
+            # a float count fails later, inside numpy or range()
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < 1):
+                raise ConfigurationError(
+                    f"{name} must be an integer >= 1, got {value!r}")
         b0 = self.initial_b
         if b0 is None:
             b0 = np.zeros(self.K)

@@ -29,7 +29,7 @@ MAX_TERMS = 50
 TOLERANCE = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParticularSolution:
     """Zero-free solution of f'' = q f, normalized to f(0) = 1, together
     with its derivative and the tabulated potential ``q``, which is the

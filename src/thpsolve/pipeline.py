@@ -21,7 +21,7 @@ DEFAULT_N_X = 100   # collocation intervals on [0, l]
 DEFAULT_N_T = 100   # collocation intervals on [0, T]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Workspace:
     """Problem instance together with its precomputed basis table and grid."""
 

@@ -102,7 +102,7 @@ def ei_inv(y):
     return _result(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExactBenchmark:
     """Problem instance plus its closed-form solution pair; both functions
     take scalars or arrays (broadcast together for exact_u).  ``C`` is the

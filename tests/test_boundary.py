@@ -9,6 +9,13 @@ REFERENCE_B = [0.60657885, -0.30458770, 0.03631846, 0.06761711,
                -0.05111378, 0.01270860]
 
 
+def test_models_compare_by_identity():
+    # generated __eq__ compared the arrays and raised from two coefficients
+    a, b = BoundaryModel(1.0, [0.1, 0.2]), BoundaryModel(1.0, [0.1, 0.2])
+    assert a not in [b] and a in [a]
+    assert len({a, b}) == 2 and a in {a}
+
+
 def test_initial_guess_line():
     m = BoundaryModel(1.0, [0.1])
     assert m.s_eval(2.0) == pytest.approx(1.2)

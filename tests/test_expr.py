@@ -75,18 +75,6 @@ def test_wrong_variable_rejected():
         parse("y + 1", "x")
 
 
-def test_round_trip():
-    rng = np.random.default_rng(11)
-    sources = ["1 + 0.1*t", "exp(-t^2/2) * sinh(t)", "t^3 - 2*t/(1+t^2)",
-               "-cos(t) + sqrt(abs(t)) - pi*t"]
-    for src in sources:
-        first = parse(src, "t")
-        second = parse(first.source(), "t")
-        for v in rng.uniform(0.1, 3.0, size=100):
-            a, b = first(v), second(v)
-            assert abs(a - b) <= 1e-14 * max(1.0, abs(a))
-
-
 @pytest.mark.parametrize("src", ["x**2", "+x", "x == 1", "3j", "x.real",
                                  "exp(x, 1)", "x[0]", "1 if x else 2"])
 def test_python_only_syntax_rejected(src):

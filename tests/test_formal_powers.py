@@ -88,6 +88,12 @@ def test_ode_property(table_q1):
         assert np.max(np.abs(lhs - rhs) / scale) < 1e-4
 
 
+def test_degree_follows_the_values(table_q1):
+    import dataclasses
+    assert table_q1.degree == len(table_q1.values) - 1
+    assert dataclasses.replace(table_q1, values=table_q1.values[:3]).degree == 2
+
+
 def test_rejects_vanishing_f(table_q0):
     import dataclasses
     bad = dataclasses.replace(

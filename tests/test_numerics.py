@@ -122,6 +122,11 @@ def test_values_length_checked():
     m = UniformMesh(0.0, 1.0, 11)
     with pytest.raises(ConfigurationError):
         SampledFunction(m, np.ones(10))
+    # an Interpolant with 5 rows failed at its first evaluation, and one
+    # with 20 rows read only the first 11
+    for shape in ((5,), (10,), (12,), (20,), (20, 2)):
+        with pytest.raises(ConfigurationError, match="11 nodes"):
+            Interpolant(m, np.ones(shape), np.zeros(shape))
 
 
 def test_complex_values_are_a_configuration_error():
@@ -130,6 +135,16 @@ def test_complex_values_are_a_configuration_error():
         SampledFunction(m, np.ones(11, dtype=complex))
     with pytest.raises(ConfigurationError, match="g1 must be real"):
         tabulate(np.ones(11) + 0j, m.nodes, "g1")
+    # a float antiderivative kept the real part and only warned
+    for values in (np.ones(11) + 1j, np.ones((2, 11), dtype=complex)):
+        with pytest.raises(ConfigurationError, match="needs real values"):
+            cumulative_integral(values, m.h)
+
+
+@pytest.mark.parametrize("shape", [(7,), (12,), (2, 9), (0,)])
+def test_cumulative_refuses_a_length_the_blocks_do_not_tile(shape):
+    with pytest.raises(ConfigurationError, match="5k \\+ 1"):
+        cumulative_integral(np.ones(shape), 0.1)
 
 
 def test_cumulative_constant():

@@ -16,6 +16,15 @@ def test_settings_validation():
     # a NaN start failed only inside the search, as a DomainError
     with pytest.raises(ConfigurationError, match="initial_b"):
         OptimizerSettings(K=2, initial_b=[np.nan, 0.0])
+    # K = 2.5 failed inside numpy, max_iterations = 2.5 inside range()
+    for bad in (2.5, 2.0, "2", True, None):
+        with pytest.raises(ConfigurationError, match="K must be an integer"):
+            OptimizerSettings(K=bad)
+        with pytest.raises(ConfigurationError,
+                           match="max_iterations must be an integer"):
+            OptimizerSettings(K=2, max_iterations=bad)
+    s = OptimizerSettings(K=np.int64(3), max_iterations=np.int32(5))
+    assert len(s.initial_b) == 3 and s.max_iterations == 5
     s = OptimizerSettings(K=6)
     assert s.initial_b[0] == 0.1
 
