@@ -19,7 +19,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .boundary import BoundaryModel
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_count
 from .expr import Expression
 from .formal_powers import FormalPowerTable
 from .numerics import tabulate
@@ -112,6 +112,8 @@ class CollocationGrid:
 
     @classmethod
     def equidistant(cls, l: float, T: float, n_x: int, n_t: int):
+        require_count("n_x", n_x, 1)
+        require_count("n_t", n_t, 1)
         return cls(np.linspace(0.0, l, n_x + 1), np.linspace(0.0, T, n_t + 1))
 
 

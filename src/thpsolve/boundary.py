@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = ["BoundaryModel"]
 
 # the admissible band of s is [CONSTRAINT_MARGIN, L]: s > 0 with a margin
@@ -22,8 +24,13 @@ class BoundaryModel:
     coefficients: np.ndarray = field(repr=True)
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients",
-                           np.atleast_1d(np.asarray(self.coefficients, dtype=float)))
+        b = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
+        # a NaN or infinite boundary would evaluate to NaN without an error
+        if not (np.isfinite(self.l) and np.isfinite(b).all()):
+            raise ConfigurationError(
+                f"boundary must be finite, got l = {self.l!r} and "
+                f"coefficients {b.tolist()}")
+        object.__setattr__(self, "coefficients", b)
 
     @property
     def K(self) -> int:

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all solver modules."""
+"""Exception hierarchy shared by all solver modules, and the check of a
+count argument."""
+
+import numbers
 
 
 class SolverError(Exception):
@@ -35,3 +38,14 @@ class ExpressionSyntaxError(ConfigurationError):
 
 class ExpressionEvalError(SolverError):
     """Runtime domain violation while evaluating an expression."""
+
+
+def require_count(name: str, value, minimum: int):
+    """Refuse ``value`` with a ConfigurationError naming ``name`` unless it
+    is an integer (a Python or numpy integer, not a bool) >= ``minimum``;
+    a float count would fail later, far from its cause, inside numpy or
+    range()."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ConfigurationError(
+            f"{name} must be an integer >= {minimum}, got {value!r}")

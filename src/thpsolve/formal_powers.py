@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_count
 from .numerics import Interpolant, cumulative_integral
 from .particular import ParticularSolution, ZERO_THRESHOLD
 
@@ -59,8 +59,7 @@ def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
 
     The chains write straight into the table's values, which are not
     copied."""
-    if degree < 0:
-        raise ConfigurationError("degree must be nonnegative")
+    require_count("degree", degree, 0)
     mesh = f.mesh
     fv = f.f.values
     fpv = f.f_prime.values

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, require_count
 
 __all__ = [
     "UniformMesh",
@@ -62,7 +62,8 @@ class UniformMesh:
             raise ConfigurationError(
                 f"mesh requires x_start < x_end, got [{self.x_start}, {self.x_end}]"
             )
-        if self.n_points < _BLOCK + 1 or (self.n_points - 1) % _BLOCK != 0:
+        require_count("n_points", self.n_points, _BLOCK + 1)
+        if (self.n_points - 1) % _BLOCK != 0:
             raise ConfigurationError(
                 f"n_points must be >= 6 with (n_points - 1) divisible by 5, "
                 f"got {self.n_points}"

@@ -19,7 +19,8 @@ import numpy as np
 
 from .assemble import CollocationGrid, FitResult, InnerSolver, ProblemSpec
 from .boundary import BoundaryModel
-from .errors import ConfigurationError, OptimizationError, SolverError
+from .errors import (ConfigurationError, OptimizationError, SolverError,
+                     require_count)
 from .formal_powers import FormalPowerTable
 
 __all__ = ["OptimizerSettings", "minimize_boundary"]
@@ -47,13 +48,8 @@ class OptimizerSettings:
     max_iterations: int = 400
 
     def __post_init__(self):
-        for name in ("K", "max_iterations"):
-            value = getattr(self, name)
-            # a float count fails later, inside numpy or range()
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < 1):
-                raise ConfigurationError(
-                    f"{name} must be an integer >= 1, got {value!r}")
+        require_count("K", self.K, 1)
+        require_count("max_iterations", self.max_iterations, 1)
         b0 = self.initial_b
         if b0 is None:
             b0 = np.zeros(self.K)

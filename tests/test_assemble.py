@@ -325,3 +325,14 @@ def test_high_degree_refit_at_exact_boundary(degree):
     model = BoundaryModel(1.0, [0.5])
     fit = InnerSolver(work.spec, work.grid, work.table).fit(model)
     assert fit.F <= 1e-20
+
+
+def test_prepare_refuses_a_float_collocation_count():
+    # n_x = 10.5 raised a bare TypeError inside np.linspace
+    spec = T.exact_benchmark().spec
+    with pytest.raises(ConfigurationError, match="n_x must be an integer"):
+        T.prepare(spec, mesh_points=101, n_x=10.5)
+    with pytest.raises(ConfigurationError, match="n_t"):
+        T.prepare(spec, mesh_points=101, n_t=True)
+    grid = T.prepare(spec, mesh_points=101, n_x=np.int64(10)).grid
+    assert len(grid.x) == 11

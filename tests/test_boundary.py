@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thpsolve import BoundaryModel
+from thpsolve import BoundaryModel, ConfigurationError
 from thpsolve.boundary import CONSTRAINT_MARGIN
 
 # coefficients of the reference fitted boundary (constant term is l = 1)
@@ -14,6 +14,14 @@ def test_models_compare_by_identity():
     a, b = BoundaryModel(1.0, [0.1, 0.2]), BoundaryModel(1.0, [0.1, 0.2])
     assert a not in [b] and a in [a]
     assert len({a, b}) == 2 and a in {a}
+
+
+@pytest.mark.parametrize("l, b", [(1.0, [np.nan]), (np.inf, [0.1])],
+                         ids=["nan-coefficient", "infinite-l"])
+def test_non_finite_boundary_is_refused(l, b):
+    # BoundaryModel(1.0, [nan]).s_eval(0.5) returned nan without an error
+    with pytest.raises(ConfigurationError, match="boundary must be finite"):
+        BoundaryModel(l, b)
 
 
 def test_initial_guess_line():

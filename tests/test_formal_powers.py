@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from thpsolve import (BoundaryModel, CollocationGrid, DomainError,
-                      InnerSolver, ProblemSpec, SampledFunction, UniformMesh,
-                      basis, build_formal_powers, solve_particular)
+from thpsolve import (BoundaryModel, CollocationGrid, ConfigurationError,
+                      DomainError, InnerSolver, ProblemSpec, SampledFunction,
+                      UniformMesh, basis, build_formal_powers, exact_benchmark,
+                      prepare, solve_particular)
 
 
 def test_monomials_for_zero_potential(table_q0):
@@ -157,3 +158,13 @@ def test_two_integrals_per_degree(table_q1, integral_calls, degree):
     # degree on the stack of both chains
     build_formal_powers(table_q1.f, degree)
     assert integral_calls == [(2, table_q1.mesh.n_points)] * degree
+
+
+def test_prepare_refuses_a_float_degree():
+    # degree = 2.0 raised a bare TypeError inside numpy
+    spec = exact_benchmark().spec
+    with pytest.raises(ConfigurationError, match="degree must be an integer"):
+        prepare(spec, mesh_points=101, degree=2.0)
+    with pytest.raises(ConfigurationError, match="degree"):
+        prepare(spec, mesh_points=101, degree=False)
+    assert prepare(spec, mesh_points=101, degree=np.int32(2)).table.degree == 2

@@ -113,6 +113,16 @@ def test_mesh_invariants():
     for ends in ((0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)):
         with pytest.raises(ConfigurationError, match="mesh ends must be finite"):
             UniformMesh(*ends, 11)
+
+
+def test_mesh_refuses_a_float_count():
+    # 11.0 passed the divisibility test and failed with a bare TypeError
+    # at .nodes; a numpy integer is a count, a bool is not
+    with pytest.raises(ConfigurationError, match="n_points must be an integer"):
+        UniformMesh(0.0, 1.0, 11.0)
+    with pytest.raises(ConfigurationError, match="n_points"):
+        UniformMesh(0.0, 1.0, True)
+    assert len(UniformMesh(0.0, 1.0, np.int64(11)).nodes) == 11
     m = UniformMesh(0.0, 1.0, 11)
     assert m.h == pytest.approx(0.1)
     assert len(m.nodes) == 11
