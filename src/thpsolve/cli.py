@@ -152,20 +152,184 @@ def _fmt(x: float) -> str:
 # rows per format call of _write_csv: one text block, never the whole table
 CSV_BLOCK_ROWS = 4096
 
+# bytes per value in _write_csv's row layout: %.17g is at most 24
+# characters, then the separator
+_CELL = 25
+# 10**k for 0 <= k <= 22 is an exact double; its halves split by 2**27 + 1
+_SPLIT = 2.0 ** 27 + 1.0
+_P10 = np.array([float(10 ** k) for k in range(23)])
+_P10_HI = _SPLIT * _P10 - (_SPLIT * _P10 - _P10)
+_P10_LO = _P10 - _P10_HI
+
+
+def _quad_table() -> np.ndarray:
+    """Entry g is 0 <= g < 10**4 as four ASCII digits in one uint32, and
+    entry g + 10**4 the same with its trailing zeros as NUL padding."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.empty((2, 10, 10, 10, 10, 4), np.uint8)
+    quads[..., 0] = digit[:, None, None, None]
+    quads[..., 1] = digit[:, None, None]
+    quads[..., 2] = digit[:, None]
+    quads[..., 3] = digit
+    quads[1, :, :, :, 0, 3] = 0
+    quads[1, :, :, 0, 0, 2:] = 0
+    quads[1, :, 0, 0, 0, 1:] = 0
+    quads[1, 0, 0, 0, 0] = 0
+    return quads.view(np.uint32).ravel()
+
+
+_QUADS = _quad_table()
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple:
+    """(hi, lo) with hi + lo == a * 10**k exactly: Dekker's TwoProduct."""
+    hi = a * _P10.take(k)
+    a_hi = a * _SPLIT
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    b_hi, b_lo = _P10_HI.take(k), _P10_LO.take(k)
+    lo = a_hi * b_hi
+    lo -= hi
+    lo += a_hi * b_lo
+    lo += a_lo * b_hi
+    lo += a_lo * b_lo
+    return hi, lo
+
+
+def _outside(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Whether hi + lo < 1e16 or hi + lo >= 1e17, exactly."""
+    return ((hi < 1e16) | ((hi == 1e16) & (lo < 0))
+            | (hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
+
+
+def _format_cells(values: np.ndarray, cells: np.ndarray):
+    """Write ``'%.17g' % x`` for each x of the 1-D float array ``values``
+    into the NUL-filled rows of the uint8 array ``cells``
+    (``len(values)`` x ``_CELL``), leaving their last byte.
+
+    For 1e-6 <= |x| < 1e17 the 17 digits are N = |x| * 10**k rounded half
+    to even, k = 16 - E and E = floor(log10 |x|), from an exact product;
+    the rows are laid out by E, with Python's choice of fixed or exponent
+    notation.  Zeros are ``0`` and ``-0``.  Every other value (smaller,
+    larger, subnormal, inf, nan, or carried past E = 16) is formatted by
+    Python, one value at a time."""
+    a = np.abs(values)
+    fast = np.flatnonzero((a >= 1e-6) & (a < 1e17))
+    af = a.take(fast) if len(fast) < len(a) else a
+    # log10 gives E, or E + 1 or E - 1 next to a power of ten
+    k = (np.log10(af) + 6.0).astype(np.intp)
+    np.subtract(22, k, out=k)
+    np.maximum(k, 0, out=k)
+    hi, lo = _scaled(af, k)
+    near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    moved = near[_outside(hi[near], lo[near])]
+    if len(moved):
+        k[moved] += np.where(hi[moved] <= 1e16, 1, -1)
+        np.clip(k, 0, 22, out=k)
+        hi[moved], lo[moved] = _scaled(af[moved], k[moved])
+        moved = moved[_outside(hi[moved], lo[moved])]
+    # hi >= 1e16 > 2**53 is an even integer, so rounding lo half to even
+    # rounds hi + lo half to even
+    n = hi.astype(np.int64)
+    n += np.rint(lo).astype(np.int64)
+    e = (16 - k).astype(np.int8)
+    carry = n == 10 ** 17
+    if carry.any():
+        n[carry] = 10 ** 16
+        e += carry
+    bad = e > 16
+    bad[moved] = True
+    if bad.any():
+        fast, e, n = fast[~bad], e[~bad], n[~bad]
+    order = np.argsort(e, kind="stable")
+    e = e.take(order)
+    n = n.take(order)
+    fast = fast.take(order)
+    # the leading digit, then four groups of four through _QUADS
+    top = (n // 100_000_000).astype(np.int32)
+    n -= top * np.int64(100_000_000)
+    low = n.astype(np.int32)
+    lead = top // 100_000_000
+    top -= lead * 100_000_000
+    lead += ord("0")
+    groups = []
+    for half in (top, low):
+        upper = half // 10000
+        half -= upper * 10000
+        groups += [upper, half]
+    quads = np.empty((len(n), 4), np.uint32)
+    strip = np.full(len(n), 10000, np.int32)   # while every later group is 0
+    for i in (3, 2, 1, 0):
+        quads[:, i] = _QUADS.take(groups[i] + strip)
+        strip *= groups[i] == 0
+    digits = quads.view(np.uint8)
+    text = np.zeros((len(n), _CELL), np.uint8)
+    text[:, 0] = np.signbit(values.take(fast)).view(np.uint8) * np.uint8(ord("-"))
+    counts = np.bincount(e + 6, minlength=23)
+    stop = 0
+    for exp in np.flatnonzero(counts) - 6:
+        start, stop = stop, stop + counts[exp + 6]
+        t, d, d0 = text[start:stop], digits[start:stop], lead[start:stop]
+        if exp >= 0:
+            # integer digits (a padded zero is "0"), then the point and
+            # the fraction if any digit follows it
+            t[:, 1] = d0
+            np.bitwise_or(d[:, :exp], ord("0"), out=t[:, 2:exp + 2])
+            if exp < 16:
+                t[:, exp + 2] = (d[:, exp] != 0) * np.uint8(ord("."))
+                t[:, exp + 3:19] = d[:, exp:]
+        elif exp >= -4:
+            t[:, 1:2 - exp] = ord("0")
+            t[:, 2] = ord(".")
+            t[:, 2 - exp] = d0
+            t[:, 3 - exp:19 - exp] = d
+        else:
+            t[:, 1] = d0
+            t[:, 2] = (d[:, 0] != 0) * np.uint8(ord("."))
+            t[:, 3:19] = d
+            t[:, 19:23] = np.frombuffer(b"e-0%d" % -exp, np.uint8)
+    cells.view(f"V{_CELL}")[fast] = text.view(f"V{_CELL}")
+    if len(fast) == len(a):
+        return
+    zero = np.flatnonzero(a == 0)
+    sign = np.signbit(values.take(zero))
+    cells[zero, 0] = np.where(sign, ord("-"), ord("0"))
+    cells[zero, 1] = sign * ord("0")
+    rest = np.ones(len(a), bool)
+    rest[fast] = False
+    rest[zero] = False
+    rest = np.flatnonzero(rest)
+    if len(rest):
+        texts = ("%.17g " * len(rest) % tuple(values.take(rest).tolist())).split()
+        cells[rest, :-1] = np.array(texts, f"S{_CELL - 1}").view(np.uint8).reshape(len(rest), -1)
+
 
 def _write_csv(path: Path, header: list, rows: np.ndarray):
     """Write a 2-D float array under a header line, every value as
     ``%.17g`` (the same text as ``_fmt``).  A column that is +0.0 in every
     row is the literal ``0`` (``%.17g`` of -0.0 is ``-0``, so a column with
-    a -0.0 keeps its format); the rest are formatted a block of
-    ``CSV_BLOCK_ROWS`` rows per call."""
+    a -0.0 keeps its format); the rest are formatted by ``_format_cells``,
+    a block of ``CSV_BLOCK_ROWS`` rows per call.  A block is laid out in
+    NUL-padded slots, ``_CELL`` bytes per value and two per literal ``0``,
+    each ending in its separator, and written without the padding."""
     zero = ~(rows.any(0) | np.signbit(rows).any(0))
-    line = ",".join(np.where(zero, "0", "%.17g")) + "\n"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    kept = np.flatnonzero(~zero)
+    widths = np.where(zero, 2, _CELL)
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[start:start + CSV_BLOCK_ROWS, ~zero]
-            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            block = rows[start:start + CSV_BLOCK_ROWS]
+            cells = np.zeros((len(block), len(kept), _CELL), np.uint8)
+            _format_cells(block[:, kept].ravel(), cells.reshape(-1, _CELL))
+            text = np.zeros((len(block), ends[-1]), np.uint8)
+            for j, col in enumerate(kept):
+                text[:, starts[col]:ends[col]] = cells[:, j]
+            text[:, starts[zero]] = ord("0")
+            text[:, ends - 1] = ord(",")
+            text[:, -1] = ord("\n")
+            fh.write(text.tobytes().translate(None, b"\0"))
 
 
 def _solution_grid(work: Workspace, fit: FitResult) -> np.ndarray:
