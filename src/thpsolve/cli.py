@@ -270,7 +270,7 @@ def _format_cells(values: np.ndarray, cells: np.ndarray):
     digits = quads.view(np.uint8)
     text = np.zeros((len(n), _CELL), np.uint8)
     text[:, 0] = np.signbit(values.take(fast)).view(np.uint8) * np.uint8(ord("-"))
-    counts = np.bincount(e + 6, minlength=23)
+    counts = np.bincount(e + 6, minlength=23)     # E from -6 to 16
     stop = 0
     for exp in np.flatnonzero(counts) - 6:
         start, stop = stop, stop + counts[exp + 6]

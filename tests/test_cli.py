@@ -404,7 +404,7 @@ def _reference_csv(header: list, rows: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _signed(values: list) -> np.ndarray:
+def _signed(values: np.ndarray) -> np.ndarray:
     """Rows (x, -x) of the given floats."""
     v = np.array(values)
     return np.column_stack([v, -v])
@@ -446,7 +446,7 @@ def test_write_csv_text(rows, tmp_path):
 def test_write_csv_text_matches_python_on_any_float(tmp_path):
     # the vectorized %.17g against Python's on arbitrary floats: both
     # fallback ranges, subnormals, inf, nan and -0.0 come from st.floats(),
-    # the vectorized range gets a strategy of its own, and m * 2**-k makes
+    # the vectorized range gets a strategy of its own, and m * 2**k makes
     # ties of the 17th digit
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
