@@ -22,13 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import expr
-from .assemble import FitResult, ProblemSpec
+from .assemble import ProblemSpec
 from .boundary import BoundaryModel
 from .errors import ConfigurationError, SolverError
 from .optimize import OptimizerSettings
-from .pipeline import DEFAULT_N_T, Workspace, prepare, solve_free_boundary
+from .pipeline import DEFAULT_N_T, Solution, prepare, solve_free_boundary
 from .special import exact_benchmark
-from .thp import solution_eval
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -85,14 +84,13 @@ class RunConfig:
                 )
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.lower()
-            if key not in _READERS:
-                raise ConfigurationError(f"unknown config key {key!r} in {path}")
+            if key not in _READERS or key in values:
+                why = "given twice" if key in values else "unknown config key"
+                raise ConfigurationError(f"{path}:{lineno}: {key}: {why}")
             try:
                 values[key] = _READERS[key](value)
-            except ConfigurationError:
-                raise
             except Exception as exc:
-                raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
+                raise ConfigurationError(f"{path}:{lineno}: {key}: {exc}") from exc
         return cls(values)
 
     def build_spec(self) -> ProblemSpec:
@@ -341,25 +339,13 @@ def _write_csv(path: Path, header: list, rows: np.ndarray):
             fh.write(text.tobytes().translate(None, b"\0"))
 
 
-def _solution_grid(work: Workspace, fit: FitResult) -> np.ndarray:
-    """Rows (x, t, u) on 50 times x 50 points from x = 0 to the fitted
-    boundary, t-major; u comes from one evaluation over all 2500 points
-    (the basis arrays are 2500 x 2 x (N + 1) values)."""
-    times = np.linspace(0.0, work.spec.T, 50)
-    x = np.linspace(0.0, fit.boundary.s_eval(times), 50, axis=1).ravel()
-    t = np.repeat(times, 50)
-    u = solution_eval(work.table, fit.a, x, t)
-    return np.column_stack([x, t, u])
-
-
-def _write_outputs(out_dir: Path, work: Workspace, fit: FitResult,
-                   solution_rows: np.ndarray):
-    """Write the four result files; ``solution_rows`` is the
-    ``_solution_grid`` of the fit."""
+def _write_outputs(out_dir: Path, solution: Solution):
+    """Write the four result files of ``solution``."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    work, fit = solution.work, solution.fit
     t_grid = work.grid.t
-    s_vals = np.atleast_1d(fit.boundary.s_eval(t_grid))
-    _write_csv(out_dir / "boundary.csv", ["t", "s"], np.column_stack([t_grid, s_vals]))
+    _write_csv(out_dir / "boundary.csv", ["t", "s"],
+               np.column_stack([t_grid, solution.s_eval(t_grid)]))
 
     with open(out_dir / "coefficients.txt", "w") as fh:
         fh.write("# basis coefficients a_n (u = sum a_n H_n)\n")
@@ -378,13 +364,12 @@ def _write_outputs(out_dir: Path, work: Workspace, fit: FitResult,
             fh.write(f"I_{i} ({name}): norm = {norm:.8e}  max = {mx:.8e}\n")
         fh.write(f"F = {fit.F:.8e}\n")
 
-    _write_csv(out_dir / "solution.csv", ["x", "t", "u"], solution_rows)
+    _write_csv(out_dir / "solution.csv", ["x", "t", "u"], solution.grid)
 
 
-def _search(args, spec: ProblemSpec, values: dict) -> tuple:
-    """(workspace, fit, solution grid) of ``spec``, the path that solve and
-    validate-example share: flags override the config ``values``, and
-    ``--seed-boundary`` overrides their ``initial_boundary``."""
+def _search(args, spec: ProblemSpec, values: dict) -> Solution:
+    """Solve ``spec`` as solve and validate-example both do: flags override
+    the config ``values``, and ``--seed-boundary`` their ``initial_boundary``."""
     work = prepare(spec, **_chosen(_PREPARE_KEYS, args, values))
     settings = OptimizerSettings(**_chosen(_SEARCH_KEYS, args, values))
     guess = values.get("initial_boundary")
@@ -401,22 +386,22 @@ def _search(args, spec: ProblemSpec, values: dict) -> tuple:
         def trace(it, value, b):
             print(f"{it},{_fmt(value)}," + ",".join(_fmt(v) for v in b))
 
-    fit = solve_free_boundary(work, settings, trace=trace)
-    return work, fit, _solution_grid(work, fit)
+    return solve_free_boundary(work, settings, trace=trace)
 
 
 def cmd_solve(args) -> int:
     cfg = RunConfig.load(args.config)
-    work, fit, solution_rows = _search(args, cfg.build_spec(), cfg.values)
-    _write_outputs(Path(args.out), work, fit, solution_rows)
-    print(f"converged: F = {fit.F:.6e}; outputs in {args.out}")
+    solution = _search(args, cfg.build_spec(), cfg.values)
+    _write_outputs(Path(args.out), solution)
+    print(f"converged: F = {solution.fit.F:.6e}; outputs in {args.out}")
     return EXIT_OK
 
 
 def cmd_validate_example(args) -> int:
     t_start = time.perf_counter()
     bench = exact_benchmark()
-    work, fit, solution_rows = _search(args, bench.spec, {})
+    solution = _search(args, bench.spec, {})
+    x, t, u = solution.grid.T     # the runtime covers the solution grid
     elapsed = time.perf_counter() - t_start
 
     checks = []
@@ -424,7 +409,7 @@ def cmd_validate_example(args) -> int:
     def check(name, ok, detail):
         checks.append((name, bool(ok), detail))
 
-    a = fit.a
+    a = solution.fit.a
     published = {0: (1.00000201, 1e-3), 2: (-0.50002066, 1e-3),
                  4: (1.0 / 24.0, 2e-3), 6: (-1.0 / 720.0, 5e-4)}
     for n, (ref, tol) in published.items():
@@ -433,22 +418,21 @@ def cmd_validate_example(args) -> int:
                   f"got {a[n]:.8e}, want {ref:.8e} +/- {tol:g}")
         else:
             check(f"a_{n} vs reference", False,
-                  f"basis degree {work.table.degree} < {n}")
+                  f"basis degree {solution.work.table.degree} < {n}")
 
     ts = np.linspace(0.0, 1.0, 1001)
-    s_err = np.max(np.abs(fit.boundary.s_eval(ts) - bench.exact_s(ts)))
+    s_err = np.max(np.abs(solution.s_eval(ts) - bench.exact_s(ts)))
     check("boundary max error <= 1e-2", s_err <= 1e-2, f"max error {s_err:.3e}")
 
-    x, t, u = solution_rows.T
     u_err = np.max(np.abs(u - bench.exact_u(x, t)))
     check("solution max error <= 1e-2", u_err <= 1e-2, f"max error {u_err:.3e}")
 
-    for i, mx in enumerate(fit.residual_maxima, start=1):
+    for i, mx in enumerate(solution.fit.residual_maxima, start=1):
         check(f"condition {i} residual max <= 1e-2", mx <= 1e-2, f"max {mx:.3e}")
 
     check("runtime <= 60 s", elapsed <= 60.0, f"{elapsed:.1f} s")
 
-    _write_outputs(Path(args.out), work, fit, solution_rows)
+    _write_outputs(Path(args.out), solution)
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}")

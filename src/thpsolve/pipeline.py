@@ -4,14 +4,18 @@ collocation -> boundary search."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .assemble import CollocationGrid, FitResult, ProblemSpec
 from .formal_powers import FormalPowerTable, build_formal_powers
 from .numerics import SampledFunction, UniformMesh
 from .optimize import OptimizerSettings, minimize_boundary
 from .particular import solve_particular
+from .thp import solution_eval
 
-__all__ = ["Workspace", "prepare", "solve_free_boundary"]
+__all__ = ["Solution", "Workspace", "prepare", "solve_free_boundary"]
 
 # the one home of each discretization default (the command line passes only
 # what a flag or a config key sets)
@@ -41,9 +45,35 @@ def prepare(spec: ProblemSpec, mesh_points: int = DEFAULT_MESH_POINTS,
     return Workspace(spec=spec, grid=grid, table=table)
 
 
+@dataclass(frozen=True, eq=False)
+class Solution:
+    """The answer of a boundary search, read through ``s_eval(t)`` and
+    ``u_eval(x, t)``: s(t) = l + sum_j b_j t^j and u = sum_n a_n H_n on the
+    workspace's basis table, at points (x, t) broadcast against each other."""
+
+    work: Workspace
+    fit: FitResult
+
+    def s_eval(self, t):
+        return self.fit.boundary.s_eval(t)
+
+    def u_eval(self, x, t) -> np.ndarray:
+        return solution_eval(self.work.table, self.fit.a, x, t)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """Rows (x, t, u) on 50 times x 50 points from x = 0 to the
+        boundary, t-major; u comes from one evaluation over all 2500 points
+        (the basis arrays are 2500 x 2 x (N + 1) values)."""
+        times = np.linspace(0.0, self.work.spec.T, 50)
+        x = np.linspace(0.0, self.s_eval(times), 50, axis=1).ravel()
+        t = np.repeat(times, 50)
+        return np.column_stack([x, t, self.u_eval(x, t)])
+
+
 def solve_free_boundary(work: Workspace,
                         settings: OptimizerSettings = OptimizerSettings(),
-                        trace=None) -> FitResult:
+                        trace=None) -> Solution:
     """Run the outer boundary search on a prepared workspace."""
-    return minimize_boundary(work.spec, work.grid, work.table, settings,
-                             trace=trace)
+    return Solution(work, minimize_boundary(work.spec, work.grid, work.table,
+                                            settings, trace=trace))

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -72,12 +74,54 @@ def manufactured():
 @pytest.fixture(scope="session")
 def benchmark_solution():
     """One full solve of the exact reference problem (shared by the
-    acceptance checks); returns (benchmark, workspace, fit, elapsed)."""
+    acceptance checks); returns (benchmark, solution, elapsed)."""
     import time
 
     bench = T.exact_benchmark()
     t0 = time.perf_counter()
     work = T.prepare(bench.spec)
-    fit = T.solve_free_boundary(work, T.OptimizerSettings(K=6))
+    solution = T.solve_free_boundary(work, T.OptimizerSettings(K=6))
     elapsed = time.perf_counter() - t0
-    return bench, work, fit, elapsed
+    return bench, solution, elapsed
+
+
+@pytest.fixture(scope="session")
+def melt_rate_hermite():
+    """Builder of the Hermite modes in melt-rate form: on q = x^2 - beta,
+    u = eps (w_0 e^((beta - 1) t) + 0.3 w_2 e^((beta - 5) t)), eps times the
+    u of ``hermite_benchmark``, with L = 2, l = 1 and no flux data, so the
+    search fits the Stefan condition u_x(s, t) = -s'(t).  The reference s
+    solves s' = -u_x(s, t), s(0) = 1, by classical RK4 in ``steps`` steps;
+    between the steps it is the cubic Hermite interpolant of the RK values
+    with the slopes -u_x.  ``build(beta, t_final, eps, steps)`` returns
+    (spec, s) and is cached, as one RK4 run takes a Python loop."""
+
+    @functools.cache
+    def build(beta, t_final, eps, steps=20_000):
+        u = T.hermite_benchmark(beta, t_final).exact_u
+
+        def u_x(x, t):
+            # w_0' = -x w_0 and w_2' = x (10 - 4x^2) w_0
+            return eps * x * np.exp(-0.5 * x * x) * (
+                -np.exp((beta - 1.0) * t)
+                + 0.3 * (10.0 - 4.0 * x * x) * np.exp((beta - 5.0) * t))
+
+        mesh = T.UniformMesh(0.0, t_final, steps + 1)
+        times, h = mesh.nodes, mesh.h
+        s = np.empty(steps + 1)
+        s[0] = 1.0
+        for i in range(steps):
+            k1 = -u_x(s[i], times[i])
+            k2 = -u_x(s[i] + 0.5 * h * k1, times[i] + 0.5 * h)
+            k3 = -u_x(s[i] + 0.5 * h * k2, times[i] + 0.5 * h)
+            k4 = -u_x(s[i] + h * k3, times[i + 1])
+            s[i + 1] = s[i] + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        exact_s = T.Interpolant(mesh, s, -u_x(s, times))
+        spec = T.ProblemSpec(
+            q=lambda x: x * x - beta, L=2.0, l=1.0, T=t_final,
+            g1=lambda x: eps * u(x, 0.0),
+            g2=lambda t: 0.0,
+            g3=lambda t: eps * u(exact_s(t), t),
+        )
+        return spec, exact_s
+    return build

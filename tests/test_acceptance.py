@@ -64,8 +64,8 @@ def test_criterion_3_inner_problem_exactness(manufactured):
 
 
 def test_criterion_4_benchmark_coefficients(benchmark_solution):
-    _, _, fit, _ = benchmark_solution
-    a = fit.a
+    _, solution, _ = benchmark_solution
+    a = solution.fit.a
     targets = {0: (1.00000201, 1e-3), 2: (-0.50002066, 1e-3),
                4: (1.0 / 24.0, 2e-3), 6: (-1.0 / 720.0, 5e-4)}
     errs = {n: abs(a[n] - ref) for n, (ref, _) in targets.items()}
@@ -87,34 +87,33 @@ def test_criterion_4_cli_validate_example(tmp_path):
 
 
 def test_criterion_5_boundary_accuracy(benchmark_solution):
-    bench, _, fit, _ = benchmark_solution
+    bench, solution, _ = benchmark_solution
     ts = np.linspace(0.0, 1.0, 1001)
-    err = np.max(np.abs(fit.boundary.s_eval(ts) - bench.exact_s(ts)))
+    err = np.max(np.abs(solution.s_eval(ts) - bench.exact_s(ts)))
     report("criterion 5: boundary accuracy", err <= 1e-2,
            f"max |s_K - s_exact| = {err:.3e}")
 
 
 def test_criterion_6_solution_accuracy(benchmark_solution):
-    bench, work, fit, _ = benchmark_solution
+    bench, solution, _ = benchmark_solution
     ts = np.linspace(0.0, 1.0, 50)
-    x = np.concatenate([np.linspace(0.0, float(fit.boundary.s_eval(t)), 50)
-                        for t in ts])
+    x = np.concatenate([np.linspace(0.0, solution.s_eval(t), 50) for t in ts])
     t = np.repeat(ts, 50)
-    u = T.solution_eval(work.table, fit.a, x, t)
+    u = solution.u_eval(x, t)
     err = np.max(np.abs(u - bench.exact_u(x, t)))
     report("criterion 6: solution accuracy", err <= 1e-2,
            f"max |u_N - u_exact| = {err:.3e}")
 
 
 def test_criterion_7_condition_residual_maxima(benchmark_solution):
-    _, _, fit, _ = benchmark_solution
-    ok = all(mx <= 1e-2 for mx in fit.residual_maxima)
+    maxima = benchmark_solution[1].fit.residual_maxima
+    ok = all(mx <= 1e-2 for mx in maxima)
     report("criterion 7: boundary-condition residual maxima", ok,
-           ", ".join(f"{mx:.2e}" for mx in fit.residual_maxima))
+           ", ".join(f"{mx:.2e}" for mx in maxima))
 
 
 def test_criterion_8_runtime(benchmark_solution):
-    _, _, _, elapsed = benchmark_solution
+    _, _, elapsed = benchmark_solution
     report("criterion 8: runtime", elapsed <= 60.0, f"{elapsed:.1f} s")
 
 
@@ -172,10 +171,10 @@ def test_criterion_9_property_suite(benchmark_solution, table_q1):
            f"worst ratio to bound {worst:.2f}")
 
     # determinism of the boundary search
-    _, work, fit, _ = benchmark_solution
-    repeat = T.solve_free_boundary(work, T.OptimizerSettings(K=6))
+    _, solution, _ = benchmark_solution
+    repeat = T.solve_free_boundary(solution.work, T.OptimizerSettings(K=6))
     report("criterion 9f: optimizer determinism",
-           np.array_equal(repeat.b, fit.b), "bit-identical coefficients")
+           np.array_equal(repeat.fit.b, solution.fit.b), "bit-identical coefficients")
 
 
 @pytest.mark.parametrize("q, u, u_x, t_final, degree, K, gate, dtype", [
@@ -214,9 +213,10 @@ def test_high_degree_closed_form_boundary(q, u, u_x, t_final, degree, K,
         flux_data=lambda t: u_x(s(t), t),
     )
     work = T.prepare(spec, degree=degree)
-    fit = T.solve_free_boundary(work, T.OptimizerSettings(K=K))
+    solution = T.solve_free_boundary(work, T.OptimizerSettings(K=K))
+    fit = solution.fit
     ts = np.linspace(0.0, t_final, 201)
-    err = np.max(np.abs(fit.boundary.s_eval(ts) - s(ts)))
+    err = np.max(np.abs(solution.s_eval(ts) - s(ts)))
     report(f"closed form: q = {q:+g}, T = {t_final:g} boundary at N = {degree}, "
            f"K = {K}",
            err <= gate and max(fit.residual_maxima) <= 1e-2

@@ -307,7 +307,8 @@ def test_normal_equation_equivalence(manufactured):
 
 
 def test_even_column_restriction_on_benchmark(benchmark_solution):
-    bench, work, fit, _ = benchmark_solution
+    bench, solution, _ = benchmark_solution
+    work, fit = solution.work, solution.fit
     solver = T.InnerSolver(bench.spec, work.grid, work.table)
     system = solver.system_for(fit.boundary)
     even = np.arange(0, work.table.degree + 1, 2)

@@ -179,6 +179,27 @@ n_t = 1
 """
 
 
+# line 5 ends inside an expression
+TRAILING_OPERATOR_CONFIG = """\
+q = 0
+l = 1.0
+l_domain = 2.0
+t_final = 1.0
+g1 = 1 + x +
+g3 = 1
+"""
+# q on lines 1 and 7: the later value won silently, and q = 0 was solved
+TWICE_GIVEN_CONFIG = """\
+q = x^2
+l = 1.0
+l_domain = 2.0
+t_final = 1.0
+g1 = 1
+g3 = 1
+q = 0
+"""
+
+
 def _without(key: str) -> str:
     """GOOD_CONFIG without its ``key`` line."""
     return "".join(line + "\n" for line in GOOD_CONFIG.splitlines()
@@ -188,6 +209,13 @@ def _without(key: str) -> str:
 @pytest.mark.parametrize("config, argv, code, stream, pattern", [
     ("flux 2\n" + GOOD_CONFIG, ["solve"], 2, "err",
      r"config error: .*problem\.cfg:1: expected 'key = value', got 'flux 2'"),
+    # these three errors named no line, and the second not the file either
+    (GOOD_CONFIG + "foo = 1\n", ["solve"], 2, "err",
+     r"config error: .*problem\.cfg:13: foo: unknown config key"),
+    (TRAILING_OPERATOR_CONFIG, ["solve"], 2, "err",
+     r"config error: .*problem\.cfg:5: g1: invalid syntax \(at position 7\)"),
+    (TWICE_GIVEN_CONFIG, ["solve"], 2, "err",
+     r"config error: .*problem\.cfg:7: q: given twice"),
     (_without("q"), ["solve"], 2, "err",
      r"config error: config must define the potential q"),
     (_without("l"), ["solve"], 2, "err", r"config error: config must define l"),
@@ -202,7 +230,8 @@ def _without(key: str) -> str:
     (FEW_ROWS_CONFIG, ["solve"], 2, "err",
      r"config error: 6 collocation rows cannot determine the N \+ 1 \+ K = 19 "
      r"unknowns \(N = 12, K = 6\); raise n_x or n_t, or lower n or k"),
-], ids=["line-without-equals", "missing-q", "missing-l", "missing-l_domain",
+], ids=["line-without-equals", "unknown-key", "syntax-error", "key-given-twice",
+        "missing-q", "missing-l", "missing-l_domain",
         "missing-t_final", "validate-degree-below-6", "fewer-rows-than-unknowns"])
 def test_command_outcome(config, argv, code, stream, pattern, tmp_path, capsys):
     # the exit code and one whole line of the command's output
@@ -374,7 +403,7 @@ def test_validate_example_evaluates_solution_grid_once(tmp_path, monkeypatch):
         calls.append(1)
         return solution_eval(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "solution_eval", counted)
+    monkeypatch.setattr(thpsolve.pipeline, "solution_eval", counted)
     assert main(["validate-example", "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
 
@@ -391,7 +420,7 @@ def test_solution_grid_matches_the_per_time_loop(manufactured):
         u = solution_eval(work.table, fit.a, x, t)
         blocks.append(np.column_stack([x, np.full(50, t), u]))
     expected = np.concatenate(blocks)
-    grid = cli._solution_grid(work, fit)
+    grid = thpsolve.Solution(work, fit).grid
     assert np.array_equal(grid[:, :2], expected[:, :2])
     np.testing.assert_allclose(grid[:, 2], expected[:, 2], rtol=1e-14,
                                atol=1e-14)

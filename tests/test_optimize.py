@@ -32,15 +32,17 @@ def test_settings_validation():
 def test_recovers_manufactured_boundary(manufactured):
     work, _ = manufactured
     settings = OptimizerSettings(K=2, initial_b=[0.1, 0.0])
-    fit = T.solve_free_boundary(work, settings)
+    fit = T.solve_free_boundary(work, settings).fit
     assert abs(fit.b[0] - 0.5) < 1e-4
     assert abs(fit.b[1]) < 1e-4
 
 
 def test_restart_at_optimum_is_stable(manufactured):
     work, _ = manufactured
-    first = T.solve_free_boundary(work, OptimizerSettings(K=2, initial_b=[0.1, 0.0]))
-    again = T.solve_free_boundary(work, OptimizerSettings(K=2, initial_b=first.b))
+    first = T.solve_free_boundary(
+        work, OptimizerSettings(K=2, initial_b=[0.1, 0.0])).fit
+    again = T.solve_free_boundary(
+        work, OptimizerSettings(K=2, initial_b=first.b)).fit
     assert again.F <= first.F + 1e-12
 
 
@@ -66,7 +68,7 @@ def test_search_fits_once_per_trial_point(benchmark_solution, monkeypatch):
     # the search returned a refit at the converged b, one inner fit more
     # than its trial points (7 against 6 on the reference problem); the
     # last accepted fit is that same fit
-    _, work, _, _ = benchmark_solution
+    work = benchmark_solution[1].work
     fits, rows = [], []
     fit = T.InnerSolver.fit
 
@@ -90,7 +92,7 @@ def test_search_clamps_once_per_fit(benchmark_solution, monkeypatch):
     # the collocation system, its Jacobian, the search residual and its
     # Jacobian and the final admissibility check each clamped s again: 23
     # clamps for the 6 fits of the reference search
-    _, work, _, _ = benchmark_solution
+    work = benchmark_solution[1].work
     calls = {"fit": 0, "clamp": 0}
     for cls, name in ((T.InnerSolver, "fit"), (T.BoundaryModel, "clamp")):
         def counted(*args, _name=name, _method=getattr(cls, name), **kwargs):
@@ -104,22 +106,22 @@ def test_search_clamps_once_per_fit(benchmark_solution, monkeypatch):
 def test_reference_problem_at_K8(benchmark_solution):
     # a degree-8 boundary must fit the reference problem at least as well
     # as the published degree 6 does
-    _, work, _, _ = benchmark_solution
-    fit = T.solve_free_boundary(work, OptimizerSettings(K=8))
+    work = benchmark_solution[1].work
+    fit = T.solve_free_boundary(work, OptimizerSettings(K=8)).fit
     assert fit.F <= 1e-9
 
 
 def test_feasibility_of_result(manufactured):
     work, _ = manufactured
-    fit = T.solve_free_boundary(work, OptimizerSettings(K=2))
+    fit = T.solve_free_boundary(work, OptimizerSettings(K=2)).fit
     assert not fit.boundary.clamp(work.grid.t, work.spec.L)[1].any()
 
 
 def test_determinism(manufactured):
     work, _ = manufactured
     settings = OptimizerSettings(K=2)
-    b1 = T.solve_free_boundary(work, settings).b
-    b2 = T.solve_free_boundary(work, settings).b
+    b1 = T.solve_free_boundary(work, settings).fit.b
+    b2 = T.solve_free_boundary(work, settings).fit.b
     assert np.array_equal(b1, b2)
 
 
@@ -149,23 +151,58 @@ def test_reference_problem_at_N18():
     # the boundary error was 1.5e-2
     bench = T.exact_benchmark()
     work = T.prepare(bench.spec, degree=18)
-    fit = T.solve_free_boundary(work, OptimizerSettings(K=6))
+    solution = T.solve_free_boundary(work, OptimizerSettings(K=6))
     ts = np.linspace(0.0, 1.0, 101)
-    err = np.max(np.abs(fit.boundary.s_eval(ts) - bench.exact_s(ts)))
+    err = np.max(np.abs(solution.s_eval(ts) - bench.exact_s(ts)))
     assert err <= 1e-4
 
 
-@pytest.mark.parametrize("beta, t_final", [(0.0, 1.0), (20.0, 0.5)])
-def test_hermite_modes_gate(beta, t_final):
+@pytest.mark.parametrize("beta, t_final, degree, K, gate", [
+    pytest.param(0.0, 1.0, 24, 12, 1e-6, id="0.0-1.0"),
+    pytest.param(20.0, 0.5, 24, 12, 1e-6, id="20.0-0.5"),
+    # the inner fits' rank cut sets this 6.2e-7; a cut of 1e-14 gave 7.3e-11
+    pytest.param(20.0, 0.5, 28, 12, 1e-9, id="20.0-0.5-N28",
+                 marks=pytest.mark.xfail(strict=True, reason="error 6.2e-7")),
+])
+def test_hermite_modes_gate(beta, t_final, degree, K, gate):
     # non-constant q, a boundary that is not a polynomial and, at beta = 20,
     # a shift c = 20 with a non-trivial f; errors were 4.9e-7 and 1.1e-8
     bench = T.hermite_benchmark(beta, t_final)
-    work = T.prepare(bench.spec, degree=24)
+    work = T.prepare(bench.spec, degree=degree)
     assert work.table.f.shift == beta
-    fit = T.solve_free_boundary(work, OptimizerSettings(K=12))
+    solution = T.solve_free_boundary(work, OptimizerSettings(K=K))
     ts = np.linspace(0.0, t_final, 201)
-    err = np.max(np.abs(fit.boundary.s_eval(ts) - bench.exact_s(ts)))
-    assert err <= 1e-6
+    err = np.max(np.abs(solution.s_eval(ts) - bench.exact_s(ts)))
+    assert err <= gate
+
+
+@pytest.mark.parametrize("beta, t_final, eps", [(0.0, 1.0, 1.0),
+                                                (20.0, 0.5, 2e-4)])
+def test_melt_rate_reference_halves_to_1e_12(beta, t_final, eps,
+                                             melt_rate_hermite):
+    # the RK4 reference s of the melt-rate gates: 20,000 against 40,000
+    # steps, at the nodes and between them; measured 1.8e-14 and 9.1e-15
+    ts = np.linspace(0.0, t_final, 2001)
+    _, coarse = melt_rate_hermite(beta, t_final, eps)
+    _, fine = melt_rate_hermite(beta, t_final, eps, steps=40_000)
+    assert np.max(np.abs(coarse(ts) - fine(ts))) <= 1e-12
+
+
+@pytest.mark.parametrize("beta, t_final, eps, degree, K, gate", [
+    pytest.param(0.0, 1.0, 1.0, 32, 16, 1e-8, id="beta=0"),
+    pytest.param(20.0, 0.5, 2e-4, 32, 12, 1e-10, id="beta=20",
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "the search stops after 400 iterations at F = 7.9e-7"))),
+])
+def test_melt_rate_hermite_gate(beta, t_final, eps, degree, K, gate,
+                                melt_rate_hermite):
+    # the Stefan condition u_x(s, t) = -s'(t) with non-constant q and an s
+    # known only through its ODE; beta = 0 measured 2.9e-9
+    spec, exact_s = melt_rate_hermite(beta, t_final, eps)
+    solution = T.solve_free_boundary(T.prepare(spec, degree=degree),
+                                     OptimizerSettings(K=K))
+    ts = np.linspace(0.0, t_final, 201)
+    assert np.max(np.abs(solution.s_eval(ts) - exact_s(ts))) <= gate
 
 
 def _closed_form_q_minus_2():
@@ -199,7 +236,7 @@ def test_jacobian_gives_the_exact_gradient(case, b, manufactured,
     # projected off that column space.  The oracle is central differences
     # at a non-optimal b.
     if case == "reference":
-        work = benchmark_solution[1]
+        work = benchmark_solution[1].work
     elif case == "q=-2":
         work = _closed_form_q_minus_2()
     else:
@@ -247,7 +284,7 @@ def test_reference_problem_at_K12_from_a_cold_start(degree, gate):
     # 8.5e-4; they converged only when started from the K = 10 optimum
     bench = T.exact_benchmark()
     work = T.prepare(bench.spec, degree=degree)
-    fit = T.solve_free_boundary(work, OptimizerSettings(K=12))
+    solution = T.solve_free_boundary(work, OptimizerSettings(K=12))
     ts = np.linspace(0.0, 1.0, 1001)
-    err = np.max(np.abs(fit.boundary.s_eval(ts) - bench.exact_s(ts)))
+    err = np.max(np.abs(solution.s_eval(ts) - bench.exact_s(ts)))
     assert err <= gate

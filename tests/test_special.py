@@ -153,9 +153,9 @@ def test_benchmark_data_fit_another_collocation_grid():
     # g3 was tabulated at the 101 default times, so n_t = 50 was refused
     # as "g3 has values of shape (101,), expected (51,)"
     bench = exact_benchmark()
-    fit = solve_free_boundary(prepare(bench.spec, n_t=50))
+    solution = solve_free_boundary(prepare(bench.spec, n_t=50))
     ts = np.linspace(0.0, 1.0, 1001)
-    assert np.max(np.abs(fit.boundary.s_eval(ts) - bench.exact_s(ts))) <= 1e-5
+    assert np.max(np.abs(solution.s_eval(ts) - bench.exact_s(ts))) <= 1e-5
 
 
 def test_stefan_identity():
