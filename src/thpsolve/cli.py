@@ -87,6 +87,8 @@ class RunConfig:
             if key not in _READERS or key in values:
                 why = "given twice" if key in values else "unknown config key"
                 raise ConfigurationError(f"{path}:{lineno}: {key}: {why}")
+            if key == "g3_file":     # a relative path is beside the config
+                value = Path(path).parent / value
             try:
                 values[key] = _READERS[key](value)
             except Exception as exc:
@@ -147,9 +149,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-# rows per format call of _write_csv: one text block, never the whole table
-CSV_BLOCK_ROWS = 4096
-
 # values per _format_cells call: a float64 temporary of 8192 values is
 # 64 KiB, below glibc's 128 KiB mmap threshold, so it is not mapped and
 # page-faulted in again at every allocation (in calls of 16384 values the
@@ -158,9 +157,9 @@ _FORMAT_VALUES = 8192
 # bytes per value in _write_csv's row layout: %.17g is at most 24
 # characters, then the separator
 _CELL = 25
-# 10**k for 0 <= k <= 22 is an exact double; its halves split by 2**27 + 1
+# 10**k for 0 <= k <= 20 is an exact double; its halves split by 2**27 + 1
 _SPLIT = 2.0 ** 27 + 1.0
-_P10 = np.array([float(10 ** k) for k in range(23)])
+_P10 = np.array([float(10 ** k) for k in range(21)])
 _P10_HI = _SPLIT * _P10 - (_SPLIT * _P10 - _P10)
 _P10_LO = _P10 - _P10_HI
 
@@ -210,25 +209,25 @@ def _format_cells(values: np.ndarray, cells: np.ndarray):
     into the NUL-filled rows of the uint8 array ``cells``
     (``len(values)`` x ``_CELL``), leaving their last byte.
 
-    For 1e-6 <= |x| < 1e17 the 17 digits are N = |x| * 10**k rounded half
+    For 1e-4 <= |x| < 1e17 the 17 digits are N = |x| * 10**k rounded half
     to even, k = 16 - E and E = floor(log10 |x|), from an exact product;
-    the rows are laid out by E, with Python's choice of fixed or exponent
-    notation.  Zeros are ``0`` and ``-0``.  Every other value (smaller,
-    larger, subnormal, inf, nan, or carried past E = 16) is formatted by
-    Python, one value at a time."""
+    the rows are laid out by E, in the fixed notation Python uses for
+    -4 <= E <= 16.  Zeros are ``0`` and ``-0``.  Every other value
+    (smaller, larger, subnormal, inf, nan, or carried past E = 16) is
+    formatted by Python, one value at a time."""
     a = np.abs(values)
-    fast = np.flatnonzero((a >= 1e-6) & (a < 1e17))
-    af = a.take(fast) if len(fast) < len(a) else a
+    fast = np.flatnonzero((a >= 1e-4) & (a < 1e17))
+    af = a.take(fast)
     # log10 gives E, or E + 1 or E - 1 next to a power of ten
-    k = (np.log10(af) + 6.0).astype(np.intp)
-    np.subtract(22, k, out=k)
+    k = (np.log10(af) + 4.0).astype(np.intp)
+    np.subtract(20, k, out=k)
     np.maximum(k, 0, out=k)
     hi, lo = _scaled(af, k)
     near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
     moved = near[_outside(hi[near], lo[near])]
     if len(moved):
         k[moved] += np.where(hi[moved] <= 1e16, 1, -1)
-        np.clip(k, 0, 22, out=k)
+        np.clip(k, 0, 20, out=k)
         hi[moved], lo[moved] = _scaled(af[moved], k[moved])
         moved = moved[_outside(hi[moved], lo[moved])]
     # hi >= 1e16 > 2**53 is an even integer, so rounding lo half to even
@@ -268,10 +267,10 @@ def _format_cells(values: np.ndarray, cells: np.ndarray):
     digits = quads.view(np.uint8)
     text = np.zeros((len(n), _CELL), np.uint8)
     text[:, 0] = np.signbit(values.take(fast)).view(np.uint8) * np.uint8(ord("-"))
-    counts = np.bincount(e + 6, minlength=23)     # E from -6 to 16
+    counts = np.bincount(e + 4, minlength=21)     # E from -4 to 16
     stop = 0
-    for exp in np.flatnonzero(counts) - 6:
-        start, stop = stop, stop + counts[exp + 6]
+    for exp in np.flatnonzero(counts) - 4:
+        start, stop = stop, stop + counts[exp + 4]
         t, d, d0 = text[start:stop], digits[start:stop], lead[start:stop]
         if exp >= 0:
             # integer digits (a padded zero is "0"), then the point and
@@ -281,19 +280,12 @@ def _format_cells(values: np.ndarray, cells: np.ndarray):
             if exp < 16:
                 t[:, exp + 2] = (d[:, exp] != 0) * np.uint8(ord("."))
                 t[:, exp + 3:19] = d[:, exp:]
-        elif exp >= -4:
+        else:
             t[:, 1:2 - exp] = ord("0")
             t[:, 2] = ord(".")
             t[:, 2 - exp] = d0
             t[:, 3 - exp:19 - exp] = d
-        else:
-            t[:, 1] = d0
-            t[:, 2] = (d[:, 0] != 0) * np.uint8(ord("."))
-            t[:, 3:19] = d
-            t[:, 19:23] = np.frombuffer(b"e-0%d" % -exp, np.uint8)
     cells.view(f"V{_CELL}")[fast] = text.view(f"V{_CELL}")
-    if len(fast) == len(a):
-        return
     zero = np.flatnonzero(a == 0)
     sign = np.signbit(values.take(zero))
     cells[zero, 0] = np.where(sign, ord("-"), ord("0"))
@@ -309,34 +301,21 @@ def _format_cells(values: np.ndarray, cells: np.ndarray):
 
 def _write_csv(path: Path, header: list, rows: np.ndarray):
     """Write a 2-D float array under a header line, every value as
-    ``%.17g`` (the same text as ``_fmt``).  A column that is +0.0 in every
-    row is the literal ``0`` (``%.17g`` of -0.0 is ``-0``, so a column with
-    a -0.0 keeps its format); the rest are formatted by ``_format_cells``,
-    a block of ``CSV_BLOCK_ROWS`` rows per call.  A block is laid out in
-    NUL-padded slots, ``_CELL`` bytes per value and two per literal ``0``,
-    each ending in its separator, and written without the padding."""
-    zero = ~(rows.any(0) | np.signbit(rows).any(0))
-    kept = np.flatnonzero(~zero)
-    widths = np.where(zero, 2, _CELL)
-    ends = np.cumsum(widths)
-    starts = ends - widths
+    ``%.17g`` (the same text as ``_fmt``).  A block of rows, at most
+    ``_FORMAT_VALUES`` values, is formatted by one ``_format_cells`` call
+    into NUL-padded cells of ``_CELL`` bytes, each ending in its separator,
+    and written without the padding."""
+    n_cols = rows.shape[1]
+    block_rows = max(_FORMAT_VALUES // n_cols, 1)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(rows), CSV_BLOCK_ROWS):
-            block = rows[start:start + CSV_BLOCK_ROWS]
-            values = block[:, kept].ravel()
+        for start in range(0, len(rows), block_rows):
+            values = rows[start:start + block_rows].ravel()
             cells = np.zeros((len(values), _CELL), np.uint8)
-            for part in range(0, len(values), _FORMAT_VALUES):
-                _format_cells(values[part:part + _FORMAT_VALUES],
-                              cells[part:part + _FORMAT_VALUES])
-            cells = cells.reshape(len(block), len(kept), _CELL)
-            text = np.zeros((len(block), ends[-1]), np.uint8)
-            for j, col in enumerate(kept):
-                text[:, starts[col]:ends[col]] = cells[:, j]
-            text[:, starts[zero]] = ord("0")
-            text[:, ends - 1] = ord(",")
-            text[:, -1] = ord("\n")
-            fh.write(text.tobytes().translate(None, b"\0"))
+            _format_cells(values, cells)
+            cells[:, -1] = ord(",")
+            cells[n_cols - 1::n_cols, -1] = ord("\n")
+            fh.write(cells.tobytes().translate(None, b"\0"))
 
 
 def _write_outputs(out_dir: Path, solution: Solution):

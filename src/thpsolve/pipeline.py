@@ -49,7 +49,8 @@ def prepare(spec: ProblemSpec, mesh_points: int = DEFAULT_MESH_POINTS,
 class Solution:
     """The answer of a boundary search, read through ``s_eval(t)`` and
     ``u_eval(x, t)``: s(t) = l + sum_j b_j t^j and u = sum_n a_n H_n on the
-    workspace's basis table, at points (x, t) broadcast against each other."""
+    workspace's basis table, at points (x, t) broadcast against each other,
+    in their shape (a float for scalars, as ``s_eval`` gives for a scalar t)."""
 
     work: Workspace
     fit: FitResult
@@ -57,8 +58,10 @@ class Solution:
     def s_eval(self, t):
         return self.fit.boundary.s_eval(t)
 
-    def u_eval(self, x, t) -> np.ndarray:
-        return solution_eval(self.work.table, self.fit.a, x, t)
+    def u_eval(self, x, t):
+        u = solution_eval(self.work.table, self.fit.a, x, t)
+        u = u.reshape(np.broadcast(x, t).shape)
+        return float(u) if u.ndim == 0 else u
 
     @cached_property
     def grid(self) -> np.ndarray:

@@ -46,12 +46,14 @@ def _heat_coeff_matrix(degree: int) -> np.ndarray:
 
 def basis(table: FormalPowerTable, x, t) -> np.ndarray:
     """All basis functions at the points (x, t), broadcast against each
-    other: H_n in ``[:, 0, n]`` and the x-derivative of H_n in ``[:, 1, n]``,
-    from H_n(x, t) = e^(c t) sum_k c_k^n phi_(n-2k)(x) t^k with the table's
-    shift c (for c = 0 the factor is exactly 1).  Raises DomainError for x
-    outside the mesh."""
+    other (at least 1-D): H_n in ``[..., 0, n]`` and its x-derivative in
+    ``[..., 1, n]``, from H_n(x, t) = e^(c t) sum_k c_k^n phi_(n-2k)(x) t^k
+    with the table's shift c (for c = 0 the factor is exactly 1).  Raises
+    DomainError for x outside the mesh."""
     x, t = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
                                np.atleast_1d(np.asarray(t, dtype=float)))
+    shape = x.shape
+    x, t = x.ravel(), t.ravel()
     phi = table.spline(x)                      # (P, 2, N+1)
     coeff = _heat_coeff_matrix(table.degree)
     out = np.zeros_like(phi)
@@ -60,14 +62,14 @@ def basis(table: FormalPowerTable, x, t) -> np.ndarray:
         m = 2 * k
         out[:, :, m:] += coeff[k, m:] * phi[:, :, :phi.shape[2] - m] * tk[:, None, None]
         tk = tk * t
-    return out
+    return out.reshape(shape + out.shape[1:])
 
 
 def solution_eval(table: FormalPowerTable, coeffs, x, t) -> np.ndarray:
     """u_N(x, t) = sum_n a_n H_n(x, t) for a coefficient vector a_0..a_M,
     M <= N, at the points (x, t) broadcast against each other."""
     a = np.asarray(coeffs)
-    return basis(table, x, t)[:, 0, :len(a)] @ a
+    return basis(table, x, t)[..., 0, :len(a)] @ a
 
 
 def pde_residual(table: FormalPowerTable, q, coeffs, sample_points) -> float:

@@ -319,6 +319,20 @@ def test_g3_file_path(tmp_path):
     assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+def test_relative_g3_file_is_read_beside_the_config(tmp_path, monkeypatch):
+    # it was read from the working directory: a solve of ../dir/p.cfg run
+    # from another directory exited 2 with "g3.csv not found"
+    config_dir, work_dir = tmp_path / "dir", tmp_path / "other"
+    config_dir.mkdir()
+    work_dir.mkdir()
+    text = _g3_file_config(config_dir, G3_TIMES, G3_VALUES).read_text()
+    (config_dir / "p.cfg").write_text(
+        text.replace(str(config_dir / "g3.csv"), "g3.csv"))
+    monkeypatch.chdir(work_dir)
+    assert main(["solve", "../dir/p.cfg", "--out", "o"]) == 0
+    assert (work_dir / "o" / "boundary.csv").exists()
+
+
 @pytest.mark.parametrize("column, bad, message", [
     (1, np.nan, "g3 must be finite"),
     (1, np.inf, "g3 must be finite"),
@@ -448,9 +462,9 @@ _BOUNDS = np.array([1e-6, 1e-4, 1e16, 1e17])
     np.column_stack([np.arange(5.0), np.array([0.0, 0.0, -0.0, 0.0, 0.0])]),
     np.array([[np.nan, np.inf, -np.inf, 0.0], [1e-300, -2.5, 3e300, 0.0]]),
     np.zeros((0, 3)),
-    np.column_stack([np.linspace(0.0, 2.0, cli.CSV_BLOCK_ROWS + 1),
-                     np.zeros(cli.CSV_BLOCK_ROWS + 1),
-                     np.sqrt(np.arange(cli.CSV_BLOCK_ROWS + 1.0))]),
+    np.column_stack([np.linspace(0.0, 2.0, cli._FORMAT_VALUES // 3 + 1),
+                     np.zeros(cli._FORMAT_VALUES // 3 + 1),
+                     np.sqrt(np.arange(cli._FORMAT_VALUES // 3 + 1.0))]),
     _signed(np.concatenate([np.nextafter(_POWERS_OF_TEN, 0.0), _POWERS_OF_TEN,
                             np.nextafter(_POWERS_OF_TEN, np.inf)])),
     _signed(np.concatenate([np.nextafter(_BOUNDS, 0.0), _BOUNDS,
@@ -463,9 +477,9 @@ def test_write_csv_text(rows, tmp_path):
     # an all +0.0 column is the literal 0, as %.17g writes it; a -0.0 keeps
     # its sign ("-0"), and a table one row past a block spans two format
     # calls.  Powers of ten and the bounds of the vectorized range
-    # (1e-6 <= |x| < 1e17, fixed notation from 1e-4) are where the decimal
-    # exponent and the notation change; 9.99999999999999999e16 is 1e17, and
-    # 2**-25 and 2**-24 are dyadic ties of the 17th digit
+    # (1e-4 <= |x| < 1e17, all of it in fixed notation) are where the
+    # decimal exponent and the notation change; 9.99999999999999999e16 is
+    # 1e17, and 2**-25 and 2**-24 are dyadic ties of the 17th digit
     header = [f"c{j}" for j in range(rows.shape[1])]
     path = tmp_path / "table.csv"
     cli._write_csv(path, header, rows)
@@ -480,7 +494,7 @@ def test_write_csv_text_matches_python_on_any_float(tmp_path):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     in_range = st.builds(lambda x, sign: sign * x,
-                         st.floats(min_value=1e-6, max_value=1e17),
+                         st.floats(min_value=1e-4, max_value=1e17),
                          st.sampled_from([1.0, -1.0]))
     dyadic = st.builds(math.ldexp, st.integers(-2 ** 53, 2 ** 53),
                        st.integers(-60, 60))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from thpsolve import DomainError, basis, heat_coeff, pde_residual
+from thpsolve import (DomainError, basis, heat_coeff, pde_residual,
+                      solution_eval)
 
 
 def test_heat_coeff_values():
@@ -36,6 +37,24 @@ def test_reduction_to_classical(table_q0, heat_poly):
                        for n in range(13)]] for x, t in pts])
     assert got.shape == want.shape == (20, 2, 13)
     assert np.all(np.abs(got - want) <= 1e-9 * (1 + np.abs(want)))
+
+
+def test_basis_on_points_of_any_shape(table_q1):
+    # 2-D points raised numpy's "could not be broadcast" ValueError; the
+    # leading axes are now the broadcast shape of x and t
+    X, Tt = np.meshgrid(np.linspace(0.1, 0.9, 4), [0.2, 0.5, 0.8])
+    x, t = X.ravel(), Tt.ravel()
+    got = basis(table_q1, X, Tt)
+    assert got.shape == (3, 4, 2, 13)
+    assert np.array_equal(got, basis(table_q1, x, t).reshape(got.shape))
+    a = np.linspace(1.0, -1.0, 13)
+    u = solution_eval(table_q1, a, X, Tt)
+    assert u.shape == (3, 4)
+    assert np.array_equal(u, solution_eval(table_q1, a, x, t).reshape(3, 4))
+    square = [[0.1, 0.2], [0.3, 0.4]]
+    got = basis(table_q1, square, 0.5)
+    assert got.shape == (2, 2, 2, 13)
+    assert np.array_equal(got.reshape(4, 2, 13), basis(table_q1, np.ravel(square), 0.5))
 
 
 def test_h0_is_f_for_all_t(table_q1):
