@@ -230,7 +230,8 @@ class InnerSolver:
         a = np.asarray(a)
         residual = system.matrix @ a - system.rhs
         blocks = [residual[rows] for rows in system.blocks.values()]
-        norms = tuple(float(np.linalg.norm(r)) for r in blocks)
+        with np.errstate(over="ignore"):    # a norm past the float range is inf
+            norms = tuple(float(np.linalg.norm(r)) for r in blocks)
         maxima = tuple(float(np.abs(r).max(initial=0.0)) for r in blocks)
         return FitResult(a=a, boundary=model, F=float(sum(v * v for v in norms)),
                          residual_norms=norms, residual_maxima=maxima,

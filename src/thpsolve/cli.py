@@ -212,11 +212,11 @@ def _format_cells(values: np.ndarray, cells: np.ndarray):
     For 1e-4 <= |x| < 1e17 the 17 digits are N = |x| * 10**k rounded half
     to even, k = 16 - E and E = floor(log10 |x|), from an exact product;
     the rows are laid out by E, in the fixed notation Python uses for
-    -4 <= E <= 16.  Zeros are ``0`` and ``-0``.  Every other value
-    (smaller, larger, subnormal, inf, nan, or carried past E = 16) is
-    formatted by Python, one value at a time."""
+    -4 <= E <= 16.  Zeros are ``0`` and ``-0``.  Python formats every
+    other value (smaller, larger, subnormal, inf, nan) one at a time."""
     a = np.abs(values)
-    fast = np.flatnonzero((a >= 1e-4) & (a < 1e17))
+    in_range = (a >= 1e-4) & (a < 1e17)
+    fast = np.flatnonzero(in_range)
     af = a.take(fast)
     # log10 gives E, or E + 1 or E - 1 next to a power of ten
     k = (np.log10(af) + 4.0).astype(np.intp)
@@ -225,24 +225,16 @@ def _format_cells(values: np.ndarray, cells: np.ndarray):
     hi, lo = _scaled(af, k)
     near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
     moved = near[_outside(hi[near], lo[near])]
-    if len(moved):
-        k[moved] += np.where(hi[moved] <= 1e16, 1, -1)
-        np.clip(k, 0, 20, out=k)
-        hi[moved], lo[moved] = _scaled(af[moved], k[moved])
-        moved = moved[_outside(hi[moved], lo[moved])]
+    # one step mends log10, and the range keeps k in [0, 20].  N never rounds
+    # up to 10**17: that needs |x| within 5e-18 (relative) below 10**(E + 1),
+    # and the doubles below 1e-3 .. 1e17 all lie at least 8.3e-17 below it
+    k[moved] += np.where(hi[moved] <= 1e16, 1, -1)
+    hi[moved], lo[moved] = _scaled(af[moved], k[moved])
     # hi >= 1e16 > 2**53 is an even integer, so rounding lo half to even
     # rounds hi + lo half to even
     n = hi.astype(np.int64)
     n += np.rint(lo).astype(np.int64)
     e = (16 - k).astype(np.int8)
-    carry = n == 10 ** 17
-    if carry.any():
-        n[carry] = 10 ** 16
-        e += carry
-    bad = e > 16
-    bad[moved] = True
-    if bad.any():
-        fast, e, n = fast[~bad], e[~bad], n[~bad]
     order = np.argsort(e, kind="stable")
     e = e.take(order)
     n = n.take(order)
@@ -290,13 +282,9 @@ def _format_cells(values: np.ndarray, cells: np.ndarray):
     sign = np.signbit(values.take(zero))
     cells[zero, 0] = np.where(sign, ord("-"), ord("0"))
     cells[zero, 1] = sign * ord("0")
-    rest = np.ones(len(a), bool)
-    rest[fast] = False
-    rest[zero] = False
-    rest = np.flatnonzero(rest)
-    if len(rest):
-        texts = ("%.17g " * len(rest) % tuple(values.take(rest).tolist())).split()
-        cells[rest, :-1] = np.array(texts, f"S{_CELL - 1}").view(np.uint8).reshape(len(rest), -1)
+    rest = np.flatnonzero(~in_range & (a != 0))
+    texts = ("%.17g " * len(rest) % tuple(values.take(rest).tolist())).split()
+    cells[rest, :-1] = np.array(texts, f"S{_CELL - 1}").view(np.uint8).reshape(-1, _CELL - 1)
 
 
 def _write_csv(path: Path, header: list, rows: np.ndarray):

@@ -337,3 +337,28 @@ def test_prepare_refuses_a_float_collocation_count():
         T.prepare(spec, mesh_points=101, n_t=True)
     grid = T.prepare(spec, mesh_points=101, n_x=np.int64(10)).grid
     assert len(grid.x) == 11
+
+
+@pytest.mark.parametrize("x, t, message", [
+    ([0.0, 0.5, 0.4], [0.0, 1.0], "x grid must be strictly increasing"),
+    ([0.1, 0.5], [0.0, 1.0], "x grid must start at 0"),
+    ([0.0, 0.5], [0.1, 1.0], "t grid must start at 0"),
+], ids=["x-decreasing", "x-start", "t-start"])
+def test_malformed_collocation_grid_is_refused(x, t, message):
+    with pytest.raises(ConfigurationError, match=message):
+        CollocationGrid(np.array(x), np.array(t))
+
+
+@pytest.mark.parametrize("spec, grid, message", [
+    (dict(L=2.0, l=1.5), (1.5, 1.0), "initial boundary l lies outside the mesh"),
+    (dict(), (0.9, 1.0), "x grid must end at the initial boundary l"),
+    (dict(), (1.0, 0.9), "t grid must end at the final time T"),
+], ids=["l-off-mesh", "x-end", "t-end"])
+def test_inner_solver_refuses_a_mismatched_grid(spec, grid, message):
+    # the table's mesh ends at x = 1; a grid must end at (l, T)
+    table = T.prepare(ProblemSpec(q=lambda x: 0.0, L=1.0, l=1.0, T=1.0,
+                                  g3=lambda t: 1.0), degree=4).table
+    spec = ProblemSpec(**{**dict(q=lambda x: 0.0, L=1.0, l=1.0, T=1.0,
+                                 g3=lambda t: 1.0), **spec})
+    with pytest.raises(ConfigurationError, match=message):
+        InnerSolver(spec, CollocationGrid.equidistant(*grid, 10, 10), table)

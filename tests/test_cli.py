@@ -512,6 +512,24 @@ def test_write_csv_text_matches_python_on_any_float(tmp_path):
     check()
 
 
+def test_write_csv_text_next_to_powers_of_ten(tmp_path):
+    # the 1000 doubles on each side of every 10**p in and next to the
+    # vectorized range, where log10 is off by one and where a carry of the
+    # 17 digits to 10**17 would fall if a double came close enough to 10**p
+    values = [np.nextafter(1e-4, 0.0), np.nextafter(1e17, 0.0)]
+    for p in range(-4, 18):
+        x = float(f"1e{p}")
+        below, above = [x], [x]
+        for _ in range(1000):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], np.inf))
+        values += below[1:] + above
+    rows = _signed(values)
+    path = tmp_path / "table.csv"
+    cli._write_csv(path, ["a", "b"], rows)
+    assert path.read_bytes() == _reference_csv(["a", "b"], rows).encode()
+
+
 # the solve that exposed a converged poor fit exiting 0: q = x^2 - 20 with
 # the exact boundary s = 1 + sin(2t)/2 of special.hermite_benchmark(20, 0.5)
 HERMITE_20_CONFIG = """\
@@ -676,6 +694,31 @@ def test_degree_past_float_range_exits_numeric(config_path, tmp_path, capsys):
     assert main(["solve", config_path, "--N", "300", "--mesh", "201",
                  "--out", str(tmp_path / "o")]) == 3
     assert "float range" in capsys.readouterr().err
+
+
+def test_shift_past_float_range_exits_numeric(tmp_path, capsys):
+    # q = -1000 gives the shift c = 1000, and e^(c t) overflows from
+    # t = 0.71 on: the run printed four numpy RuntimeWarnings and exited 3
+    # with "SVD did not converge" (a traceback, exit 1, under -W error)
+    path = tmp_path / "shift.cfg"
+    path.write_text("q = -1000\nl = 1.0\nl_domain = 2.0\nt_final = 1.0\n"
+                    "g1 = 1\ng2 = 0\ng3 = 1\nn = 8\nk = 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "shift c = 1000" in capsys.readouterr().err
+
+
+def test_overflowing_residual_norm_exits_numeric(tmp_path, capsys):
+    # a residual of 1e200 overflows its block norm: np.linalg.norm warned
+    # "overflow encountered in dot" before the documented message
+    path = tmp_path / "norm.cfg"
+    path.write_text("q = 0\nl = 1.0\nl_domain = 2.0\nt_final = 1.0\n"
+                    "g1 = 1\ng3 = 1e200\nn = 6\nk = 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "not finite at the initial point" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("l_domain, t_final, message", [

@@ -137,6 +137,9 @@ def test_values_length_checked():
     for shape in ((5,), (10,), (12,), (20,), (20, 2)):
         with pytest.raises(ConfigurationError, match="11 nodes"):
             Interpolant(m, np.ones(shape), np.zeros(shape))
+    with pytest.raises(ConfigurationError, match=r"slopes shape \(10,\) does not "
+                       r"match values shape \(11,\)"):
+        Interpolant(m, np.zeros(11), np.zeros(10))
 
 
 def test_complex_values_are_a_configuration_error():
