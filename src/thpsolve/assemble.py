@@ -28,7 +28,6 @@ from .thp import basis
 __all__ = [
     "ProblemSpec",
     "CollocationGrid",
-    "LinearSystem",
     "FitResult",
     "solve_linear",
     "InnerSolver",
@@ -118,19 +117,6 @@ class CollocationGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class LinearSystem:
-    """Stacked collocation matrix and right-hand side, with named slices
-    for the four condition blocks (absent blocks map to empty slices), and
-    for a boundary its clipped s at the times and the violation s - clipped."""
-
-    matrix: np.ndarray = field(repr=False)
-    rhs: np.ndarray = field(repr=False)
-    blocks: dict = field(repr=False)
-    s: Optional[np.ndarray] = field(default=None, repr=False)
-    violation: Optional[np.ndarray] = field(default=None, repr=False)
-
-
-@dataclass(frozen=True, eq=False)
 class FitResult:
     """Outcome of one inner least-squares fit."""
 
@@ -140,7 +126,10 @@ class FitResult:
     residual_norms: tuple    # (I1, I2, I3, I4); zero for absent blocks
     residual_maxima: tuple   # per-block max abs residual
     residual: np.ndarray = field(repr=False)   # stacked B a - g
-    system: LinearSystem = field(repr=False)
+    matrix: np.ndarray = field(repr=False)     # B
+    blocks: dict = field(repr=False)           # condition -> its rows of B
+    s: np.ndarray = field(repr=False)          # s at the times, clipped
+    violation: np.ndarray = field(repr=False)  # s - clipped s
     # orthonormal basis of the column space that a solved fit projects g
     # onto, so that residual = -(I - U U^T) g; None when a was given
     range_basis: Optional[np.ndarray] = field(default=None, repr=False)
@@ -204,11 +193,12 @@ class InnerSolver:
             self._rhs[self.blocks["flux"]] = tabulate(
                 spec.flux_data, grid.t, "flux data")
 
-    def system_for(self, model: BoundaryModel, clamp: bool = False) -> LinearSystem:
-        """Collocation system of ``model``: copies of the fixed rows with the
-        Dirichlet and flux rows at x = s(t) and, without flux data, the
-        melt-rate rhs -s'(t) written in; s clipped into its admissible band
-        (``clamp``) or required to lie inside it, the clip kept with it."""
+    def system_for(self, model: BoundaryModel, clamp: bool = False) -> tuple:
+        """Collocation system (matrix, rhs, s, violation) of ``model``:
+        copies of the fixed rows with the Dirichlet and flux rows at
+        x = s(t) and, without flux data, the melt-rate rhs -s'(t) written
+        in; s at the times clipped into its admissible band (``clamp``) or
+        required to lie inside it, and the violation s - clipped."""
         s, violation = model.clamp(self.grid.t, self.spec.L)
         if not clamp and violation.any():
             raise ConfigurationError(
@@ -220,23 +210,23 @@ class InnerSolver:
         matrix[self.blocks["flux"]] = h[:, 1]
         if self.spec.flux_data is None:
             rhs[self.blocks["flux"]] = -model.s_dot_eval(self.grid.t)
-        return LinearSystem(matrix, rhs, self.blocks, s, violation)
+        return matrix, rhs, s, violation
 
     def fit(self, model: BoundaryModel, a=None, clamp: bool = False) -> FitResult:
-        system = self.system_for(model, clamp=clamp)
+        matrix, rhs, s, violation = self.system_for(model, clamp=clamp)
         range_basis = None
         if a is None:
-            a, range_basis = solve_linear(system)
+            a, range_basis = solve_linear(matrix, rhs)
         a = np.asarray(a)
-        residual = system.matrix @ a - system.rhs
-        blocks = [residual[rows] for rows in system.blocks.values()]
+        residual = matrix @ a - rhs
+        blocks = [residual[rows] for rows in self.blocks.values()]
         with np.errstate(over="ignore"):    # a norm past the float range is inf
             norms = tuple(float(np.linalg.norm(r)) for r in blocks)
         maxima = tuple(float(np.abs(r).max(initial=0.0)) for r in blocks)
         return FitResult(a=a, boundary=model, F=float(sum(v * v for v in norms)),
                          residual_norms=norms, residual_maxima=maxima,
-                         residual=residual, system=system,
-                         range_basis=range_basis)
+                         residual=residual, matrix=matrix, blocks=self.blocks,
+                         s=s, violation=violation, range_basis=range_basis)
 
     def jacobian(self, fit: FitResult) -> np.ndarray:
         """Kaufman's (1975) variable-projection Jacobian of the residual of
@@ -247,34 +237,34 @@ class InnerSolver:
         times the residual is the exact gradient of |residual|^2 / 2.
 
         A time where the fit clipped s (``clamp=True``: a nonzero
-        ``violation`` of its system) has s fixed, so its matrix rows do not
-        move.  The moving rows need only the Dirichlet and flux blocks
-        already built: d/ds H_n(s, t) is the flux block, and
+        ``violation``) has s fixed, so its matrix rows do not move.  The
+        moving rows need only the Dirichlet and flux blocks already built:
+        d/ds H_n(s, t) is the flux block, and
         d^2/ds^2 H_n = (q(s) + c) H_n + n (n-1) H_(n-2), with c the table's
         shift, from phi_m'' = (q + c) phi_m + m (m-1) phi_(m-2) and
         c_k^n (n-2k) (n-2k-1) = n (n-1) c_k^(n-2); the factor e^(c t) of
         every H_n passes through unchanged.
         """
-        system, a, t, model = fit.system, fit.a, self.grid.t, fit.boundary
-        moves = system.violation == 0
-        h = system.matrix[system.blocks["dirichlet"]]
-        h_x = system.matrix[system.blocks["flux"]]
+        a, t, model, rows = fit.a, self.grid.t, fit.boundary, self.blocks
+        moves = fit.violation == 0
+        h = fit.matrix[rows["dirichlet"]]
+        h_x = fit.matrix[rows["flux"]]
         n = np.arange(len(a))
-        q = tabulate(self.spec.q, system.s, "q") + self.table.f.shift
+        q = tabulate(self.spec.q, fit.s, "q") + self.table.f.shift
         h_xx_a = q * (h @ a) + h[:, :-2] @ (n * (n - 1) * a)[2:]
         powers = model.shape(t).T                         # (K, times)
         # rows of dr/db^T; g depends on b only through -s' in the flux rows
         d = np.zeros((model.K, len(fit.residual)))
-        d[:, system.blocks["dirichlet"]] = powers * (moves * (h_x @ a))
-        d[:, system.blocks["flux"]] = powers * (moves * h_xx_a)
+        d[:, rows["dirichlet"]] = powers * (moves * (h_x @ a))
+        d[:, rows["flux"]] = powers * (moves * h_xx_a)
         if self.spec.flux_data is None:
-            d[:, system.blocks["flux"]] += model.shape_dot(t).T
+            d[:, rows["flux"]] += model.shape_dot(t).T
         u = fit.range_basis
         d -= (d @ u) @ u.T
         return d.T
 
 
-def solve_linear(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
+def solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares solution via SVD of the column-equilibrated matrix:
     each column is scaled to unit 2-norm (a zero column keeps scale 1), and
     singular values below RANK_TOL * sigma_max are treated as zero.  The
@@ -284,10 +274,10 @@ def solve_linear(system: LinearSystem) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the solution a and the left singular vectors kept, an
     orthonormal basis U of the column space the fit projects onto."""
-    scale = np.linalg.norm(system.matrix, axis=0)
+    scale = np.linalg.norm(matrix, axis=0)
     scale[scale == 0.0] = 1.0
-    u, sigma, vh = np.linalg.svd(system.matrix / scale, full_matrices=False)
+    u, sigma, vh = np.linalg.svd(matrix / scale, full_matrices=False)
     keep = sigma > RANK_TOL * sigma[0]
     u, sigma, vh = u[:, keep], sigma[keep], vh[keep]
-    a = vh.T @ ((u.T @ system.rhs) / sigma)
+    a = vh.T @ ((u.T @ rhs) / sigma)
     return a / scale, u

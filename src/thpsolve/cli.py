@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -63,70 +63,69 @@ def _chosen(keys: dict, args, values: dict) -> dict:
     return out
 
 
-@dataclass(eq=False)
-class RunConfig:
-    """Parsed config file: the value of each key it sets, as read by the
-    key's reader."""
-
-    values: dict
-
-    @classmethod
-    def load(cls, path: str) -> "RunConfig":
-        values = {}
-        text = Path(path).read_text()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected 'key = value', got {raw!r}"
-                )
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.lower()
-            if key not in _READERS or key in values:
-                why = "given twice" if key in values else "unknown config key"
-                raise ConfigurationError(f"{path}:{lineno}: {key}: {why}")
-            if key == "g3_file":     # a relative path is beside the config
-                value = Path(path).parent / value
-            try:
-                values[key] = _READERS[key](value)
-            except Exception as exc:
-                raise ConfigurationError(f"{path}:{lineno}: {key}: {exc}") from exc
-        return cls(values)
-
-    def build_spec(self) -> ProblemSpec:
-        v = self.values
-        if "q" not in v:
-            raise ConfigurationError("config must define the potential q")
-        for key in ("l", "l_domain", "t_final"):
-            if key not in v:
-                raise ConfigurationError(f"config must define {key}")
-        if "g3" in v and "g3_file" in v:
+def load_config(path: str) -> dict:
+    """The value of each key a config file sets, as read by the key's
+    reader."""
+    values = {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
             raise ConfigurationError(
-                "g3 and g3_file are mutually exclusive; give one of them")
-        g3 = v.get("g3")
-        if "g3_file" in v:
-            times, g3 = v["g3_file"]
-            n_t = v.get("n_t", DEFAULT_N_T)
-            expected = np.linspace(0.0, v["t_final"], n_t + 1)
-            # written so that a NaN time fails too
-            if len(times) != len(expected) or not np.all(np.abs(times - expected) <= 1e-9):
-                raise ConfigurationError(
-                    "g3_file times must match the equidistant collocation "
-                    f"grid of {n_t + 1} points on [0, {v['t_final']}]"
-                )
-        if g3 is None:
-            raise ConfigurationError(
-                "config must define the Dirichlet data on the free boundary "
-                "(g3 or g3_file)"
+                f"{path}:{lineno}: expected 'key = value', got {raw!r}"
             )
-        return ProblemSpec(
-            q=v["q"], L=v["l_domain"], l=v["l"], T=v["t_final"], g3=g3,
-            flux_data=v.get("flux"),
-            **{key: v.get(key) for key in ("gamma11", "gamma12", "gamma21",
-                                           "gamma22", "g1", "g2")},
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
+        if key not in _READERS or key in values:
+            why = "given twice" if key in values else "unknown config key"
+            raise ConfigurationError(f"{path}:{lineno}: {key}: {why}")
+        if key == "g3_file":     # a relative path is beside the config
+            value = Path(path).parent / value
+        try:
+            values[key] = _READERS[key](value)
+        except Exception as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {key}: {exc}") from exc
+    return values
+
+
+def build_spec(values: dict) -> ProblemSpec:
+    """The problem a config's ``values`` define."""
+    if "q" not in values:
+        raise ConfigurationError("config must define the potential q")
+    for key in ("l", "l_domain", "t_final"):
+        if key not in values:
+            raise ConfigurationError(f"config must define {key}")
+    if "g3" in values and "g3_file" in values:
+        raise ConfigurationError(
+            "g3 and g3_file are mutually exclusive; give one of them")
+    g3 = values.get("g3")
+    if "g3_file" in values:
+        times, g3 = values["g3_file"]
+        n_t = values.get("n_t", DEFAULT_N_T)
+        expected = np.linspace(0.0, values["t_final"], n_t + 1)
+        # relative to T, and written so that a NaN time fails too
+        tol = 1e-9 * values["t_final"]
+        if len(times) != len(expected) or not np.all(np.abs(times - expected) <= tol):
+            raise ConfigurationError(
+                "g3_file times must match the equidistant collocation "
+                f"grid of {n_t + 1} points on [0, {values['t_final']}]"
+            )
+    if g3 is None:
+        raise ConfigurationError(
+            "config must define the Dirichlet data on the free boundary "
+            "(g3 or g3_file)"
         )
+    return ProblemSpec(
+        q=values["q"], L=values["l_domain"], l=values["l"], T=values["t_final"],
+        g3=g3, flux_data=values.get("flux"),
+        **{key: values.get(key) for key in ("gamma11", "gamma12", "gamma21",
+                                            "gamma22", "g1", "g2")},
+    )
 
 
 def _fit_initial_boundary(source_expr, l: float, T: float, K: int) -> np.ndarray:
@@ -326,7 +325,7 @@ def _write_outputs(out_dir: Path, solution: Solution):
             fh.write(f"b_{j} = {_fmt(b)}\n")
 
     with open(out_dir / "residuals.txt", "w") as fh:
-        rows = zip(fit.system.blocks, fit.residual_norms, fit.residual_maxima)
+        rows = zip(fit.blocks, fit.residual_norms, fit.residual_maxima)
         for i, (name, norm, mx) in enumerate(rows, start=1):
             fh.write(f"I_{i} ({name}): norm = {norm:.8e}  max = {mx:.8e}\n")
         fh.write(f"F = {fit.F:.8e}\n")
@@ -341,7 +340,10 @@ def _search(args, spec: ProblemSpec, values: dict) -> Solution:
     settings = OptimizerSettings(**_chosen(_SEARCH_KEYS, args, values))
     guess = values.get("initial_boundary")
     if args.seed_boundary is not None:
-        guess = _READERS["initial_boundary"](args.seed_boundary)
+        try:
+            guess = _READERS["initial_boundary"](args.seed_boundary)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"--seed-boundary: {exc}") from exc
     if guess is not None:
         settings = replace(settings, initial_b=_fit_initial_boundary(
             guess, spec.l, spec.T, settings.K))
@@ -357,8 +359,8 @@ def _search(args, spec: ProblemSpec, values: dict) -> Solution:
 
 
 def cmd_solve(args) -> int:
-    cfg = RunConfig.load(args.config)
-    solution = _search(args, cfg.build_spec(), cfg.values)
+    values = load_config(args.config)
+    solution = _search(args, build_spec(values), values)
     _write_outputs(Path(args.out), solution)
     print(f"converged: F = {solution.fit.F:.6e}; outputs in {args.out}")
     return EXIT_OK
@@ -409,11 +411,11 @@ def cmd_validate_example(args) -> int:
 
 
 def cmd_basis_dump(args) -> int:
-    cfg = RunConfig.load(args.config)
-    spec = cfg.build_spec()
+    values = load_config(args.config)
+    spec = build_spec(values)
     if args.n_max < 0:
         raise ConfigurationError(f"--n must be nonnegative, got {args.n_max}")
-    work = prepare(spec, **_chosen(_PREPARE_KEYS, args, cfg.values))
+    work = prepare(spec, **_chosen(_PREPARE_KEYS, args, values))
     if args.n_max > work.table.degree:
         raise ConfigurationError(
             f"--n {args.n_max} exceeds basis degree {work.table.degree}")

@@ -66,7 +66,7 @@ def _residual(fit: FitResult) -> np.ndarray:
     """Search residual of a clamped fit: the projected collocation residual,
     then the weighted per-time violations of the admissibility constraint."""
     return np.concatenate([fit.residual,
-                           np.sqrt(PENALTY_WEIGHT) * fit.system.violation])
+                           np.sqrt(PENALTY_WEIGHT) * fit.violation])
 
 
 def _residual_jacobian(solver: InnerSolver, fit: FitResult) -> np.ndarray:
@@ -74,7 +74,7 @@ def _residual_jacobian(solver: InnerSolver, fit: FitResult) -> np.ndarray:
     solver's variable-projection rows, then d/db_j of the penalty rows,
     sqrt(PENALTY_WEIGHT) t^j at the times whose violation is nonzero (the
     times where the Jacobian's s does not move)."""
-    live = fit.system.violation != 0
+    live = fit.violation != 0
     return np.vstack([solver.jacobian(fit), np.sqrt(PENALTY_WEIGHT)
                       * live[:, None] * fit.boundary.shape(solver.grid.t)])
 
@@ -163,6 +163,6 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
             f"{settings.max_iterations} (objective {value:.6e})")
     # an admissible boundary lies inside the band, where the clamp of the
     # last accepted fit changed nothing: that fit is the answer
-    if fit.system.violation.any():
+    if fit.violation.any():
         raise OptimizationError("optimizer returned an inadmissible boundary")
     return fit

@@ -3,8 +3,7 @@ import pytest
 
 import thpsolve as T
 from thpsolve import (BoundaryModel, CollocationGrid, ConfigurationError,
-                      InnerSolver, LinearSystem, ProblemSpec, basis,
-                      solve_linear)
+                      InnerSolver, ProblemSpec, basis, solve_linear)
 
 
 def make_spec(**overrides):
@@ -87,9 +86,10 @@ def condition_rows(table, spec, x, t):
     """Row of the initial block at (x, 0) and row of the lateral block at
     (0, t) in the collocation matrix of a grid that holds x and t."""
     grid = CollocationGrid(np.array([0.0, x, spec.l]), np.array([0.0, t, spec.T]))
-    system = InnerSolver(spec, grid, table).system_for(BoundaryModel(spec.l, [0.0]))
-    return (system.matrix[system.blocks["initial"]][1],
-            system.matrix[system.blocks["lateral"]][1])
+    solver = InnerSolver(spec, grid, table)
+    matrix, *_ = solver.system_for(BoundaryModel(spec.l, [0.0]))
+    return (matrix[solver.blocks["initial"]][1],
+            matrix[solver.blocks["lateral"]][1])
 
 
 def test_initial_block_identity_operator(table_q1):
@@ -166,16 +166,16 @@ def test_rows_D_E_domain_check(table_q0):
 
 def test_system_shape(manufactured):
     work, model = manufactured
-    system = InnerSolver(work.spec, work.grid, work.table).system_for(model)
-    assert system.matrix.shape == (101 + 3 * 101, 7)
-    assert system.rhs.shape == (404,)
+    matrix, rhs, *_ = InnerSolver(work.spec, work.grid, work.table).system_for(model)
+    assert matrix.shape == (101 + 3 * 101, 7)
+    assert rhs.shape == (404,)
 
 
 def test_system_shape_without_initial_block(manufactured):
     work, model = manufactured
     spec = make_spec(g1=None)
-    system = InnerSolver(spec, work.grid, work.table).system_for(model)
-    assert system.matrix.shape == (3 * 101, 7)
+    matrix, *_ = InnerSolver(spec, work.grid, work.table).system_for(model)
+    assert matrix.shape == (3 * 101, 7)
 
 
 def test_inadmissible_boundary_rejected(manufactured):
@@ -188,15 +188,15 @@ def test_inadmissible_boundary_rejected(manufactured):
 @pytest.mark.parametrize("b", [[0.5, 0.0], [-2.3, 0.0], [3.0, -0.5]],
                          ids=["inside", "below-0", "above-L"])
 def test_system_carries_the_clamped_boundary(manufactured, b):
-    # the search reads s and the violation from the system instead of
+    # the search reads s and the violation from the fit instead of
     # clamping again; below-0 and above-L leave the band between grid times
     work, _ = manufactured
     model = BoundaryModel(work.spec.l, b)
-    system = InnerSolver(work.spec, work.grid, work.table).system_for(
-        model, clamp=True)
+    _, _, system_s, system_violation = InnerSolver(
+        work.spec, work.grid, work.table).system_for(model, clamp=True)
     s, violation = model.clamp(work.grid.t, work.spec.L)
-    assert np.array_equal(system.s, s)
-    assert np.array_equal(system.violation, violation)
+    assert np.array_equal(system_s, s)
+    assert np.array_equal(system_violation, violation)
     assert violation.any() == (b[0] != 0.5)
 
 
@@ -208,13 +208,13 @@ def test_writing_into_a_system_leaves_the_next_unchanged(manufactured,
     work, model = manufactured
     spec = work.spec if flux_data else make_spec(flux_data=None)
     solver = InnerSolver(spec, work.grid, work.table)
-    first = solver.system_for(model)
-    matrix, rhs = first.matrix.copy(), first.rhs.copy()
-    first.matrix[:] = np.nan
-    first.rhs[:] = np.nan
-    again = solver.system_for(model)
-    assert np.array_equal(again.matrix, matrix)
-    assert np.array_equal(again.rhs, rhs)
+    first_matrix, first_rhs, *_ = solver.system_for(model)
+    matrix, rhs = first_matrix.copy(), first_rhs.copy()
+    first_matrix[:] = np.nan
+    first_rhs[:] = np.nan
+    again_matrix, again_rhs, *_ = solver.system_for(model)
+    assert np.array_equal(again_matrix, matrix)
+    assert np.array_equal(again_rhs, rhs)
 
 
 @pytest.mark.parametrize("key, name, datum", [
@@ -243,23 +243,21 @@ def test_manufactured_recovery(manufactured):
 def test_solve_linear_identity():
     eye = np.eye(3)
     rhs = np.array([1.0, 0.0, 0.0])
-    system = LinearSystem(eye, rhs, {})
-    sol, _ = solve_linear(system)
+    sol, _ = solve_linear(eye, rhs)
     assert np.allclose(sol, rhs)
 
 
 def test_solve_linear_stacked_consistent():
     a = np.array([[1.0, 2.0], [0.0, 1.0]])
     rhs = np.array([3.0, 1.0])
-    system = LinearSystem(np.vstack([a, a]), np.concatenate([rhs, rhs]), {})
-    sol, _ = solve_linear(system)
+    sol, _ = solve_linear(np.vstack([a, a]), np.concatenate([rhs, rhs]))
     assert np.allclose(a @ sol, rhs, atol=1e-12)
 
 
 def test_solve_linear_minimum_norm():
     mat = np.array([[1.0, 1.0], [1.0, 1.0]])
     rhs = np.array([2.0, 2.0])
-    sol, range_basis = solve_linear(LinearSystem(mat, rhs, {}))
+    sol, range_basis = solve_linear(mat, rhs)
     assert np.allclose(sol, [1.0, 1.0], atol=1e-12)
     # rank one: the range basis is the one direction (1, 1) / sqrt(2)
     assert range_basis.shape == (2, 1)
@@ -269,9 +267,9 @@ def test_solve_linear_minimum_norm():
 def test_value_function_zero_coefficients(manufactured):
     work, model = manufactured
     solver = InnerSolver(work.spec, work.grid, work.table)
-    system = solver.system_for(model)
+    _, rhs, *_ = solver.system_for(model)
     fit = solver.fit(model, a=np.zeros(7))
-    blocks = [system.rhs[system.blocks[name]]
+    blocks = [rhs[solver.blocks[name]]
               for name in ("initial", "lateral", "dirichlet", "flux")]
     expected = sum(float(np.linalg.norm(b)) ** 2 for b in blocks)
     assert fit.F == pytest.approx(expected, rel=1e-12)
@@ -298,11 +296,10 @@ def test_separability(manufactured):
 
 def test_normal_equation_equivalence(manufactured):
     work, model = manufactured
-    system = InnerSolver(work.spec, work.grid, work.table).system_for(model)
-    a, _ = solve_linear(system)
-    mat = system.matrix
+    mat, g, *_ = InnerSolver(work.spec, work.grid, work.table).system_for(model)
+    a, _ = solve_linear(mat, g)
     lhs = mat.T @ (mat @ a)
-    rhs = mat.T @ system.rhs
+    rhs = mat.T @ g
     assert np.max(np.abs(lhs - rhs)) <= 1e-8 * max(1.0, np.max(np.abs(rhs)))
 
 
@@ -310,11 +307,11 @@ def test_even_column_restriction_on_benchmark(benchmark_solution):
     bench, solution, _ = benchmark_solution
     work, fit = solution.work, solution.fit
     solver = T.InnerSolver(bench.spec, work.grid, work.table)
-    system = solver.system_for(fit.boundary)
+    matrix, rhs, *_ = solver.system_for(fit.boundary)
     even = np.arange(0, work.table.degree + 1, 2)
-    sub = system.matrix[:, even]
-    a_even, *_ = np.linalg.lstsq(sub, system.rhs, rcond=1e-12)
-    f_even = float(np.linalg.norm(sub @ a_even - system.rhs)) ** 2
+    sub = matrix[:, even]
+    a_even, *_ = np.linalg.lstsq(sub, rhs, rcond=1e-12)
+    f_even = float(np.linalg.norm(sub @ a_even - rhs)) ** 2
     assert f_even <= 10.0 * fit.F
 
 

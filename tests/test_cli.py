@@ -105,7 +105,7 @@ def test_coefficients_rebuild_the_solution(command, tmp_path):
     else:
         path = tmp_path / "q.cfg"
         path.write_text(Q_MINUS_2_CONFIG)
-        spec, args = cli.RunConfig.load(str(path)).build_spec(), {"degree": 16}
+        spec, args = cli.build_spec(cli.load_config(str(path))), {"degree": 16}
         assert main(["solve", str(path), "--out", str(out)]) == 0
     fields = _coefficients(out)
     # the file lists a_0, a_1, ... and b_1, b_2, ... in order
@@ -137,6 +137,40 @@ def test_seed_boundary_must_match_anchor(config_path, tmp_path):
     code = main(["solve", config_path, "--out", str(tmp_path / "out"),
                  "--seed-boundary", "2 + 0.3*t"])
     assert code == 2
+
+
+def _trace_start(argv: list, capsys) -> tuple:
+    """Header and first row of the ``solve --verbose`` trace of ``argv``."""
+    assert main(["solve", *argv, "--verbose"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return lines[0], [float(v) for v in lines[1].split(",")]
+
+
+def test_k_flag_beats_the_config_key(config_path, tmp_path, capsys):
+    # the config sets k = 2
+    header, _ = _trace_start([config_path, "--out", str(tmp_path / "o"),
+                              "--K", "3"], capsys)
+    assert header == "iteration,objective,b_1,b_2,b_3"
+
+
+@pytest.mark.parametrize("seed, b_1", [([], 0.1),
+                                       (["--seed-boundary", "1 + 0.3*t"], 0.3)],
+                         ids=["config", "flag"])
+def test_seed_boundary_flag_beats_the_config_key(seed, b_1, tmp_path, capsys):
+    path = tmp_path / "problem.cfg"
+    path.write_text(GOOD_CONFIG + "initial_boundary = 1 + 0.1*t\n")
+    _, first = _trace_start([str(path), "--out", str(tmp_path / "o"), *seed],
+                            capsys)
+    assert abs(first[2] - b_1) <= 1e-12
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # Path.read_text raised a UnicodeDecodeError: a traceback and exit 1
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"q = x\xff\n")
+    assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"config error: {path}: not UTF-8 text")
 
 
 def test_config_invariant_violation(tmp_path, capsys):
@@ -230,9 +264,13 @@ def _without(key: str) -> str:
     (FEW_ROWS_CONFIG, ["solve"], 2, "err",
      r"config error: 6 collocation rows cannot determine the N \+ 1 \+ K = 19 "
      r"unknowns \(N = 12, K = 6\); raise n_x or n_t, or lower n or k"),
+    # the flag's name was missing from the message
+    (GOOD_CONFIG, ["solve", "--seed-boundary", "1 + "], 2, "err",
+     r"config error: --seed-boundary: invalid syntax \(at position 4\)"),
 ], ids=["line-without-equals", "unknown-key", "syntax-error", "key-given-twice",
         "missing-q", "missing-l", "missing-l_domain",
-        "missing-t_final", "validate-degree-below-6", "fewer-rows-than-unknowns"])
+        "missing-t_final", "validate-degree-below-6", "fewer-rows-than-unknowns",
+        "bad-seed-boundary"])
 def test_command_outcome(config, argv, code, stream, pattern, tmp_path, capsys):
     # the exit code and one whole line of the command's output
     if config is not None:
@@ -349,6 +387,18 @@ def test_nonfinite_g3_file_is_a_config_error(column, bad, message, tmp_path):
     assert run.stdout == ""
     (line,) = run.stderr.splitlines()
     assert line.startswith("config error: ") and message in line
+
+
+def test_g3_file_times_are_checked_relative_to_t_final(tmp_path, capsys):
+    # with T = 1e-10 under the fixed tolerance 1e-9, 101 times that are
+    # all 0 passed the grid check
+    data = tmp_path / "g3.csv"
+    np.savetxt(data, np.column_stack([np.zeros(101), np.ones(101)]), delimiter=",")
+    path = tmp_path / "problem.cfg"
+    path.write_text("q = 0\nl = 1.0\nl_domain = 2.0\nt_final = 1e-10\n"
+                    f"g1 = 1\ng2 = 0\nn = 4\nk = 1\ng3_file = {data}\n")
+    assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "g3_file times must match" in capsys.readouterr().err
 
 
 def test_g3_and_g3_file_together_are_a_config_error(tmp_path, capsys):
@@ -569,7 +619,7 @@ def test_basis_dump_complex_branch_round_trips(tmp_path):
     out = tmp_path / "out"
     assert main(["basis-dump", str(path), "--n", "4", "--out", str(out)]) == 0
     data = np.loadtxt(out / "phi.csv", delimiter=",", skiprows=1)
-    work = thpsolve.prepare(cli.RunConfig.load(str(path)).build_spec(),
+    work = thpsolve.prepare(cli.build_spec(cli.load_config(str(path))),
                             mesh_points=201, degree=4)
     phi = work.table.values[:, 0].T
     assert phi.dtype == np.float64 and work.table.f.shift == 20.0
