@@ -24,9 +24,9 @@ import numpy as np
 from . import expr
 from .assemble import ProblemSpec
 from .boundary import BoundaryModel
-from .errors import ConfigurationError, SolverError
+from .errors import ConfigurationError, ExpressionEvalError, SolverError
 from .optimize import OptimizerSettings
-from .pipeline import DEFAULT_N_T, Solution, prepare, solve_free_boundary
+from .pipeline import DEFAULT_DEGREE, DEFAULT_N_T, Solution, prepare, solve_free_boundary
 from .special import exact_benchmark
 
 EXIT_OK = 0
@@ -128,20 +128,23 @@ def build_spec(values: dict) -> ProblemSpec:
     )
 
 
-def _fit_initial_boundary(source_expr, l: float, T: float, K: int) -> np.ndarray:
+def _fit_initial_boundary(source_expr, l: float, T: float, K: int,
+                          name: str) -> np.ndarray:
     """Project an initial-guess expression s(t) onto the monomial shape
-    functions; s(0) must equal the anchor l."""
-    s0 = source_expr(0.0)
-    if abs(s0 - l) > 1e-8 * max(1.0, abs(l)):
-        raise ConfigurationError(
-            f"initial boundary guess has s(0) = {s0}, expected l = {l}"
-        )
+    functions; s(0) must equal the anchor l.  Each refusal, and a guess that
+    cannot be evaluated on [0, T], is a ConfigurationError naming ``name``."""
     ts = np.linspace(0.0, T, 101)
-    shape = BoundaryModel(l, np.zeros(K)).shape(ts)
     try:
+        s0 = source_expr(0.0)
+        if abs(s0 - l) > 1e-8 * max(1.0, abs(l)):
+            raise ConfigurationError(
+                f"initial boundary guess has s(0) = {s0}, expected l = {l}")
+        shape = BoundaryModel(l, np.zeros(K)).shape(ts)
         return np.linalg.lstsq(shape, source_expr(ts) - l, rcond=None)[0]
+    except (ConfigurationError, ExpressionEvalError) as exc:
+        raise ConfigurationError(f"{name}: {exc}") from exc
     except np.linalg.LinAlgError as exc:
-        raise ConfigurationError(f"initial_boundary cannot be projected: {exc}") from exc
+        raise ConfigurationError(f"{name} cannot be projected: {exc}") from exc
 
 
 def _fmt(x: float) -> str:
@@ -161,6 +164,13 @@ _SPLIT = 2.0 ** 27 + 1.0
 _P10 = np.array([float(10 ** k) for k in range(21)])
 _P10_HI = _SPLIT * _P10 - (_SPLIT * _P10 - _P10)
 _P10_LO = _P10 - _P10_HI
+# the doubles nearest 10**E, E = -4 .. 17: each is >= 10**E and the double
+# below it < 10**E, so for 1e-4 <= |x| < 1e17 the entries <= |x| number E + 5
+# with E = floor(log10 |x|).  A binade [2**b, 2**(b + 1)) holds at most one
+# power of ten: _BINADES[b + 14] counts the entries <= 2**b, and comparing
+# |x| with the next entry counts the one that may follow
+_POWERS = np.array([float(f"1e{e}") for e in range(-4, 18)])
+_BINADES = np.searchsorted(_POWERS, np.ldexp(1.0, np.arange(-14, 57)), side="right")
 
 
 def _quad_table() -> np.ndarray:
@@ -197,43 +207,30 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> tuple:
     return hi, lo
 
 
-def _outside(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Whether hi + lo < 1e16 or hi + lo >= 1e17, exactly."""
-    return ((hi < 1e16) | ((hi == 1e16) & (lo < 0))
-            | (hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
-
-
 def _format_cells(values: np.ndarray, cells: np.ndarray):
-    """Write ``'%.17g' % x`` for each x of the 1-D float array ``values``
+    """Write ``'%.17g' % x`` for each x of the 1-D float64 array ``values``
     into the NUL-filled rows of the uint8 array ``cells``
     (``len(values)`` x ``_CELL``), leaving their last byte.
 
     For 1e-4 <= |x| < 1e17 the 17 digits are N = |x| * 10**k rounded half
-    to even, k = 16 - E and E = floor(log10 |x|), from an exact product;
-    the rows are laid out by E, in the fixed notation Python uses for
-    -4 <= E <= 16.  Zeros are ``0`` and ``-0``.  Python formats every
-    other value (smaller, larger, subnormal, inf, nan) one at a time."""
+    to even, k = 16 - E, from an exact product, E = floor(log10 |x|) counted
+    in ``_POWERS``; the rows are laid out by E, in the fixed notation Python
+    uses for -4 <= E <= 16.  Zeros are ``0`` and ``-0``.  Python formats
+    every other value (smaller, larger, subnormal, inf, nan) one at a time."""
     a = np.abs(values)
     in_range = (a >= 1e-4) & (a < 1e17)
     fast = np.flatnonzero(in_range)
     af = a.take(fast)
-    # log10 gives E, or E + 1 or E - 1 next to a power of ten
-    k = (np.log10(af) + 4.0).astype(np.intp)
-    np.subtract(20, k, out=k)
-    np.maximum(k, 0, out=k)
-    hi, lo = _scaled(af, k)
-    near = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
-    moved = near[_outside(hi[near], lo[near])]
-    # one step mends log10, and the range keeps k in [0, 20].  N never rounds
-    # up to 10**17: that needs |x| within 5e-18 (relative) below 10**(E + 1),
-    # and the doubles below 1e-3 .. 1e17 all lie at least 8.3e-17 below it
-    k[moved] += np.where(hi[moved] <= 1e16, 1, -1)
-    hi[moved], lo[moved] = _scaled(af[moved], k[moved])
-    # hi >= 1e16 > 2**53 is an even integer, so rounding lo half to even
-    # rounds hi + lo half to even
+    e = _BINADES.take((af.view(np.int64) >> 52) - (1023 - 14))
+    e += af >= _POWERS.take(e)     # E + 5
+    hi, lo = _scaled(af, 21 - e)
+    # N never rounds up to 10**17: that needs |x| within 5e-18 (relative)
+    # below 10**(E + 1), and the doubles below 1e-3 .. 1e17 all lie at least
+    # 8.3e-17 below it.  hi >= 1e16 > 2**53 is an even integer, so rounding
+    # lo half to even rounds hi + lo half to even
     n = hi.astype(np.int64)
     n += np.rint(lo).astype(np.int64)
-    e = (16 - k).astype(np.int8)
+    e = (e - 5).astype(np.int8)
     order = np.argsort(e, kind="stable")
     e = e.take(order)
     n = n.take(order)
@@ -336,17 +333,18 @@ def _write_outputs(out_dir: Path, solution: Solution):
 def _search(args, spec: ProblemSpec, values: dict) -> Solution:
     """Solve ``spec`` as solve and validate-example both do: flags override
     the config ``values``, and ``--seed-boundary`` their ``initial_boundary``."""
-    work = prepare(spec, **_chosen(_PREPARE_KEYS, args, values))
     settings = OptimizerSettings(**_chosen(_SEARCH_KEYS, args, values))
-    guess = values.get("initial_boundary")
+    guess, name = values.get("initial_boundary"), "initial_boundary"
     if args.seed_boundary is not None:
+        name = "--seed-boundary"
         try:
             guess = _READERS["initial_boundary"](args.seed_boundary)
         except ConfigurationError as exc:
-            raise ConfigurationError(f"--seed-boundary: {exc}") from exc
+            raise ConfigurationError(f"{name}: {exc}") from exc
     if guess is not None:
         settings = replace(settings, initial_b=_fit_initial_boundary(
-            guess, spec.l, spec.T, settings.K))
+            guess, spec.l, spec.T, settings.K, name))
+    work = prepare(spec, **_chosen(_PREPARE_KEYS, args, values))
     trace = None
     if args.verbose:
         print("iteration,objective," +
@@ -415,10 +413,11 @@ def cmd_basis_dump(args) -> int:
     spec = build_spec(values)
     if args.n_max < 0:
         raise ConfigurationError(f"--n must be nonnegative, got {args.n_max}")
-    work = prepare(spec, **_chosen(_PREPARE_KEYS, args, values))
-    if args.n_max > work.table.degree:
-        raise ConfigurationError(
-            f"--n {args.n_max} exceeds basis degree {work.table.degree}")
+    chosen = _chosen(_PREPARE_KEYS, args, values)
+    degree = chosen.get("degree", DEFAULT_DEGREE)
+    if 0 <= degree < args.n_max:     # prepare refuses a negative degree
+        raise ConfigurationError(f"--n {args.n_max} exceeds basis degree {degree}")
+    work = prepare(spec, **chosen)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     phi = work.table.values[:args.n_max + 1, 0].T

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -267,10 +268,22 @@ def _without(key: str) -> str:
     # the flag's name was missing from the message
     (GOOD_CONFIG, ["solve", "--seed-boundary", "1 + "], 2, "err",
      r"config error: --seed-boundary: invalid syntax \(at position 4\)"),
+    # a guess that cannot be evaluated on [0, T] was a numeric failure
+    # (exit 3), and neither this nor the s(0) refusal named the flag or key
+    (GOOD_CONFIG, ["solve", "--seed-boundary", "1 + sqrt(t - 0.5)"], 2, "err",
+     r"config error: --seed-boundary: invalid value encountered in sqrt "
+     r"in '1 \+ sqrt\(t - 0\.5\)'"),
+    (GOOD_CONFIG + "initial_boundary = 1 + log(t + 1) - log(1 - t)\n", ["solve"],
+     2, "err", r"config error: initial_boundary: divide by zero encountered in "
+     r"log in '1 \+ log\(t \+ 1\) - log\(1 - t\)'"),
+    (GOOD_CONFIG, ["solve", "--seed-boundary", "2 + 0.3*t"], 2, "err",
+     r"config error: --seed-boundary: initial boundary guess has s\(0\) = 2\.0, "
+     r"expected l = 1\.0"),
 ], ids=["line-without-equals", "unknown-key", "syntax-error", "key-given-twice",
         "missing-q", "missing-l", "missing-l_domain",
         "missing-t_final", "validate-degree-below-6", "fewer-rows-than-unknowns",
-        "bad-seed-boundary"])
+        "bad-seed-boundary", "unevaluable-seed-boundary",
+        "unevaluable-initial-boundary", "seed-boundary-off-anchor"])
 def test_command_outcome(config, argv, code, stream, pattern, tmp_path, capsys):
     # the exit code and one whole line of the command's output
     if config is not None:
@@ -430,7 +443,8 @@ def test_failed_guess_projection_is_a_config_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "lstsq", fail)
     with pytest.raises(thpsolve.ConfigurationError, match="initial_boundary"):
-        cli._fit_initial_boundary(thpsolve.expr.parse("1 + t", "t"), 1.0, 1.0, 2)
+        cli._fit_initial_boundary(thpsolve.expr.parse("1 + t", "t"), 1.0, 1.0, 2,
+                                  "initial_boundary")
 
 
 def test_basis_dump_monomials(config_path, tmp_path):
@@ -444,9 +458,28 @@ def test_basis_dump_monomials(config_path, tmp_path):
         assert np.max(np.abs(data[:, 5 + n])) < 1e-12  # imaginary parts
 
 
-def test_basis_dump_index_guard(config_path, tmp_path):
+def test_basis_dump_index_guard(config_path, tmp_path, monkeypatch, capsys):
     assert main(["basis-dump", config_path, "--n", "7",
                  "--out", str(tmp_path / "out")]) == 2
+    # the index is checked against the degree of --N, n or the default
+    # before prepare builds the basis table
+
+    def fail(*args, **kwargs):
+        raise AssertionError("prepare was called")
+
+    monkeypatch.setattr(cli, "prepare", fail)
+    capsys.readouterr()
+    path = tmp_path / "default.cfg"
+    path.write_text(_without("n"))
+    for config, flags, degree in [(config_path, ["--n", "7"], 6),
+                                  (config_path, ["--n", "30", "--N", "20"], 20),
+                                  (str(path), ["--n", "13"], 12)]:
+        argv = ["basis-dump", config, *flags, "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --n {flags[1]} exceeds basis degree {degree}\n")
+    with pytest.raises(AssertionError, match="prepare was called"):
+        main(["basis-dump", config_path, "--n", "6", "--out", str(tmp_path / "out")])
 
 
 def test_basis_dump_rejects_negative_index(config_path, tmp_path, capsys):
@@ -564,8 +597,9 @@ def test_write_csv_text_matches_python_on_any_float(tmp_path):
 
 def test_write_csv_text_next_to_powers_of_ten(tmp_path):
     # the 1000 doubles on each side of every 10**p in and next to the
-    # vectorized range, where log10 is off by one and where a carry of the
-    # 17 digits to 10**17 would fall if a double came close enough to 10**p
+    # vectorized range: the bucket edges of the exponent table cli._POWERS,
+    # and where a carry of the 17 digits to 10**17 would fall if a double
+    # came close enough to 10**p
     values = [np.nextafter(1e-4, 0.0), np.nextafter(1e17, 0.0)]
     for p in range(-4, 18):
         x = float(f"1e{p}")
@@ -578,6 +612,16 @@ def test_write_csv_text_next_to_powers_of_ten(tmp_path):
     path = tmp_path / "table.csv"
     cli._write_csv(path, ["a", "b"], rows)
     assert path.read_bytes() == _reference_csv(["a", "b"], rows).encode()
+
+
+def test_exponent_table_brackets_each_power_of_ten():
+    # _format_cells counts the entries of _POWERS at or below |x| as
+    # floor(log10 |x|) + 5; that is exact only if each entry is the least
+    # double at or above its power of ten
+    assert len(cli._POWERS) == 22
+    for E, entry in zip(range(-4, 18), cli._POWERS):
+        assert Fraction(entry) >= Fraction(10) ** E
+        assert Fraction(np.nextafter(entry, 0.0)) < Fraction(10) ** E
 
 
 # the solve that exposed a converged poor fit exiting 0: q = x^2 - 20 with
