@@ -1,8 +1,7 @@
 """Free boundary solver for u_xx - q(x) u = u_t built on a transmuted
 heat-polynomial basis."""
 
-from .assemble import (CollocationGrid, FitResult, InnerSolver, ProblemSpec,
-                       solve_linear)
+from .assemble import FitResult, InnerSolver, ProblemSpec, solve_linear
 from .boundary import BoundaryModel
 from .errors import (ConfigurationError, ConvergenceError, DomainError,
                      ExpressionEvalError, ExpressionSyntaxError,

@@ -27,7 +27,6 @@ from .thp import basis
 
 __all__ = [
     "ProblemSpec",
-    "CollocationGrid",
     "FitResult",
     "solve_linear",
     "InnerSolver",
@@ -89,34 +88,6 @@ class ProblemSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class CollocationGrid:
-    """Sample points: x on [0, l] for the initial condition, t on [0, T]
-    for the three time-dependent conditions."""
-
-    x: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        t = np.asarray(self.t, dtype=float)
-        for arr, name in ((x, "x"), (t, "t")):
-            if arr.ndim != 1 or len(arr) < 2 or np.any(np.diff(arr) <= 0):
-                raise ConfigurationError(f"{name} grid must be strictly increasing")
-        if x[0] != 0.0:
-            raise ConfigurationError("x grid must start at 0")
-        if t[0] != 0.0:
-            raise ConfigurationError("t grid must start at 0")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "t", t)
-
-    @classmethod
-    def equidistant(cls, l: float, T: float, n_x: int, n_t: int):
-        require_count("n_x", n_x, 1)
-        require_count("n_t", n_t, 1)
-        return cls(np.linspace(0.0, l, n_x + 1), np.linspace(0.0, T, n_t + 1))
-
-
-@dataclass(frozen=True, eq=False)
 class FitResult:
     """Outcome of one inner least-squares fit."""
 
@@ -128,6 +99,7 @@ class FitResult:
     residual: np.ndarray = field(repr=False)   # stacked B a - g
     matrix: np.ndarray = field(repr=False)     # B
     blocks: dict = field(repr=False)           # condition -> its rows of B
+    t: np.ndarray = field(repr=False)          # the collocation times
     s: np.ndarray = field(repr=False)          # s at the times, clipped
     violation: np.ndarray = field(repr=False)  # s - clipped s
     # orthonormal basis of the column space that a solved fit projects g
@@ -149,26 +121,26 @@ def _trace(table: FormalPowerTable, x, t, value_w: np.ndarray,
 
 class InnerSolver:
     """Lays out the collocation rows once and solves the inner linear
-    least-squares problem for each boundary candidate."""
+    least-squares problem for each boundary candidate.  The collocation
+    points are equidistant: n_x + 1 of them on [0, l] for the initial
+    condition, n_t + 1 times on [0, T] for the other three."""
 
-    def __init__(self, spec: ProblemSpec, grid: CollocationGrid,
-                 table: FormalPowerTable):
+    def __init__(self, spec: ProblemSpec, table: FormalPowerTable, n_x: int,
+                 n_t: int):
+        require_count("n_x", n_x, 1)
+        require_count("n_t", n_t, 1)
         if spec.l > table.mesh.x_end:
             raise ConfigurationError("initial boundary l lies outside the mesh")
-        if abs(grid.x[-1] - spec.l) > 1e-12 * max(1.0, spec.l):
-            raise ConfigurationError("x grid must end at the initial boundary l")
-        if abs(grid.t[-1] - spec.T) > 1e-12 * max(1.0, spec.T):
-            raise ConfigurationError("t grid must end at the final time T")
         self.spec = spec
-        self.grid = grid
         self.table = table
+        self.x = x = np.linspace(0.0, spec.l, n_x + 1)
+        self.t = t = np.linspace(0.0, spec.T, n_t + 1)
 
         # the row blocks in stacking order; an absent condition has no rows
-        n_t = len(grid.t)
         self.blocks, row = {}, 0
-        for name, size in (("initial", len(grid.x) if spec.g1 is not None else 0),
-                           ("lateral", n_t if spec.g2 is not None else 0),
-                           ("dirichlet", n_t), ("flux", n_t)):
+        for name, size in (("initial", len(x) if spec.g1 is not None else 0),
+                           ("lateral", len(t) if spec.g2 is not None else 0),
+                           ("dirichlet", len(t)), ("flux", len(t))):
             self.blocks[name] = slice(row, row + size)
             row += size
         # B and g with the rows no boundary moves: initial condition at (x, 0),
@@ -178,20 +150,20 @@ class InnerSolver:
         self._rhs = np.zeros(row)
         if spec.g1 is not None:
             self._matrix[self.blocks["initial"]] = _trace(
-                table, grid.x, 0.0,
-                tabulate(spec.gamma11, grid.x, "gamma11", 1.0),
-                tabulate(spec.gamma12, grid.x, "gamma12", 0.0))
-            self._rhs[self.blocks["initial"]] = tabulate(spec.g1, grid.x, "g1")
+                table, x, 0.0,
+                tabulate(spec.gamma11, x, "gamma11", 1.0),
+                tabulate(spec.gamma12, x, "gamma12", 0.0))
+            self._rhs[self.blocks["initial"]] = tabulate(spec.g1, x, "g1")
         if spec.g2 is not None:
             self._matrix[self.blocks["lateral"]] = _trace(
-                table, 0.0, grid.t,
-                tabulate(spec.gamma21, grid.t, "gamma21", 0.0),
-                tabulate(spec.gamma22, grid.t, "gamma22", 1.0))
-            self._rhs[self.blocks["lateral"]] = tabulate(spec.g2, grid.t, "g2")
-        self._rhs[self.blocks["dirichlet"]] = tabulate(spec.g3, grid.t, "g3")
+                table, 0.0, t,
+                tabulate(spec.gamma21, t, "gamma21", 0.0),
+                tabulate(spec.gamma22, t, "gamma22", 1.0))
+            self._rhs[self.blocks["lateral"]] = tabulate(spec.g2, t, "g2")
+        self._rhs[self.blocks["dirichlet"]] = tabulate(spec.g3, t, "g3")
         if spec.flux_data is not None:
             self._rhs[self.blocks["flux"]] = tabulate(
-                spec.flux_data, grid.t, "flux data")
+                spec.flux_data, t, "flux data")
 
     def system_for(self, model: BoundaryModel, clamp: bool = False) -> tuple:
         """Collocation system (matrix, rhs, s, violation) of ``model``:
@@ -199,17 +171,17 @@ class InnerSolver:
         x = s(t) and, without flux data, the melt-rate rhs -s'(t) written
         in; s at the times clipped into its admissible band (``clamp``) or
         required to lie inside it, and the violation s - clipped."""
-        s, violation = model.clamp(self.grid.t, self.spec.L)
+        s, violation = model.clamp(self.t, self.spec.L)
         if not clamp and violation.any():
             raise ConfigurationError(
                 "boundary candidate violates 0 < s(t) <= L on the grid"
             )
-        h = basis(self.table, s, self.grid.t)
+        h = basis(self.table, s, self.t)
         matrix, rhs = self._matrix.copy(), self._rhs.copy()
         matrix[self.blocks["dirichlet"]] = h[:, 0]
         matrix[self.blocks["flux"]] = h[:, 1]
         if self.spec.flux_data is None:
-            rhs[self.blocks["flux"]] = -model.s_dot_eval(self.grid.t)
+            rhs[self.blocks["flux"]] = -model.s_dot_eval(self.t)
         return matrix, rhs, s, violation
 
     def fit(self, model: BoundaryModel, a=None, clamp: bool = False) -> FitResult:
@@ -226,7 +198,8 @@ class InnerSolver:
         return FitResult(a=a, boundary=model, F=float(sum(v * v for v in norms)),
                          residual_norms=norms, residual_maxima=maxima,
                          residual=residual, matrix=matrix, blocks=self.blocks,
-                         s=s, violation=violation, range_basis=range_basis)
+                         t=self.t, s=s, violation=violation,
+                         range_basis=range_basis)
 
     def jacobian(self, fit: FitResult) -> np.ndarray:
         """Kaufman's (1975) variable-projection Jacobian of the residual of
@@ -245,7 +218,7 @@ class InnerSolver:
         c_k^n (n-2k) (n-2k-1) = n (n-1) c_k^(n-2); the factor e^(c t) of
         every H_n passes through unchanged.
         """
-        a, t, model, rows = fit.a, self.grid.t, fit.boundary, self.blocks
+        a, t, model, rows = fit.a, fit.t, fit.boundary, self.blocks
         moves = fit.violation == 0
         h = fit.matrix[rows["dirichlet"]]
         h_x = fit.matrix[rows["flux"]]

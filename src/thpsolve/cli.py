@@ -43,7 +43,8 @@ _READERS = {
     **dict.fromkeys(("mesh_points", "n", "n_x", "n_t", "k", "max_iterations"), int),
     **dict.fromkeys(("l", "l_domain", "t_final"), float),
     # the first two columns of a CSV file: times, then values
-    "g3_file": lambda path: np.loadtxt(path, delimiter=",", ndmin=2)[:, [0, 1]].T,
+    "g3_file": lambda path: np.loadtxt(path, delimiter=",", ndmin=2,
+                                       encoding="utf-8-sig")[:, [0, 1]].T,
 }
 # keyword argument -> (config key, flag) for prepare and OptimizerSettings
 _PREPARE_KEYS = {"mesh_points": ("mesh_points", "mesh"), "degree": ("n", "N"),
@@ -65,10 +66,10 @@ def _chosen(keys: dict, args, values: dict) -> dict:
 
 def load_config(path: str) -> dict:
     """The value of each key a config file sets, as read by the key's
-    reader."""
+    reader.  A leading byte-order mark is not part of the text."""
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -306,9 +307,8 @@ def _write_outputs(out_dir: Path, solution: Solution):
     """Write the four result files of ``solution``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     work, fit = solution.work, solution.fit
-    t_grid = work.grid.t
     _write_csv(out_dir / "boundary.csv", ["t", "s"],
-               np.column_stack([t_grid, solution.s_eval(t_grid)]))
+               np.column_stack([fit.t, solution.s_eval(fit.t)]))
 
     with open(out_dir / "coefficients.txt", "w") as fh:
         fh.write("# basis coefficients a_n (u = sum a_n H_n)\n")

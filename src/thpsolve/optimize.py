@@ -17,11 +17,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assemble import CollocationGrid, FitResult, InnerSolver, ProblemSpec
+from .assemble import FitResult, InnerSolver
 from .boundary import BoundaryModel
 from .errors import (ConfigurationError, OptimizationError, SolverError,
                      require_count)
-from .formal_powers import FormalPowerTable
 
 __all__ = ["OptimizerSettings", "minimize_boundary"]
 
@@ -76,7 +75,7 @@ def _residual_jacobian(solver: InnerSolver, fit: FitResult) -> np.ndarray:
     times where the Jacobian's s does not move)."""
     live = fit.violation != 0
     return np.vstack([solver.jacobian(fit), np.sqrt(PENALTY_WEIGHT)
-                      * live[:, None] * fit.boundary.shape(solver.grid.t)])
+                      * live[:, None] * fit.boundary.shape(fit.t)])
 
 
 def _step(jac: np.ndarray, r: np.ndarray, damping: float) -> np.ndarray:
@@ -92,12 +91,12 @@ def _step(jac: np.ndarray, r: np.ndarray, damping: float) -> np.ndarray:
     return np.linalg.lstsq(lhs, rhs, rcond=None)[0] / norms
 
 
-def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
-                      table: FormalPowerTable,
+def minimize_boundary(solver: InnerSolver,
                       settings: OptimizerSettings = OptimizerSettings(),
                       trace: Optional[Callable[[int, float, np.ndarray], None]] = None,
                       ) -> FitResult:
-    """Minimize the reduced value function over boundary coefficients.
+    """Minimize the reduced value function of ``solver`` over boundary
+    coefficients.
 
     Returns the converged fit; deterministic for fixed settings.  Each
     iteration evaluates the objective at one trial point (the start is the
@@ -109,13 +108,13 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
     ``trace`` callback, when given, receives (evaluation count, penalized
     objective, coefficients) for every objective evaluation.
     """
-    solver = InnerSolver(spec, grid, table)
     rows = solver.blocks["flux"].stop        # the flux block is stacked last
-    unknowns = table.degree + 1 + settings.K
+    degree = solver.table.degree
+    unknowns = degree + 1 + settings.K
     if rows < unknowns:
         raise ConfigurationError(
             f"{rows} collocation rows cannot determine the N + 1 + K = "
-            f"{unknowns} unknowns (N = {table.degree}, K = {settings.K}); "
+            f"{unknowns} unknowns (N = {degree}, K = {settings.K}); "
             f"raise n_x or n_t, or lower n or k")
     count = 0
 
@@ -123,7 +122,7 @@ def minimize_boundary(spec: ProblemSpec, grid: CollocationGrid,
         nonlocal count
         count += 1
         try:
-            fit = solver.fit(BoundaryModel(spec.l, b), clamp=True)
+            fit = solver.fit(BoundaryModel(solver.spec.l, b), clamp=True)
         except (SolverError, np.linalg.LinAlgError) as exc:
             raise OptimizationError(
                 f"inner fit failed ({type(exc).__name__}: {exc})") from exc

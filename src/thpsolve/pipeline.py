@@ -8,7 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .assemble import CollocationGrid, FitResult, ProblemSpec
+from .assemble import FitResult, InnerSolver, ProblemSpec
+from .errors import require_count
 from .formal_powers import FormalPowerTable, build_formal_powers
 from .numerics import SampledFunction, UniformMesh
 from .optimize import OptimizerSettings, minimize_boundary
@@ -27,22 +28,25 @@ DEFAULT_N_T = 100   # collocation intervals on [0, T]
 
 @dataclass(frozen=True, eq=False)
 class Workspace:
-    """Problem instance together with its precomputed basis table and grid."""
+    """Problem instance together with its precomputed basis table and the
+    counts of collocation intervals on [0, l] and [0, T]."""
 
     spec: ProblemSpec
-    grid: CollocationGrid
     table: FormalPowerTable
+    n_x: int
+    n_t: int
 
 
 def prepare(spec: ProblemSpec, mesh_points: int = DEFAULT_MESH_POINTS,
             degree: int = DEFAULT_DEGREE, n_x: int = DEFAULT_N_X,
             n_t: int = DEFAULT_N_T) -> Workspace:
     """Tabulate q, build the particular solution and the basis table."""
+    require_count("n_x", n_x, 1)
+    require_count("n_t", n_t, 1)
     mesh = UniformMesh(0.0, spec.L, mesh_points)
     f = solve_particular(SampledFunction.from_callable(mesh, spec.q, "q"))
     table = build_formal_powers(f, degree)
-    grid = CollocationGrid.equidistant(spec.l, spec.T, n_x=n_x, n_t=n_t)
-    return Workspace(spec=spec, grid=grid, table=table)
+    return Workspace(spec=spec, table=table, n_x=n_x, n_t=n_t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,5 +82,5 @@ def solve_free_boundary(work: Workspace,
                         settings: OptimizerSettings = OptimizerSettings(),
                         trace=None) -> Solution:
     """Run the outer boundary search on a prepared workspace."""
-    return Solution(work, minimize_boundary(work.spec, work.grid, work.table,
-                                            settings, trace=trace))
+    solver = InnerSolver(work.spec, work.table, work.n_x, work.n_t)
+    return Solution(work, minimize_boundary(solver, settings, trace=trace))

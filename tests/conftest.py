@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -124,4 +125,36 @@ def melt_rate_hermite():
             g3=lambda t: eps * u(exact_s(t), t),
         )
         return spec, exact_s
+    return build
+
+
+@pytest.fixture(scope="session")
+def neumann_stefan():
+    """Builder of Neumann's solution of the classical one-phase Stefan
+    problem: u_t = u_xx on 0 < x < s(t) with u(0, t) = A erf(lam),
+    u(s, t) = 0 and u_x(s, t) = -s'(t), solved by s = 2 lam sqrt(t + t0)
+    and u = A (erf(lam) - erf(x / 2 sqrt(t + t0))), A = sqrt(pi) lam
+    e^(lam^2).  ``build(lam, t0, T)`` returns (spec, s, u): q = 0,
+    l = s(0), L = 1.5 s(T), the trace weights gamma21 = 1, gamma22 = 0 at
+    x = 0 and no flux data, so the search fits the melt-rate condition."""
+    erf = np.vectorize(math.erf)
+
+    def build(lam, t0, t_final):
+        amplitude = math.sqrt(math.pi) * lam * math.exp(lam * lam)
+
+        def s(t):
+            return 2.0 * lam * np.sqrt(t + t0)
+
+        def u(x, t):
+            return amplitude * (math.erf(lam)
+                                - erf(x / (2.0 * np.sqrt(t + t0))))
+
+        spec = T.ProblemSpec(
+            q=lambda x: 0.0, L=1.5 * s(t_final), l=s(0.0), T=t_final,
+            g1=lambda x: u(x, 0.0),
+            gamma21=lambda t: 1.0, gamma22=lambda t: 0.0,
+            g2=lambda t: amplitude * math.erf(lam),
+            g3=lambda t: 0.0,
+        )
+        return spec, s, u
     return build

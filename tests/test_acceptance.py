@@ -54,7 +54,7 @@ def test_criterion_2_formal_power_oracles(table_q1):
 
 def test_criterion_3_inner_problem_exactness(manufactured):
     work, model = manufactured
-    fit = T.InnerSolver(work.spec, work.grid, work.table).fit(model)
+    fit = T.InnerSolver(work.spec, work.table, work.n_x, work.n_t).fit(model)
     expected = np.zeros(7)
     expected[0] = expected[2] = 1.0
     coeff_err = np.max(np.abs(fit.a - expected))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import thpsolve as T
-from thpsolve import (BoundaryModel, CollocationGrid, ConfigurationError,
-                      InnerSolver, ProblemSpec, basis, solve_linear)
+from thpsolve import (BoundaryModel, ConfigurationError, InnerSolver,
+                      ProblemSpec, basis, solve_linear)
 
 
 def make_spec(**overrides):
@@ -40,9 +40,8 @@ def test_wrong_shape_data_is_a_configuration_error(table_q0, g1):
     # broadcasting ValueError, and the array's message gave no shapes
     spec = ProblemSpec(q=lambda x: 0.0, L=2.0, l=1.0, T=1.0,
                        g1=g1, g3=lambda t: 1.0)
-    grid = CollocationGrid.equidistant(spec.l, spec.T, n_x=100, n_t=100)
     with pytest.raises(ConfigurationError, match=r"g1 .*\(3,\).*\(101,\)"):
-        InnerSolver(spec, grid, table_q0)
+        InnerSolver(spec, table_q0, 100, 100)
 
 
 @pytest.mark.parametrize("q", [lambda x: np.ones(3)], ids=["callable"])
@@ -68,9 +67,8 @@ def test_array_potential_is_a_configuration_error():
 
 def test_scalar_lateral_data_is_a_configuration_error(table_q0):
     spec = make_spec(g2=0.0)
-    grid = CollocationGrid.equidistant(spec.l, spec.T, n_x=100, n_t=100)
     with pytest.raises(ConfigurationError, match="g2 must be an array or a callable"):
-        InnerSolver(spec, grid, table_q0)
+        InnerSolver(spec, table_q0, 100, 100)
 
 
 @pytest.mark.parametrize("key", ["q", "g3"])
@@ -84,12 +82,12 @@ def test_complex_data_is_a_configuration_error(key):
 
 def condition_rows(table, spec, x, t):
     """Row of the initial block at (x, 0) and row of the lateral block at
-    (0, t) in the collocation matrix of a grid that holds x and t."""
-    grid = CollocationGrid(np.array([0.0, x, spec.l]), np.array([0.0, t, spec.T]))
-    solver = InnerSolver(spec, grid, table)
+    (0, t) in the collocation matrix of the grid of tenths of l and T,
+    which holds x and t."""
+    solver = InnerSolver(spec, table, 10, 10)
     matrix, *_ = solver.system_for(BoundaryModel(spec.l, [0.0]))
-    return (matrix[solver.blocks["initial"]][1],
-            matrix[solver.blocks["lateral"]][1])
+    return (matrix[solver.blocks["initial"]][round(10 * x / spec.l)],
+            matrix[solver.blocks["lateral"]][round(10 * t / spec.T)])
 
 
 def test_initial_block_identity_operator(table_q1):
@@ -166,7 +164,8 @@ def test_rows_D_E_domain_check(table_q0):
 
 def test_system_shape(manufactured):
     work, model = manufactured
-    matrix, rhs, *_ = InnerSolver(work.spec, work.grid, work.table).system_for(model)
+    matrix, rhs, *_ = InnerSolver(work.spec, work.table, work.n_x,
+                                  work.n_t).system_for(model)
     assert matrix.shape == (101 + 3 * 101, 7)
     assert rhs.shape == (404,)
 
@@ -174,7 +173,8 @@ def test_system_shape(manufactured):
 def test_system_shape_without_initial_block(manufactured):
     work, model = manufactured
     spec = make_spec(g1=None)
-    matrix, *_ = InnerSolver(spec, work.grid, work.table).system_for(model)
+    matrix, *_ = InnerSolver(spec, work.table, work.n_x,
+                             work.n_t).system_for(model)
     assert matrix.shape == (3 * 101, 7)
 
 
@@ -182,7 +182,7 @@ def test_inadmissible_boundary_rejected(manufactured):
     work, _ = manufactured
     bad = BoundaryModel(1.0, [5.0, 0.0])  # exceeds L = 2 for large t
     with pytest.raises(ConfigurationError):
-        InnerSolver(work.spec, work.grid, work.table).system_for(bad)
+        InnerSolver(work.spec, work.table, work.n_x, work.n_t).system_for(bad)
 
 
 @pytest.mark.parametrize("b", [[0.5, 0.0], [-2.3, 0.0], [3.0, -0.5]],
@@ -192,9 +192,9 @@ def test_system_carries_the_clamped_boundary(manufactured, b):
     # clamping again; below-0 and above-L leave the band between grid times
     work, _ = manufactured
     model = BoundaryModel(work.spec.l, b)
-    _, _, system_s, system_violation = InnerSolver(
-        work.spec, work.grid, work.table).system_for(model, clamp=True)
-    s, violation = model.clamp(work.grid.t, work.spec.L)
+    solver = InnerSolver(work.spec, work.table, work.n_x, work.n_t)
+    _, _, system_s, system_violation = solver.system_for(model, clamp=True)
+    s, violation = model.clamp(solver.t, work.spec.L)
     assert np.array_equal(system_s, s)
     assert np.array_equal(system_violation, violation)
     assert violation.any() == (b[0] != 0.5)
@@ -207,7 +207,7 @@ def test_writing_into_a_system_leaves_the_next_unchanged(manufactured,
     # caller's writes do not reach the next
     work, model = manufactured
     spec = work.spec if flux_data else make_spec(flux_data=None)
-    solver = InnerSolver(spec, work.grid, work.table)
+    solver = InnerSolver(spec, work.table, work.n_x, work.n_t)
     first_matrix, first_rhs, *_ = solver.system_for(model)
     matrix, rhs = first_matrix.copy(), first_rhs.copy()
     first_matrix[:] = np.nan
@@ -233,7 +233,7 @@ def test_nonfinite_data_is_a_configuration_error(key, name, datum):
 
 def test_manufactured_recovery(manufactured):
     work, model = manufactured
-    fit = InnerSolver(work.spec, work.grid, work.table).fit(model)
+    fit = InnerSolver(work.spec, work.table, work.n_x, work.n_t).fit(model)
     expected = np.zeros(7)
     expected[0] = expected[2] = 1.0
     assert np.max(np.abs(fit.a - expected)) < 1e-8
@@ -266,7 +266,7 @@ def test_solve_linear_minimum_norm():
 
 def test_value_function_zero_coefficients(manufactured):
     work, model = manufactured
-    solver = InnerSolver(work.spec, work.grid, work.table)
+    solver = InnerSolver(work.spec, work.table, work.n_x, work.n_t)
     _, rhs, *_ = solver.system_for(model)
     fit = solver.fit(model, a=np.zeros(7))
     blocks = [rhs[solver.blocks[name]]
@@ -277,7 +277,7 @@ def test_value_function_zero_coefficients(manufactured):
 
 def test_block_consistency(manufactured):
     work, model = manufactured
-    fit = InnerSolver(work.spec, work.grid, work.table).fit(model,
+    fit = InnerSolver(work.spec, work.table, work.n_x, work.n_t).fit(model,
                                                             a=np.full(7, 0.3))
     assert fit.F == pytest.approx(sum(v * v for v in fit.residual_norms),
                                   rel=1e-12)
@@ -286,7 +286,7 @@ def test_block_consistency(manufactured):
 def test_separability(manufactured):
     rng = np.random.default_rng(17)
     work, model = manufactured
-    solver = InnerSolver(work.spec, work.grid, work.table)
+    solver = InnerSolver(work.spec, work.table, work.n_x, work.n_t)
     best = solver.fit(model)
     for _ in range(100):
         perturbed = best.a + 1e-3 * rng.normal(size=7)
@@ -296,7 +296,8 @@ def test_separability(manufactured):
 
 def test_normal_equation_equivalence(manufactured):
     work, model = manufactured
-    mat, g, *_ = InnerSolver(work.spec, work.grid, work.table).system_for(model)
+    mat, g, *_ = InnerSolver(work.spec, work.table, work.n_x,
+                             work.n_t).system_for(model)
     a, _ = solve_linear(mat, g)
     lhs = mat.T @ (mat @ a)
     rhs = mat.T @ g
@@ -306,7 +307,7 @@ def test_normal_equation_equivalence(manufactured):
 def test_even_column_restriction_on_benchmark(benchmark_solution):
     bench, solution, _ = benchmark_solution
     work, fit = solution.work, solution.fit
-    solver = T.InnerSolver(bench.spec, work.grid, work.table)
+    solver = T.InnerSolver(bench.spec, work.table, work.n_x, work.n_t)
     matrix, rhs, *_ = solver.system_for(fit.boundary)
     even = np.arange(0, work.table.degree + 1, 2)
     sub = matrix[:, even]
@@ -321,7 +322,7 @@ def test_high_degree_refit_at_exact_boundary(degree):
     # column equilibration the rank cut left F = 5.0 (N = 18) and 374 (N = 20)
     work = T.prepare(make_spec(), degree=degree)
     model = BoundaryModel(1.0, [0.5])
-    fit = InnerSolver(work.spec, work.grid, work.table).fit(model)
+    fit = InnerSolver(work.spec, work.table, work.n_x, work.n_t).fit(model)
     assert fit.F <= 1e-20
 
 
@@ -332,30 +333,27 @@ def test_prepare_refuses_a_float_collocation_count():
         T.prepare(spec, mesh_points=101, n_x=10.5)
     with pytest.raises(ConfigurationError, match="n_t"):
         T.prepare(spec, mesh_points=101, n_t=True)
-    grid = T.prepare(spec, mesh_points=101, n_x=np.int64(10)).grid
+    work = T.prepare(spec, mesh_points=101, n_x=np.int64(10))
+    grid = InnerSolver(spec, work.table, work.n_x, work.n_t)
     assert len(grid.x) == 11
 
 
-@pytest.mark.parametrize("x, t, message", [
-    ([0.0, 0.5, 0.4], [0.0, 1.0], "x grid must be strictly increasing"),
-    ([0.1, 0.5], [0.0, 1.0], "x grid must start at 0"),
-    ([0.0, 0.5], [0.1, 1.0], "t grid must start at 0"),
-], ids=["x-decreasing", "x-start", "t-start"])
-def test_malformed_collocation_grid_is_refused(x, t, message):
-    with pytest.raises(ConfigurationError, match=message):
-        CollocationGrid(np.array(x), np.array(t))
+def test_inner_solver_refuses_a_bad_collocation_count(table_q0):
+    spec = make_spec(L=1.0)
+    with pytest.raises(ConfigurationError, match="n_x must be an integer"):
+        InnerSolver(spec, table_q0, 10.0, 10)
+    with pytest.raises(ConfigurationError, match="n_t must be an integer >= 1"):
+        InnerSolver(spec, table_q0, 10, 0)
 
 
-@pytest.mark.parametrize("spec, grid, message", [
-    (dict(L=2.0, l=1.5), (1.5, 1.0), "initial boundary l lies outside the mesh"),
-    (dict(), (0.9, 1.0), "x grid must end at the initial boundary l"),
-    (dict(), (1.0, 0.9), "t grid must end at the final time T"),
-], ids=["l-off-mesh", "x-end", "t-end"])
-def test_inner_solver_refuses_a_mismatched_grid(spec, grid, message):
-    # the table's mesh ends at x = 1; a grid must end at (l, T)
+@pytest.mark.parametrize("spec, message", [
+    (dict(L=2.0, l=1.5), "initial boundary l lies outside the mesh"),
+], ids=["l-off-mesh"])
+def test_inner_solver_refuses_a_mismatched_grid(spec, message):
+    # the table's mesh ends at x = 1
     table = T.prepare(ProblemSpec(q=lambda x: 0.0, L=1.0, l=1.0, T=1.0,
                                   g3=lambda t: 1.0), degree=4).table
     spec = ProblemSpec(**{**dict(q=lambda x: 0.0, L=1.0, l=1.0, T=1.0,
                                  g3=lambda t: 1.0), **spec})
     with pytest.raises(ConfigurationError, match=message):
-        InnerSolver(spec, CollocationGrid.equidistant(*grid, 10, 10), table)
+        InnerSolver(spec, table, 10, 10)

@@ -370,6 +370,53 @@ def test_g3_file_path(tmp_path):
     assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
+OUTPUT_FILES = ("boundary.csv", "coefficients.txt", "residuals.txt",
+                "solution.csv")
+BOM = b"\xef\xbb\xbf"
+
+
+def _solve_with_and_without_bom(path: Path, marked: Path, tmp_path):
+    """Solve ``path`` as it stands, then again with the byte-order mark
+    taken off the start of ``marked``: both exit 0 and write the same
+    files."""
+    def solve(name):
+        out = tmp_path / name
+        assert main(["solve", str(path), "--out", str(out)]) == 0
+        return {f: (out / f).read_bytes() for f in OUTPUT_FILES}
+
+    with_mark = solve("with")
+    marked.write_bytes(marked.read_bytes().removeprefix(BOM))
+    assert solve("without") == with_mark
+
+
+def test_config_with_a_byte_order_mark_solves(tmp_path):
+    # the mark was read as part of the first key: "\ufeffq: unknown config
+    # key", exit 2
+    path = tmp_path / "docs.cfg"
+    path.write_bytes(BOM + _docs_example().encode())
+    _solve_with_and_without_bom(path, path, tmp_path)
+
+
+def test_g3_file_with_a_byte_order_mark_solves(tmp_path):
+    # numpy read the first time as "\ufeff0.0": could not convert to float64
+    path = _g3_file_config(tmp_path, G3_TIMES, G3_VALUES)
+    data = tmp_path / "g3.csv"
+    data.write_bytes(BOM + data.read_bytes())
+    _solve_with_and_without_bom(path, data, tmp_path)
+
+
+def test_boundary_csv_holds_the_collocation_times(tmp_path):
+    # boundary.csv reads its times off the fit; they are the n_t + 1
+    # collocation times, bit for bit
+    path = tmp_path / "problem.cfg"
+    path.write_text(GOOD_CONFIG + "n_t = 40\n")
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out", str(out)]) == 0
+    rows = (out / "boundary.csv").read_text().splitlines()[1:]
+    times = np.array([float(row.split(",")[0]) for row in rows])
+    assert np.array_equal(times, np.linspace(0.0, 1.0, 41))
+
+
 def test_relative_g3_file_is_read_beside_the_config(tmp_path, monkeypatch):
     # it was read from the working directory: a solve of ../dir/p.cfg run
     # from another directory exited 2 with "g3.csv not found"
@@ -510,7 +557,8 @@ def test_solution_grid_matches_the_per_time_loop(manufactured):
     # its reference is the loop it replaced, one call per time, whose x and
     # t it must reproduce bit for bit
     work, model = manufactured
-    fit = thpsolve.InnerSolver(work.spec, work.grid, work.table).fit(model)
+    fit = thpsolve.InnerSolver(work.spec, work.table, work.n_x,
+                               work.n_t).fit(model)
     blocks = []
     for t in np.linspace(0.0, work.spec.T, 50):
         x = np.linspace(0.0, float(fit.boundary.s_eval(t)), 50)

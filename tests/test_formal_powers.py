@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from thpsolve import (BoundaryModel, CollocationGrid, ConfigurationError,
-                      DomainError, InnerSolver, ProblemSpec, SampledFunction,
-                      UniformMesh, basis, build_formal_powers, exact_benchmark,
-                      prepare, solve_particular)
+from thpsolve import (BoundaryModel, ConfigurationError, DomainError,
+                      InnerSolver, ProblemSpec, SampledFunction, UniformMesh,
+                      basis, build_formal_powers, exact_benchmark, prepare,
+                      solve_particular)
 
 
 def test_monomials_for_zero_potential(table_q0):
@@ -126,7 +126,7 @@ def test_dtype_follows_the_branch(q, L, dtype):
     table = build_formal_powers(solve_particular(potential), 8)
     spec = ProblemSpec(q=lambda x: q, L=L, l=0.5, T=0.5, g1=np.cosh,
                        g2=lambda t: 0.0, g3=lambda t: 1.0)
-    solver = InnerSolver(spec, CollocationGrid.equidistant(0.5, 0.5, 20, 20), table)
+    solver = InnerSolver(spec, table, 20, 20)
     model = BoundaryModel(0.5, [0.1])
     arrays = [table.values, basis(table, 0.3, 0.2),
               solver.system_for(model)[0], solver.fit(model).a]

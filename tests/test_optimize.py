@@ -75,7 +75,8 @@ def test_evaluations_bounded_by_iterations(manufactured):
 
     settings = OptimizerSettings(K=2, max_iterations=3)
     with pytest.raises(T.OptimizationError, match="max_iterations = 3"):
-        T.minimize_boundary(work.spec, work.grid, work.table, settings, trace=trace)
+        T.minimize_boundary(T.InnerSolver(work.spec, work.table, work.n_x,
+                                          work.n_t), settings, trace=trace)
     assert len(seen) == 3
     assert [it for it, _ in seen] == list(range(1, len(seen) + 1))
     assert all(n == 2 for _, n in seen)
@@ -94,11 +95,13 @@ def test_search_fits_once_per_trial_point(benchmark_solution, monkeypatch):
         return fit(self, *args, **kwargs)
 
     monkeypatch.setattr(T.InnerSolver, "fit", counted)
-    result = T.minimize_boundary(work.spec, work.grid, work.table,
+    result = T.minimize_boundary(T.InnerSolver(work.spec, work.table,
+                                               work.n_x, work.n_t),
                                  OptimizerSettings(),
                                  trace=lambda *row: rows.append(row))
     assert len(fits) == len(rows) == 6
-    refit = fit(T.InnerSolver(work.spec, work.grid, work.table), result.boundary)
+    refit = fit(T.InnerSolver(work.spec, work.table, work.n_x, work.n_t),
+                result.boundary)
     assert np.array_equal(result.a, refit.a)
     assert result.F == refit.F
     assert np.array_equal(result.residual, refit.residual)
@@ -116,7 +119,8 @@ def test_search_clamps_once_per_fit(benchmark_solution, monkeypatch):
             calls[_name] += 1
             return _method(*args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
-    T.minimize_boundary(work.spec, work.grid, work.table, OptimizerSettings())
+    T.minimize_boundary(T.InnerSolver(work.spec, work.table, work.n_x, work.n_t),
+                        OptimizerSettings())
     assert calls == {"fit": 6, "clamp": 6}
 
 
@@ -131,7 +135,7 @@ def test_reference_problem_at_K8(benchmark_solution):
 def test_feasibility_of_result(manufactured):
     work, _ = manufactured
     fit = T.solve_free_boundary(work, OptimizerSettings(K=2)).fit
-    assert not fit.boundary.clamp(work.grid.t, work.spec.L)[1].any()
+    assert not fit.boundary.clamp(fit.t, work.spec.L)[1].any()
 
 
 def test_determinism(manufactured):
@@ -155,12 +159,14 @@ def test_only_numeric_failures_reject_a_vertex(manufactured, monkeypatch):
     monkeypatch.setattr(T.InnerSolver, "fit",
                         failing_fit(T.SolverError("all zero")))
     with pytest.raises(T.OptimizationError, match="all zero") as info:
-        T.minimize_boundary(work.spec, work.grid, work.table, settings)
+        T.minimize_boundary(T.InnerSolver(work.spec, work.table, work.n_x,
+                                          work.n_t), settings)
     assert type(info.value.__cause__) is T.SolverError
     # a programming error propagates instead of becoming "failed everywhere"
     monkeypatch.setattr(T.InnerSolver, "fit", failing_fit(TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
-        T.minimize_boundary(work.spec, work.grid, work.table, settings)
+        T.minimize_boundary(T.InnerSolver(work.spec, work.table, work.n_x,
+                                          work.n_t), settings)
 
 
 def test_reference_problem_at_N18():
@@ -224,6 +230,29 @@ def test_melt_rate_hermite_gate(beta, t_final, eps, degree, K, gate,
     assert np.max(np.abs(solution.s_eval(ts) - exact_s(ts))) <= gate
 
 
+@pytest.mark.parametrize("lam, t0, degree, K, gate", [
+    pytest.param(0.5, 1.0, 24, 12, 1e-10, id="lam=0.5"),
+    pytest.param(1.0, 0.25, 32, 12, 1e-6, id="lam=1"),
+])
+def test_neumann_stefan_gate(lam, t0, degree, K, gate, neumann_stefan):
+    # the classical Stefan problem in one window, against Neumann's
+    # similarity solution; measured 3.4e-11 and 5.4e-7
+    spec, exact_s, _ = neumann_stefan(lam, t0, 1.0)
+    solution = T.solve_free_boundary(T.prepare(spec, degree=degree),
+                                     OptimizerSettings(K=K))
+    ts = np.linspace(0.0, 1.0, 201)
+    assert np.max(np.abs(solution.s_eval(ts) - exact_s(ts))) <= gate
+
+
+def test_neumann_stefan_solution(neumann_stefan):
+    # u on the 50 x 50 solution grid; measured 2.2e-10
+    spec, _, exact_u = neumann_stefan(0.5, 1.0, 1.0)
+    solution = T.solve_free_boundary(T.prepare(spec, degree=24),
+                                     OptimizerSettings(K=12))
+    x, t, u = solution.grid.T
+    assert np.max(np.abs(u - exact_u(x, t))) <= 1e-8
+
+
 def _closed_form_q_minus_2():
     # u = cos(x) e^t solves u_xx + 2 u = u_t; the unshifted y1 =
     # cos(sqrt(2) x) vanishes in [0, 2], so the basis is e^(2t) H_n[q + 2]
@@ -260,7 +289,7 @@ def test_jacobian_gives_the_exact_gradient(case, b, manufactured,
         work = _closed_form_q_minus_2()
     else:
         work = manufactured[0]
-    solver = T.InnerSolver(work.spec, work.grid, work.table)
+    solver = T.InnerSolver(work.spec, work.table, work.n_x, work.n_t)
 
     def residual_at(b):
         return _residual(
@@ -271,7 +300,7 @@ def test_jacobian_gives_the_exact_gradient(case, b, manufactured,
     if case == "q=-2":
         assert work.table.f.shift == 2.0
     if case in ("below-0", "above-L"):
-        s = fit.boundary.s_eval(work.grid.t)
+        s = fit.boundary.s_eval(fit.t)
         assert np.any((s <= 0) | (s > work.spec.L))
     r, jac = _residual(fit), _residual_jacobian(solver, fit)
     oracle_gradient = np.empty_like(b)
