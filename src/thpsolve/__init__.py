@@ -12,7 +12,7 @@ from .numerics import (Interpolant, SampledFunction, UniformMesh,
                        cumulative_integral)
 from .optimize import OptimizerSettings, minimize_boundary
 from .particular import ParticularSolution, solve_particular
-from .pipeline import Solution, Workspace, prepare, solve_free_boundary
+from .pipeline import Solution, prepare, solve_free_boundary
 from .special import (ExactBenchmark, ei, ei_inv, exact_benchmark,
                       hermite_benchmark)
 from .thp import basis, heat_coeff, pde_residual, solution_eval

@@ -22,11 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import expr
-from .assemble import ProblemSpec
+from .assemble import InnerSolver, ProblemSpec
 from .boundary import BoundaryModel
-from .errors import ConfigurationError, ExpressionEvalError, SolverError
+from .errors import (ConfigurationError, ExpressionEvalError, SolverError,
+                     require_count)
 from .optimize import OptimizerSettings
-from .pipeline import DEFAULT_DEGREE, DEFAULT_N_T, Solution, prepare, solve_free_boundary
+from .pipeline import (DEFAULT_DEGREE, DEFAULT_N_T, DEFAULT_N_X, Solution,
+                       prepare, solve_free_boundary)
 from .special import exact_benchmark
 
 EXIT_OK = 0
@@ -46,9 +48,10 @@ _READERS = {
     "g3_file": lambda path: np.loadtxt(path, delimiter=",", ndmin=2,
                                        encoding="utf-8-sig")[:, [0, 1]].T,
 }
-# keyword argument -> (config key, flag) for prepare and OptimizerSettings
-_PREPARE_KEYS = {"mesh_points": ("mesh_points", "mesh"), "degree": ("n", "N"),
-                 "n_x": ("n_x", None), "n_t": ("n_t", None)}
+# keyword argument -> (config key, flag) for prepare, InnerSolver and
+# OptimizerSettings
+_PREPARE_KEYS = {"mesh_points": ("mesh_points", "mesh"), "degree": ("n", "N")}
+_SOLVER_KEYS = {"n_x": ("n_x", None), "n_t": ("n_t", None)}
 _SEARCH_KEYS = {"K": ("k", "K"), "max_iterations": ("max_iterations", None)}
 
 
@@ -306,7 +309,7 @@ def _write_csv(path: Path, header: list, rows: np.ndarray):
 def _write_outputs(out_dir: Path, solution: Solution):
     """Write the four result files of ``solution``."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    work, fit = solution.work, solution.fit
+    fit = solution.fit
     _write_csv(out_dir / "boundary.csv", ["t", "s"],
                np.column_stack([fit.t, solution.s_eval(fit.t)]))
 
@@ -315,7 +318,7 @@ def _write_outputs(out_dir: Path, solution: Solution):
         for n, a in enumerate(fit.a):
             fh.write(f"a_{n} = {_fmt(a)}\n")
         fh.write("# spectral shift c (H_n carries e^(c t); phi_n are those of q + c)\n")
-        fh.write(f"shift = {_fmt(work.table.f.shift)}\n")
+        fh.write(f"shift = {_fmt(solution.table.f.shift)}\n")
         fh.write("# boundary coefficients b_j (s(t) = l + sum b_j t^j)\n")
         fh.write(f"l = {_fmt(fit.boundary.l)}\n")
         for j, b in enumerate(fit.b, start=1):
@@ -344,7 +347,9 @@ def _search(args, spec: ProblemSpec, values: dict) -> Solution:
     if guess is not None:
         settings = replace(settings, initial_b=_fit_initial_boundary(
             guess, spec.l, spec.T, settings.K, name))
-    work = prepare(spec, **_chosen(_PREPARE_KEYS, args, values))
+    table = prepare(spec, **_chosen(_PREPARE_KEYS, args, values))
+    solver = InnerSolver(spec, table, **{"n_x": DEFAULT_N_X, "n_t": DEFAULT_N_T,
+                                         **_chosen(_SOLVER_KEYS, args, values)})
     trace = None
     if args.verbose:
         print("iteration,objective," +
@@ -353,7 +358,7 @@ def _search(args, spec: ProblemSpec, values: dict) -> Solution:
         def trace(it, value, b):
             print(f"{it},{_fmt(value)}," + ",".join(_fmt(v) for v in b))
 
-    return solve_free_boundary(work, settings, trace=trace)
+    return solve_free_boundary(solver, settings, trace=trace)
 
 
 def cmd_solve(args) -> int:
@@ -385,7 +390,7 @@ def cmd_validate_example(args) -> int:
                   f"got {a[n]:.8e}, want {ref:.8e} +/- {tol:g}")
         else:
             check(f"a_{n} vs reference", False,
-                  f"basis degree {solution.work.table.degree} < {n}")
+                  f"basis degree {solution.table.degree} < {n}")
 
     ts = np.linspace(0.0, 1.0, 1001)
     s_err = np.max(np.abs(solution.s_eval(ts) - bench.exact_s(ts)))
@@ -417,16 +422,19 @@ def cmd_basis_dump(args) -> int:
     degree = chosen.get("degree", DEFAULT_DEGREE)
     if 0 <= degree < args.n_max:     # prepare refuses a negative degree
         raise ConfigurationError(f"--n {args.n_max} exceeds basis degree {degree}")
-    work = prepare(spec, **chosen)
+    # the counts are checked as the solve would, though no solver is built
+    for name, count in _chosen(_SOLVER_KEYS, args, values).items():
+        require_count(name, count, 1)
+    table = prepare(spec, **chosen)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    phi = work.table.values[:args.n_max + 1, 0].T
+    phi = table.values[:args.n_max + 1, 0].T
     indices = range(args.n_max + 1)
     # phi_n of the shifted potential q + c (the paper's phi_n when q >= 0);
     # the im_phi columns are all zero and kept for the file format
     _write_csv(out_dir / "phi.csv",
                ["x"] + [f"re_phi_{n}" for n in indices] + [f"im_phi_{n}" for n in indices],
-               np.column_stack([work.table.mesh.nodes, phi, np.zeros_like(phi)]))
+               np.column_stack([table.mesh.nodes, phi, np.zeros_like(phi)]))
     print(f"wrote {out_dir / 'phi.csv'}")
     return EXIT_OK
 

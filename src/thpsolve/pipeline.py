@@ -9,14 +9,13 @@ from functools import cached_property
 import numpy as np
 
 from .assemble import FitResult, InnerSolver, ProblemSpec
-from .errors import require_count
 from .formal_powers import FormalPowerTable, build_formal_powers
 from .numerics import SampledFunction, UniformMesh
 from .optimize import OptimizerSettings, minimize_boundary
 from .particular import solve_particular
 from .thp import solution_eval
 
-__all__ = ["Solution", "Workspace", "prepare", "solve_free_boundary"]
+__all__ = ["Solution", "prepare", "solve_free_boundary"]
 
 # the one home of each discretization default (the command line passes only
 # what a flag or a config key sets)
@@ -26,61 +25,47 @@ DEFAULT_N_X = 100   # collocation intervals on [0, l]
 DEFAULT_N_T = 100   # collocation intervals on [0, T]
 
 
-@dataclass(frozen=True, eq=False)
-class Workspace:
-    """Problem instance together with its precomputed basis table and the
-    counts of collocation intervals on [0, l] and [0, T]."""
-
-    spec: ProblemSpec
-    table: FormalPowerTable
-    n_x: int
-    n_t: int
-
-
 def prepare(spec: ProblemSpec, mesh_points: int = DEFAULT_MESH_POINTS,
-            degree: int = DEFAULT_DEGREE, n_x: int = DEFAULT_N_X,
-            n_t: int = DEFAULT_N_T) -> Workspace:
+            degree: int = DEFAULT_DEGREE) -> FormalPowerTable:
     """Tabulate q, build the particular solution and the basis table."""
-    require_count("n_x", n_x, 1)
-    require_count("n_t", n_t, 1)
     mesh = UniformMesh(0.0, spec.L, mesh_points)
     f = solve_particular(SampledFunction.from_callable(mesh, spec.q, "q"))
-    table = build_formal_powers(f, degree)
-    return Workspace(spec=spec, table=table, n_x=n_x, n_t=n_t)
+    return build_formal_powers(f, degree)
 
 
 @dataclass(frozen=True, eq=False)
 class Solution:
     """The answer of a boundary search, read through ``s_eval(t)`` and
     ``u_eval(x, t)``: s(t) = l + sum_j b_j t^j and u = sum_n a_n H_n on the
-    workspace's basis table, at points (x, t) broadcast against each other,
-    in their shape (a float for scalars, as ``s_eval`` gives for a scalar t)."""
+    basis table, at points (x, t) broadcast against each other, in their
+    shape (a float for scalars, as ``s_eval`` gives for a scalar t)."""
 
-    work: Workspace
+    table: FormalPowerTable
     fit: FitResult
 
     def s_eval(self, t):
         return self.fit.boundary.s_eval(t)
 
     def u_eval(self, x, t):
-        u = solution_eval(self.work.table, self.fit.a, x, t)
+        u = solution_eval(self.table, self.fit.a, x, t)
         u = u.reshape(np.broadcast(x, t).shape)
         return float(u) if u.ndim == 0 else u
 
     @cached_property
     def grid(self) -> np.ndarray:
         """Rows (x, t, u) on 50 times x 50 points from x = 0 to the
-        boundary, t-major; u comes from one evaluation over all 2500 points
-        (the basis arrays are 2500 x 2 x (N + 1) values)."""
-        times = np.linspace(0.0, self.work.spec.T, 50)
+        boundary, t-major, up to the last collocation time T; u comes from
+        one evaluation over all 2500 points (the basis arrays are
+        2500 x 2 x (N + 1) values)."""
+        times = np.linspace(0.0, self.fit.t[-1], 50)
         x = np.linspace(0.0, self.s_eval(times), 50, axis=1).ravel()
         t = np.repeat(times, 50)
         return np.column_stack([x, t, self.u_eval(x, t)])
 
 
-def solve_free_boundary(work: Workspace,
+def solve_free_boundary(solver: InnerSolver,
                         settings: OptimizerSettings = OptimizerSettings(),
                         trace=None) -> Solution:
-    """Run the outer boundary search on a prepared workspace."""
-    solver = InnerSolver(work.spec, work.table, work.n_x, work.n_t)
-    return Solution(work, minimize_boundary(solver, settings, trace=trace))
+    """Run the outer boundary search on the collocation problem of
+    ``solver``."""
+    return Solution(solver.table, minimize_boundary(solver, settings, trace=trace))

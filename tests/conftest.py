@@ -59,7 +59,8 @@ def table_q1(mesh01):
 def manufactured():
     """q = 0 problem with exact data from u = h0 + h2 = 1 + x^2 + 2t on the
     boundary s(t) = 1 + 0.5 t; the flux data on the moving boundary are
-    supplied explicitly so the instance is exactly consistent."""
+    supplied explicitly so the instance is exactly consistent.  Returns its
+    InnerSolver, on 100 intervals in x and in t, and the exact boundary."""
     spec = T.ProblemSpec(
         q=lambda x: 0.0, L=2.0, l=1.0, T=1.0,
         g1=lambda x: 1.0 + x * x,
@@ -67,9 +68,9 @@ def manufactured():
         g3=lambda t: 1.0 + (1.0 + 0.5 * t) ** 2 + 2.0 * t,
         flux_data=lambda t: 2.0 * (1.0 + 0.5 * t),
     )
-    work = T.prepare(spec, mesh_points=501, degree=6)
+    table = T.prepare(spec, mesh_points=501, degree=6)
     model = T.BoundaryModel(1.0, [0.5, 0.0])
-    return work, model
+    return T.InnerSolver(spec, table, 100, 100), model
 
 
 @pytest.fixture(scope="session")
@@ -80,8 +81,8 @@ def benchmark_solution():
 
     bench = T.exact_benchmark()
     t0 = time.perf_counter()
-    work = T.prepare(bench.spec)
-    solution = T.solve_free_boundary(work, T.OptimizerSettings(K=6))
+    solver = T.InnerSolver(bench.spec, T.prepare(bench.spec), 100, 100)
+    solution = T.solve_free_boundary(solver, T.OptimizerSettings(K=6))
     elapsed = time.perf_counter() - t0
     return bench, solution, elapsed
 

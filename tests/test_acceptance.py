@@ -53,8 +53,8 @@ def test_criterion_2_formal_power_oracles(table_q1):
 
 
 def test_criterion_3_inner_problem_exactness(manufactured):
-    work, model = manufactured
-    fit = T.InnerSolver(work.spec, work.table, work.n_x, work.n_t).fit(model)
+    solver, model = manufactured
+    fit = solver.fit(model)
     expected = np.zeros(7)
     expected[0] = expected[2] = 1.0
     coeff_err = np.max(np.abs(fit.a - expected))
@@ -172,7 +172,9 @@ def test_criterion_9_property_suite(benchmark_solution, table_q1):
 
     # determinism of the boundary search
     _, solution, _ = benchmark_solution
-    repeat = T.solve_free_boundary(solution.work, T.OptimizerSettings(K=6))
+    repeat = T.solve_free_boundary(T.InnerSolver(bench.spec, solution.table,
+                                                 100, 100),
+                                   T.OptimizerSettings(K=6))
     report("criterion 9f: optimizer determinism",
            np.array_equal(repeat.fit.b, solution.fit.b), "bit-identical coefficients")
 
@@ -212,14 +214,15 @@ def test_high_degree_closed_form_boundary(q, u, u_x, t_final, degree, K,
         g3=lambda t: u(s(t), t),
         flux_data=lambda t: u_x(s(t), t),
     )
-    work = T.prepare(spec, degree=degree)
-    solution = T.solve_free_boundary(work, T.OptimizerSettings(K=K))
+    table = T.prepare(spec, degree=degree)
+    solution = T.solve_free_boundary(T.InnerSolver(spec, table, 100, 100),
+                                     T.OptimizerSettings(K=K))
     fit = solution.fit
     ts = np.linspace(0.0, t_final, 201)
     err = np.max(np.abs(solution.s_eval(ts) - s(ts)))
     report(f"closed form: q = {q:+g}, T = {t_final:g} boundary at N = {degree}, "
            f"K = {K}",
            err <= gate and max(fit.residual_maxima) <= 1e-2
-           and work.table.values.dtype == dtype,
+           and table.values.dtype == dtype,
            f"max |s_K - s_exact| = {err:.3e}, F {fit.F:.2e}, residual maxima "
-           f"{max(fit.residual_maxima):.2e}, table {work.table.values.dtype}")
+           f"{max(fit.residual_maxima):.2e}, table {table.values.dtype}")

@@ -77,7 +77,8 @@ def test_complex_data_is_a_configuration_error(key):
     # warning, so complex values stop at tabulation, named
     spec = make_spec(**{key: lambda z: 1.0 + 0.5j * z})
     with pytest.raises(ConfigurationError, match=f"{key} must be real"):
-        T.solve_free_boundary(T.prepare(spec, mesh_points=101, degree=4))
+        T.solve_free_boundary(T.InnerSolver(
+            spec, T.prepare(spec, mesh_points=101, degree=4), 100, 100))
 
 
 def condition_rows(table, spec, x, t):
@@ -163,26 +164,24 @@ def test_rows_D_E_domain_check(table_q0):
 
 
 def test_system_shape(manufactured):
-    work, model = manufactured
-    matrix, rhs, *_ = InnerSolver(work.spec, work.table, work.n_x,
-                                  work.n_t).system_for(model)
+    solver, model = manufactured
+    matrix, rhs, *_ = solver.system_for(model)
     assert matrix.shape == (101 + 3 * 101, 7)
     assert rhs.shape == (404,)
 
 
 def test_system_shape_without_initial_block(manufactured):
-    work, model = manufactured
+    solver, model = manufactured
     spec = make_spec(g1=None)
-    matrix, *_ = InnerSolver(spec, work.table, work.n_x,
-                             work.n_t).system_for(model)
+    matrix, *_ = InnerSolver(spec, solver.table, 100, 100).system_for(model)
     assert matrix.shape == (3 * 101, 7)
 
 
 def test_inadmissible_boundary_rejected(manufactured):
-    work, _ = manufactured
+    solver, _ = manufactured
     bad = BoundaryModel(1.0, [5.0, 0.0])  # exceeds L = 2 for large t
     with pytest.raises(ConfigurationError):
-        InnerSolver(work.spec, work.table, work.n_x, work.n_t).system_for(bad)
+        solver.system_for(bad)
 
 
 @pytest.mark.parametrize("b", [[0.5, 0.0], [-2.3, 0.0], [3.0, -0.5]],
@@ -190,11 +189,10 @@ def test_inadmissible_boundary_rejected(manufactured):
 def test_system_carries_the_clamped_boundary(manufactured, b):
     # the search reads s and the violation from the fit instead of
     # clamping again; below-0 and above-L leave the band between grid times
-    work, _ = manufactured
-    model = BoundaryModel(work.spec.l, b)
-    solver = InnerSolver(work.spec, work.table, work.n_x, work.n_t)
+    solver, _ = manufactured
+    model = BoundaryModel(solver.spec.l, b)
     _, _, system_s, system_violation = solver.system_for(model, clamp=True)
-    s, violation = model.clamp(solver.t, work.spec.L)
+    s, violation = model.clamp(solver.t, solver.spec.L)
     assert np.array_equal(system_s, s)
     assert np.array_equal(system_violation, violation)
     assert violation.any() == (b[0] != 0.5)
@@ -205,9 +203,9 @@ def test_writing_into_a_system_leaves_the_next_unchanged(manufactured,
                                                          flux_data):
     # every system starts from copies of the solver's fixed rows, so one
     # caller's writes do not reach the next
-    work, model = manufactured
-    spec = work.spec if flux_data else make_spec(flux_data=None)
-    solver = InnerSolver(spec, work.table, work.n_x, work.n_t)
+    solver, model = manufactured
+    if not flux_data:
+        solver = InnerSolver(make_spec(flux_data=None), solver.table, 100, 100)
     first_matrix, first_rhs, *_ = solver.system_for(model)
     matrix, rhs = first_matrix.copy(), first_rhs.copy()
     first_matrix[:] = np.nan
@@ -228,12 +226,13 @@ def test_nonfinite_data_is_a_configuration_error(key, name, datum):
     # a bare LinAlgError (g1, g3, flux data), an OptimizationError (gamma11)
     # and a ConvergenceError "the potential is too large" (q) before
     with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
-        T.solve_free_boundary(T.prepare(make_spec(**{key: datum})))
+        spec = make_spec(**{key: datum})
+        T.solve_free_boundary(InnerSolver(spec, T.prepare(spec), 100, 100))
 
 
 def test_manufactured_recovery(manufactured):
-    work, model = manufactured
-    fit = InnerSolver(work.spec, work.table, work.n_x, work.n_t).fit(model)
+    solver, model = manufactured
+    fit = solver.fit(model)
     expected = np.zeros(7)
     expected[0] = expected[2] = 1.0
     assert np.max(np.abs(fit.a - expected)) < 1e-8
@@ -265,8 +264,8 @@ def test_solve_linear_minimum_norm():
 
 
 def test_value_function_zero_coefficients(manufactured):
-    work, model = manufactured
-    solver = InnerSolver(work.spec, work.table, work.n_x, work.n_t)
+    solver, model = manufactured
+    solver = solver
     _, rhs, *_ = solver.system_for(model)
     fit = solver.fit(model, a=np.zeros(7))
     blocks = [rhs[solver.blocks[name]]
@@ -276,8 +275,8 @@ def test_value_function_zero_coefficients(manufactured):
 
 
 def test_block_consistency(manufactured):
-    work, model = manufactured
-    fit = InnerSolver(work.spec, work.table, work.n_x, work.n_t).fit(model,
+    solver, model = manufactured
+    fit = solver.fit(model,
                                                             a=np.full(7, 0.3))
     assert fit.F == pytest.approx(sum(v * v for v in fit.residual_norms),
                                   rel=1e-12)
@@ -285,8 +284,8 @@ def test_block_consistency(manufactured):
 
 def test_separability(manufactured):
     rng = np.random.default_rng(17)
-    work, model = manufactured
-    solver = InnerSolver(work.spec, work.table, work.n_x, work.n_t)
+    solver, model = manufactured
+    solver = solver
     best = solver.fit(model)
     for _ in range(100):
         perturbed = best.a + 1e-3 * rng.normal(size=7)
@@ -295,9 +294,8 @@ def test_separability(manufactured):
 
 
 def test_normal_equation_equivalence(manufactured):
-    work, model = manufactured
-    mat, g, *_ = InnerSolver(work.spec, work.table, work.n_x,
-                             work.n_t).system_for(model)
+    solver, model = manufactured
+    mat, g, *_ = solver.system_for(model)
     a, _ = solve_linear(mat, g)
     lhs = mat.T @ (mat @ a)
     rhs = mat.T @ g
@@ -306,10 +304,10 @@ def test_normal_equation_equivalence(manufactured):
 
 def test_even_column_restriction_on_benchmark(benchmark_solution):
     bench, solution, _ = benchmark_solution
-    work, fit = solution.work, solution.fit
-    solver = T.InnerSolver(bench.spec, work.table, work.n_x, work.n_t)
+    table, fit = solution.table, solution.fit
+    solver = T.InnerSolver(bench.spec, table, 100, 100)
     matrix, rhs, *_ = solver.system_for(fit.boundary)
-    even = np.arange(0, work.table.degree + 1, 2)
+    even = np.arange(0, table.degree + 1, 2)
     sub = matrix[:, even]
     a_even, *_ = np.linalg.lstsq(sub, rhs, rcond=1e-12)
     f_even = float(np.linalg.norm(sub @ a_even - rhs)) ** 2
@@ -320,22 +318,21 @@ def test_even_column_restriction_on_benchmark(benchmark_solution):
 def test_high_degree_refit_at_exact_boundary(degree):
     # the docs/config.md example at its exact boundary s = 1 + t/2; without
     # column equilibration the rank cut left F = 5.0 (N = 18) and 374 (N = 20)
-    work = T.prepare(make_spec(), degree=degree)
+    spec = make_spec()
     model = BoundaryModel(1.0, [0.5])
-    fit = InnerSolver(work.spec, work.table, work.n_x, work.n_t).fit(model)
+    fit = InnerSolver(spec, T.prepare(spec, degree=degree), 100, 100).fit(model)
     assert fit.F <= 1e-20
 
 
-def test_prepare_refuses_a_float_collocation_count():
+def test_inner_solver_refuses_a_float_collocation_count():
     # n_x = 10.5 raised a bare TypeError inside np.linspace
     spec = T.exact_benchmark().spec
+    table = T.prepare(spec, mesh_points=101)
     with pytest.raises(ConfigurationError, match="n_x must be an integer"):
-        T.prepare(spec, mesh_points=101, n_x=10.5)
+        InnerSolver(spec, table, 10.5, 100)
     with pytest.raises(ConfigurationError, match="n_t"):
-        T.prepare(spec, mesh_points=101, n_t=True)
-    work = T.prepare(spec, mesh_points=101, n_x=np.int64(10))
-    grid = InnerSolver(spec, work.table, work.n_x, work.n_t)
-    assert len(grid.x) == 11
+        InnerSolver(spec, table, 100, True)
+    assert len(InnerSolver(spec, table, np.int64(10), 100).x) == 11
 
 
 def test_inner_solver_refuses_a_bad_collocation_count(table_q0):
@@ -352,7 +349,7 @@ def test_inner_solver_refuses_a_bad_collocation_count(table_q0):
 def test_inner_solver_refuses_a_mismatched_grid(spec, message):
     # the table's mesh ends at x = 1
     table = T.prepare(ProblemSpec(q=lambda x: 0.0, L=1.0, l=1.0, T=1.0,
-                                  g3=lambda t: 1.0), degree=4).table
+                                  g3=lambda t: 1.0), degree=4)
     spec = ProblemSpec(**{**dict(q=lambda x: 0.0, L=1.0, l=1.0, T=1.0,
                                  g3=lambda t: 1.0), **spec})
     with pytest.raises(ConfigurationError, match=message):

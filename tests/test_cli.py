@@ -112,7 +112,7 @@ def test_coefficients_rebuild_the_solution(command, tmp_path):
     # the file lists a_0, a_1, ... and b_1, b_2, ... in order
     a = [v for name, v in fields.items() if name.startswith("a_")]
     b = [v for name, v in fields.items() if name.startswith("b_")]
-    table = thpsolve.prepare(spec, **args).table
+    table = thpsolve.prepare(spec, **args)
     assert fields["shift"] == table.f.shift == max(0.0, -spec.q(0.0))
 
     x, t, u = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1).T
@@ -555,18 +555,19 @@ def test_validate_example_evaluates_solution_grid_once(tmp_path, monkeypatch):
 def test_solution_grid_matches_the_per_time_loop(manufactured):
     # the grid is one linspace and one solution_eval over all 2500 points;
     # its reference is the loop it replaced, one call per time, whose x and
-    # t it must reproduce bit for bit
-    work, model = manufactured
-    fit = thpsolve.InnerSolver(work.spec, work.table, work.n_x,
-                               work.n_t).fit(model)
+    # t it must reproduce bit for bit; its last time is the fit's last
+    # collocation time, which np.linspace writes as T exactly
+    solver, model = manufactured
+    fit = solver.fit(model)
     blocks = []
-    for t in np.linspace(0.0, work.spec.T, 50):
+    for t in np.linspace(0.0, solver.spec.T, 50):
         x = np.linspace(0.0, float(fit.boundary.s_eval(t)), 50)
-        u = solution_eval(work.table, fit.a, x, t)
+        u = solution_eval(solver.table, fit.a, x, t)
         blocks.append(np.column_stack([x, np.full(50, t), u]))
     expected = np.concatenate(blocks)
-    grid = thpsolve.Solution(work, fit).grid
+    grid = thpsolve.Solution(solver.table, fit).grid
     assert np.array_equal(grid[:, :2], expected[:, :2])
+    assert np.array_equal(grid[-50:, 1], np.full(50, solver.spec.T))
     np.testing.assert_allclose(grid[:, 2], expected[:, 2], rtol=1e-14,
                                atol=1e-14)
 
@@ -711,11 +712,11 @@ def test_basis_dump_complex_branch_round_trips(tmp_path):
     out = tmp_path / "out"
     assert main(["basis-dump", str(path), "--n", "4", "--out", str(out)]) == 0
     data = np.loadtxt(out / "phi.csv", delimiter=",", skiprows=1)
-    work = thpsolve.prepare(cli.build_spec(cli.load_config(str(path))),
-                            mesh_points=201, degree=4)
-    phi = work.table.values[:, 0].T
-    assert phi.dtype == np.float64 and work.table.f.shift == 20.0
-    assert np.array_equal(data[:, 0], work.table.mesh.nodes)
+    table = thpsolve.prepare(cli.build_spec(cli.load_config(str(path))),
+                             mesh_points=201, degree=4)
+    phi = table.values[:, 0].T
+    assert phi.dtype == np.float64 and table.f.shift == 20.0
+    assert np.array_equal(data[:, 0], table.mesh.nodes)
     assert np.array_equal(data[:, 1:6], phi)
     assert not np.any(data[:, 6:])
 

@@ -1,5 +1,6 @@
 """docs/config.md states the discretization defaults; they live in
-pipeline.prepare and OptimizerSettings, and the docs must not drift.  The
+pipeline.prepare, pipeline's collocation counts and OptimizerSettings, and
+the docs must not drift.  The
 README's Python examples must run as written."""
 
 import inspect
@@ -15,6 +16,7 @@ import pytest
 import thpsolve
 from thpsolve import OptimizerSettings, prepare
 from thpsolve.cli import _READERS
+from thpsolve.pipeline import DEFAULT_N_T, DEFAULT_N_X
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs" / "config.md"
@@ -26,8 +28,8 @@ _SEARCH = {f.name: f.default for f in fields(OptimizerSettings)}
 LIBRARY_DEFAULTS = {
     "mesh_points": _PREPARE["mesh_points"].default,
     "n": _PREPARE["degree"].default,
-    "n_x": _PREPARE["n_x"].default,
-    "n_t": _PREPARE["n_t"].default,
+    "n_x": DEFAULT_N_X,
+    "n_t": DEFAULT_N_T,
     "k": _SEARCH["K"],
     "max_iterations": _SEARCH["max_iterations"],
 }

@@ -167,4 +167,4 @@ def test_prepare_refuses_a_float_degree():
         prepare(spec, mesh_points=101, degree=2.0)
     with pytest.raises(ConfigurationError, match="degree"):
         prepare(spec, mesh_points=101, degree=False)
-    assert prepare(spec, mesh_points=101, degree=np.int32(2)).table.degree == 2
+    assert prepare(spec, mesh_points=101, degree=np.int32(2)).degree == 2

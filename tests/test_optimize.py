@@ -6,6 +6,19 @@ from thpsolve import ConfigurationError, OptimizerSettings
 from thpsolve.optimize import _residual, _residual_jacobian
 
 
+def _solve(spec, degree, K):
+    """The boundary search on ``spec`` at basis degree ``degree`` and
+    boundary degree ``K``, on 100 collocation intervals in x and in t."""
+    solver = T.InnerSolver(spec, T.prepare(spec, degree=degree), 100, 100)
+    return T.solve_free_boundary(solver, OptimizerSettings(K=K))
+
+
+def _benchmark_solver(benchmark_solution):
+    """The InnerSolver of the shared reference solve."""
+    bench, solution, _ = benchmark_solution
+    return T.InnerSolver(bench.spec, solution.table, 100, 100)
+
+
 def test_settings_validation():
     with pytest.raises(ConfigurationError):
         OptimizerSettings(K=0)
@@ -30,9 +43,9 @@ def test_settings_validation():
 
 
 def test_recovers_manufactured_boundary(manufactured):
-    work, _ = manufactured
+    solver, _ = manufactured
     settings = OptimizerSettings(K=2, initial_b=[0.1, 0.0])
-    fit = T.solve_free_boundary(work, settings).fit
+    fit = T.solve_free_boundary(solver, settings).fit
     assert abs(fit.b[0] - 0.5) < 1e-4
     assert abs(fit.b[1]) < 1e-4
 
@@ -46,7 +59,7 @@ def test_u_eval_takes_the_shape_of_its_points():
         g3=lambda t: 1.0 + (1 + t / 2)**2 + 2 * t,
         flux_data=lambda t: 2.0 * (1 + t / 2),
     )
-    sol = T.solve_free_boundary(T.prepare(spec, degree=6), OptimizerSettings(K=2))
+    sol = _solve(spec, 6, 2)
     assert isinstance(sol.u_eval(0.5, 0.7), float)
     X, Tt = np.meshgrid([0.2, 0.5, 0.9], [0.3, 0.7])
     u = sol.u_eval(X, Tt)
@@ -55,11 +68,11 @@ def test_u_eval_takes_the_shape_of_its_points():
 
 
 def test_restart_at_optimum_is_stable(manufactured):
-    work, _ = manufactured
+    solver, _ = manufactured
     first = T.solve_free_boundary(
-        work, OptimizerSettings(K=2, initial_b=[0.1, 0.0])).fit
+        solver, OptimizerSettings(K=2, initial_b=[0.1, 0.0])).fit
     again = T.solve_free_boundary(
-        work, OptimizerSettings(K=2, initial_b=first.b)).fit
+        solver, OptimizerSettings(K=2, initial_b=first.b)).fit
     assert again.F <= first.F + 1e-12
 
 
@@ -67,7 +80,7 @@ def test_evaluations_bounded_by_iterations(manufactured):
     # each Gauss-Newton iteration costs one trial point, i.e. one inner fit
     # (the Jacobian reuses that fit's factorization); three iterations do
     # not reach convergence, which the search reports as an error
-    work, _ = manufactured
+    solver, _ = manufactured
     seen = []
 
     def trace(it, value, b):
@@ -75,8 +88,7 @@ def test_evaluations_bounded_by_iterations(manufactured):
 
     settings = OptimizerSettings(K=2, max_iterations=3)
     with pytest.raises(T.OptimizationError, match="max_iterations = 3"):
-        T.minimize_boundary(T.InnerSolver(work.spec, work.table, work.n_x,
-                                          work.n_t), settings, trace=trace)
+        T.minimize_boundary(solver, settings, trace=trace)
     assert len(seen) == 3
     assert [it for it, _ in seen] == list(range(1, len(seen) + 1))
     assert all(n == 2 for _, n in seen)
@@ -86,7 +98,7 @@ def test_search_fits_once_per_trial_point(benchmark_solution, monkeypatch):
     # the search returned a refit at the converged b, one inner fit more
     # than its trial points (7 against 6 on the reference problem); the
     # last accepted fit is that same fit
-    work = benchmark_solution[1].work
+    solver = _benchmark_solver(benchmark_solution)
     fits, rows = [], []
     fit = T.InnerSolver.fit
 
@@ -95,13 +107,10 @@ def test_search_fits_once_per_trial_point(benchmark_solution, monkeypatch):
         return fit(self, *args, **kwargs)
 
     monkeypatch.setattr(T.InnerSolver, "fit", counted)
-    result = T.minimize_boundary(T.InnerSolver(work.spec, work.table,
-                                               work.n_x, work.n_t),
-                                 OptimizerSettings(),
+    result = T.minimize_boundary(solver, OptimizerSettings(),
                                  trace=lambda *row: rows.append(row))
     assert len(fits) == len(rows) == 6
-    refit = fit(T.InnerSolver(work.spec, work.table, work.n_x, work.n_t),
-                result.boundary)
+    refit = fit(solver, result.boundary)
     assert np.array_equal(result.a, refit.a)
     assert result.F == refit.F
     assert np.array_equal(result.residual, refit.residual)
@@ -112,42 +121,41 @@ def test_search_clamps_once_per_fit(benchmark_solution, monkeypatch):
     # the collocation system, its Jacobian, the search residual and its
     # Jacobian and the final admissibility check each clamped s again: 23
     # clamps for the 6 fits of the reference search
-    work = benchmark_solution[1].work
+    solver = _benchmark_solver(benchmark_solution)
     calls = {"fit": 0, "clamp": 0}
     for cls, name in ((T.InnerSolver, "fit"), (T.BoundaryModel, "clamp")):
         def counted(*args, _name=name, _method=getattr(cls, name), **kwargs):
             calls[_name] += 1
             return _method(*args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
-    T.minimize_boundary(T.InnerSolver(work.spec, work.table, work.n_x, work.n_t),
-                        OptimizerSettings())
+    T.minimize_boundary(solver, OptimizerSettings())
     assert calls == {"fit": 6, "clamp": 6}
 
 
 def test_reference_problem_at_K8(benchmark_solution):
     # a degree-8 boundary must fit the reference problem at least as well
     # as the published degree 6 does
-    work = benchmark_solution[1].work
-    fit = T.solve_free_boundary(work, OptimizerSettings(K=8)).fit
+    solver = _benchmark_solver(benchmark_solution)
+    fit = T.solve_free_boundary(solver, OptimizerSettings(K=8)).fit
     assert fit.F <= 1e-9
 
 
 def test_feasibility_of_result(manufactured):
-    work, _ = manufactured
-    fit = T.solve_free_boundary(work, OptimizerSettings(K=2)).fit
-    assert not fit.boundary.clamp(fit.t, work.spec.L)[1].any()
+    solver, _ = manufactured
+    fit = T.solve_free_boundary(solver, OptimizerSettings(K=2)).fit
+    assert not fit.boundary.clamp(fit.t, solver.spec.L)[1].any()
 
 
 def test_determinism(manufactured):
-    work, _ = manufactured
+    solver, _ = manufactured
     settings = OptimizerSettings(K=2)
-    b1 = T.solve_free_boundary(work, settings).fit.b
-    b2 = T.solve_free_boundary(work, settings).fit.b
+    b1 = T.solve_free_boundary(solver, settings).fit.b
+    b2 = T.solve_free_boundary(solver, settings).fit.b
     assert np.array_equal(b1, b2)
 
 
 def test_only_numeric_failures_reject_a_vertex(manufactured, monkeypatch):
-    work, _ = manufactured
+    solver, _ = manufactured
     settings = OptimizerSettings(K=2)
 
     def failing_fit(exc):
@@ -159,22 +167,19 @@ def test_only_numeric_failures_reject_a_vertex(manufactured, monkeypatch):
     monkeypatch.setattr(T.InnerSolver, "fit",
                         failing_fit(T.SolverError("all zero")))
     with pytest.raises(T.OptimizationError, match="all zero") as info:
-        T.minimize_boundary(T.InnerSolver(work.spec, work.table, work.n_x,
-                                          work.n_t), settings)
+        T.minimize_boundary(solver, settings)
     assert type(info.value.__cause__) is T.SolverError
     # a programming error propagates instead of becoming "failed everywhere"
     monkeypatch.setattr(T.InnerSolver, "fit", failing_fit(TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
-        T.minimize_boundary(T.InnerSolver(work.spec, work.table, work.n_x,
-                                          work.n_t), settings)
+        T.minimize_boundary(solver, settings)
 
 
 def test_reference_problem_at_N18():
     # without column equilibration the inner fits at N = 18 lost rank and
     # the boundary error was 1.5e-2
     bench = T.exact_benchmark()
-    work = T.prepare(bench.spec, degree=18)
-    solution = T.solve_free_boundary(work, OptimizerSettings(K=6))
+    solution = _solve(bench.spec, 18, 6)
     ts = np.linspace(0.0, 1.0, 101)
     err = np.max(np.abs(solution.s_eval(ts) - bench.exact_s(ts)))
     assert err <= 1e-4
@@ -193,9 +198,8 @@ def test_hermite_modes_gate(beta, t_final, degree, K, gate):
     # non-constant q, a boundary that is not a polynomial and, at beta = 20,
     # a shift c = 20 with a non-trivial f; errors were 4.9e-7 and 1.1e-8
     bench = T.hermite_benchmark(beta, t_final)
-    work = T.prepare(bench.spec, degree=degree)
-    assert work.table.f.shift == beta
-    solution = T.solve_free_boundary(work, OptimizerSettings(K=K))
+    solution = _solve(bench.spec, degree, K)
+    assert solution.table.f.shift == beta
     ts = np.linspace(0.0, t_final, 201)
     err = np.max(np.abs(solution.s_eval(ts) - bench.exact_s(ts)))
     assert err <= gate
@@ -224,8 +228,7 @@ def test_melt_rate_hermite_gate(beta, t_final, eps, degree, K, gate,
     # the Stefan condition u_x(s, t) = -s'(t) with non-constant q and an s
     # known only through its ODE; beta = 0 measured 2.9e-9
     spec, exact_s = melt_rate_hermite(beta, t_final, eps)
-    solution = T.solve_free_boundary(T.prepare(spec, degree=degree),
-                                     OptimizerSettings(K=K))
+    solution = _solve(spec, degree, K)
     ts = np.linspace(0.0, t_final, 201)
     assert np.max(np.abs(solution.s_eval(ts) - exact_s(ts))) <= gate
 
@@ -238,8 +241,7 @@ def test_neumann_stefan_gate(lam, t0, degree, K, gate, neumann_stefan):
     # the classical Stefan problem in one window, against Neumann's
     # similarity solution; measured 3.4e-11 and 5.4e-7
     spec, exact_s, _ = neumann_stefan(lam, t0, 1.0)
-    solution = T.solve_free_boundary(T.prepare(spec, degree=degree),
-                                     OptimizerSettings(K=K))
+    solution = _solve(spec, degree, K)
     ts = np.linspace(0.0, 1.0, 201)
     assert np.max(np.abs(solution.s_eval(ts) - exact_s(ts))) <= gate
 
@@ -247,8 +249,7 @@ def test_neumann_stefan_gate(lam, t0, degree, K, gate, neumann_stefan):
 def test_neumann_stefan_solution(neumann_stefan):
     # u on the 50 x 50 solution grid; measured 2.2e-10
     spec, _, exact_u = neumann_stefan(0.5, 1.0, 1.0)
-    solution = T.solve_free_boundary(T.prepare(spec, degree=24),
-                                     OptimizerSettings(K=12))
+    solution = _solve(spec, 24, 12)
     x, t, u = solution.grid.T
     assert np.max(np.abs(u - exact_u(x, t))) <= 1e-8
 
@@ -264,7 +265,7 @@ def _closed_form_q_minus_2():
         g1=lambda x: np.cos(x), g2=lambda t: 0.0,
         g3=lambda t: np.cos(s(t)) * np.exp(t),
         flux_data=lambda t: -np.sin(s(t)) * np.exp(t))
-    return T.prepare(spec, degree=12)
+    return T.InnerSolver(spec, T.prepare(spec, degree=12), 100, 100)
 
 
 @pytest.mark.parametrize("case, b", [
@@ -284,24 +285,23 @@ def test_jacobian_gives_the_exact_gradient(case, b, manufactured,
     # projected off that column space.  The oracle is central differences
     # at a non-optimal b.
     if case == "reference":
-        work = benchmark_solution[1].work
+        solver = _benchmark_solver(benchmark_solution)
     elif case == "q=-2":
-        work = _closed_form_q_minus_2()
+        solver = _closed_form_q_minus_2()
     else:
-        work = manufactured[0]
-    solver = T.InnerSolver(work.spec, work.table, work.n_x, work.n_t)
+        solver = manufactured[0]
 
     def residual_at(b):
         return _residual(
-            solver.fit(T.BoundaryModel(work.spec.l, b), clamp=True))
+            solver.fit(T.BoundaryModel(solver.spec.l, b), clamp=True))
 
     b = np.asarray(b, float)
-    fit = solver.fit(T.BoundaryModel(work.spec.l, b), clamp=True)
+    fit = solver.fit(T.BoundaryModel(solver.spec.l, b), clamp=True)
     if case == "q=-2":
-        assert work.table.f.shift == 2.0
+        assert solver.table.f.shift == 2.0
     if case in ("below-0", "above-L"):
         s = fit.boundary.s_eval(fit.t)
-        assert np.any((s <= 0) | (s > work.spec.L))
+        assert np.any((s <= 0) | (s > solver.spec.L))
     r, jac = _residual(fit), _residual_jacobian(solver, fit)
     oracle_gradient = np.empty_like(b)
     oracle_jac = np.empty_like(jac)
@@ -331,8 +331,7 @@ def test_reference_problem_at_K12_from_a_cold_start(degree, gate):
     # and 4136 (N = 20) fits and ended at boundary errors of 5.3e-5 and
     # 8.5e-4; they converged only when started from the K = 10 optimum
     bench = T.exact_benchmark()
-    work = T.prepare(bench.spec, degree=degree)
-    solution = T.solve_free_boundary(work, OptimizerSettings(K=12))
+    solution = _solve(bench.spec, degree, 12)
     ts = np.linspace(0.0, 1.0, 1001)
     err = np.max(np.abs(solution.s_eval(ts) - bench.exact_s(ts)))
     assert err <= gate

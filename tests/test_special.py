@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import thpsolve.special as special
-from thpsolve import (DomainError, ei, ei_inv, exact_benchmark,
+from thpsolve import (DomainError, InnerSolver, ei, ei_inv, exact_benchmark,
                       hermite_benchmark, prepare, solve_free_boundary)
 
 
@@ -153,7 +153,8 @@ def test_benchmark_data_fit_another_collocation_grid():
     # g3 was tabulated at the 101 default times, so n_t = 50 was refused
     # as "g3 has values of shape (101,), expected (51,)"
     bench = exact_benchmark()
-    solution = solve_free_boundary(prepare(bench.spec, n_t=50))
+    solution = solve_free_boundary(
+        InnerSolver(bench.spec, prepare(bench.spec), 100, 50))
     ts = np.linspace(0.0, 1.0, 1001)
     assert np.max(np.abs(solution.s_eval(ts) - bench.exact_s(ts))) <= 1e-5
 
