@@ -252,5 +252,8 @@ def solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nd
     u, sigma, vh = np.linalg.svd(matrix / scale, full_matrices=False)
     keep = sigma > RANK_TOL * sigma[0]
     u, sigma, vh = u[:, keep], sigma[keep], vh[keep]
-    a = vh.T @ ((u.T @ rhs) / sigma)
-    return a / scale, u
+    # a solution past the float range is not finite, and so is the fit's
+    # residual, which the search refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = vh.T @ ((u.T @ rhs) / sigma)
+        return a / scale, u

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 
 __all__ = ["BoundaryModel"]
 
@@ -38,12 +38,24 @@ class BoundaryModel:
 
     def shape(self, t) -> np.ndarray:
         """Shape functions d s / d b_j = t^j, j = 1..K, along a last axis."""
-        return np.asarray(t, dtype=float)[..., None] ** np.arange(1, self.K + 1)
+        return self._powers(t, derivative=False)
 
     def shape_dot(self, t) -> np.ndarray:
         """Their time derivatives d s' / d b_j = j t^(j-1), along a last axis."""
+        return self._powers(t, derivative=True)
+
+    def _powers(self, t, derivative: bool) -> np.ndarray:
+        """t^j or j t^(j-1), j = 1..K, along a last axis; DomainError
+        where they leave the float range."""
+        t = np.asarray(t, dtype=float)[..., None]
         j = np.arange(1, self.K + 1)
-        return j * np.asarray(t, dtype=float)[..., None] ** (j - 1)
+        try:
+            with np.errstate(over="raise"):
+                return j * t ** (j - 1) if derivative else t ** j
+        except FloatingPointError:
+            raise DomainError(
+                f"boundary shape function t^j exceeds the float range "
+                f"(t up to {np.max(np.abs(t)):g}, j up to {self.K})") from None
 
     # np.vecdot rounds an array of times like one scalar call per time (a
     # matrix-vector product does not)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, require_count
+from .errors import ConfigurationError, DomainError, require_count
 from .numerics import Interpolant, cumulative_integral
 from .particular import ParticularSolution, ZERO_THRESHOLD
 
@@ -58,7 +58,8 @@ def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
     stack of both chains.
 
     The chains write straight into the table's values, which are not
-    copied."""
+    copied.  Raises DomainError naming the first degree whose values leave
+    the float range."""
     require_count("degree", degree, 0)
     mesh = f.mesh
     fv = f.f.values
@@ -78,14 +79,19 @@ def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
     weights = np.stack([1.0 / f2, f2])
     chains = np.ones((2, mesh.n_points))
     work = np.empty_like(chains)    # the integrands, then n * prev / f
-    for n in range(1, degree + 1):
-        prev = chains[1]
-        chains = cumulative_integral(
-            np.multiply(chains[::-1], weights, out=work), mesh.h)
-        chains *= n
-        np.multiply(fv, chains[0], out=rows[n, 0])
-        np.multiply(fpv, chains[0], out=rows[n, 1])
-        np.multiply(n, prev, out=work[0])
-        work[0] /= fv
-        rows[n, 1] += work[0]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for n in range(1, degree + 1):
+                prev = chains[1]
+                chains = cumulative_integral(
+                    np.multiply(chains[::-1], weights, out=work), mesh.h)
+                chains *= n
+                np.multiply(fv, chains[0], out=rows[n, 0])
+                np.multiply(fpv, chains[0], out=rows[n, 1])
+                np.multiply(n, prev, out=work[0])
+                work[0] /= fv
+                rows[n, 1] += work[0]
+    except FloatingPointError:
+        raise DomainError(f"formal power phi_{n} exceeds the float range on "
+                          f"[0, {mesh.x_end:g}]") from None
     return FormalPowerTable(values=rows, f=f)

@@ -864,6 +864,60 @@ def test_overflowing_residual_norm_exits_numeric(tmp_path, capsys):
     assert "not finite at the initial point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, flags, mesh_points", [
+    ("basis-dump", "q = 0\nl = 1\nl_domain = 2\nt_final = 1\ng3 = 1\n",
+     ["--n", "1100", "--N", "1100", "--mesh", "201"], 201),
+    ("solve", "q = 0\nl = 1\nl_domain = 100\nt_final = 0.1\ng3 = 1\n",
+     ["--N", "160"], 2001),
+], ids=["basis-dump", "solve"])
+def test_formal_power_past_float_range_exits_numeric(command, config, flags,
+                                                     mesh_points, tmp_path,
+                                                     capsys):
+    # phi_n outgrew a float with four numpy RuntimeWarnings: basis-dump
+    # wrote inf and nan into 200 of phi.csv's 201 rows and solve reported
+    # convergence (F = 8.8e-29) on a table holding nan, both with exit 0
+    path = tmp_path / "phi.cfg"
+    path.write_text(config)
+    inputs = [str(path), *flags, "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, *inputs]) == 3
+    err = capsys.readouterr().err
+    degree = int(re.search(r"phi_(\d+) exceeds the float range", err).group(1))
+    assert not (tmp_path / "o").exists()
+    # the degree named is the first one that leaves the float range
+    spec = cli.build_spec(cli.load_config(str(path)))
+    table = thpsolve.prepare(spec, mesh_points, degree - 1)
+    assert np.isfinite(table.values).all()
+    with pytest.raises(thpsolve.DomainError, match=f"phi_{degree} "):
+        thpsolve.prepare(spec, mesh_points, degree)
+
+
+def test_boundary_power_past_float_range_exits_numeric(tmp_path, capsys):
+    # t^j overflowed in BoundaryModel.shape: the run printed two numpy
+    # RuntimeWarnings, then exited 3 with the misleading "evaluation point
+    # outside [0.0, 2.0]"
+    path = tmp_path / "huge_t.cfg"
+    path.write_text("q = x\nl = 1\nl_domain = 2\nt_final = 1e300\ng3 = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "t^j exceeds the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("datum", ["g1 = 1e308*x", "flux = 1e308*t*t"],
+                         ids=["g1", "flux"])
+def test_huge_data_exit_numeric_without_warnings(datum, tmp_path, capsys):
+    # the inner least-squares solution overflowed: solve_linear printed
+    # three numpy RuntimeWarnings before the documented message
+    path = tmp_path / "huge.cfg"
+    path.write_text(f"q = 0\nl = 1\nl_domain = 2\nt_final = 1\ng3 = 1\n{datum}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "not finite at the initial point" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("l_domain, t_final, message", [
     ("inf", "1", "L must be finite, got L=inf"),
     ("2.0", "nan", "T must be finite, got T=nan"),
