@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr
-from .assemble import InnerSolver, ProblemSpec
+from .assemble import InnerSolver, ProblemSpec, solve_linear
 from .boundary import BoundaryModel
 from .errors import (ConfigurationError, ExpressionEvalError, SolverError,
                      require_count)
@@ -144,7 +144,7 @@ def _fit_initial_boundary(source_expr, l: float, T: float, K: int,
             raise ConfigurationError(
                 f"initial boundary guess has s(0) = {s0}, expected l = {l}")
         shape = BoundaryModel(l, np.zeros(K)).shape(ts)
-        return np.linalg.lstsq(shape, source_expr(ts) - l, rcond=None)[0]
+        return solve_linear(shape, source_expr(ts) - l)[0]
     except (ConfigurationError, ExpressionEvalError) as exc:
         raise ConfigurationError(f"{name}: {exc}") from exc
     except np.linalg.LinAlgError as exc:

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assemble import FitResult, InnerSolver
+from .assemble import FitResult, InnerSolver, solve_linear
 from .boundary import BoundaryModel
 from .errors import (ConfigurationError, OptimizationError, SolverError,
                      require_count)
@@ -81,14 +81,11 @@ def _residual_jacobian(solver: InnerSolver, fit: FitResult) -> np.ndarray:
 def _step(jac: np.ndarray, r: np.ndarray, damping: float) -> np.ndarray:
     """Levenberg-Marquardt step: least-squares solution of J p = -r, with
     the rows sqrt(damping) D p = 0 added, D the column norms of J (the
-    Gauss-Newton step when damping is 0).  Solved in the columns scaled
-    by D, so that the damping is relative to each column's norm."""
+    Gauss-Newton step when damping is 0), so that the damping is relative
+    to each column's norm."""
     norms = np.linalg.norm(jac, axis=0)
-    norms[norms == 0] = 1.0
-    k = jac.shape[1]
-    lhs = np.vstack([jac / norms, np.sqrt(damping) * np.eye(k)])
-    rhs = np.concatenate([-r, np.zeros(k)])
-    return np.linalg.lstsq(lhs, rhs, rcond=None)[0] / norms
+    lhs = np.vstack([jac, np.sqrt(damping) * np.diag(norms)])
+    return solve_linear(lhs, np.concatenate([-r, np.zeros(len(norms))]))[0]
 
 
 def minimize_boundary(solver: InnerSolver,

@@ -485,10 +485,12 @@ def test_overflowing_initial_boundary_fails_in_one_line(tmp_path):
 
 
 def test_failed_guess_projection_is_a_config_error(monkeypatch):
+    # the projection is assemble.solve_linear, whose one SVD is the call
+    # that can fail
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(thpsolve.ConfigurationError, match="initial_boundary"):
         cli._fit_initial_boundary(thpsolve.expr.parse("1 + t", "t"), 1.0, 1.0, 2,
                                   "initial_boundary")
