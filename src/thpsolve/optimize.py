@@ -8,6 +8,10 @@ violations of the admissibility constraint, is minimized by Gauss-Newton
 steps on Kaufman's analytic variable-projection Jacobian, built from the
 factorization the fit has already made, with Levenberg-Marquardt damping
 (More 1978) added only after a step that fails to lower the objective.
+
+The steps run in Chebyshev coordinates c on [0, T], b = M c: the monomial
+columns t^j and t^(j+1) of the Jacobian are nearly parallel, the Chebyshev
+ones are not (Trefethen 2013).  The boundary itself stays monomial.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import numpy as np
 
 from .assemble import FitResult, InnerSolver, solve_linear
 from .boundary import BoundaryModel
-from .errors import (ConfigurationError, OptimizationError, SolverError,
-                     require_count)
+from .errors import (ConfigurationError, DomainError, OptimizationError,
+                     SolverError, require_count)
 
 __all__ = ["OptimizerSettings", "minimize_boundary"]
 
@@ -88,6 +92,26 @@ def _step(jac: np.ndarray, r: np.ndarray, damping: float) -> np.ndarray:
     return solve_linear(lhs, np.concatenate([-r, np.zeros(len(norms))]))[0]
 
 
+def _chebyshev_map(K: int, T: float) -> np.ndarray:
+    """K x K matrix M whose column k - 1 holds the coefficients of
+    t^1..t^K in T_k(2t/T - 1) - (-1)^k, k = 1..K, so that b = M c takes
+    Chebyshev coordinates c to monomial boundary coefficients b.  Built by
+    T_(k+1) = 2 tau T_k - T_(k-1), tau = 2t/T - 1, on coefficient arrays in
+    t; the constant term T_k(-1) = (-1)^k cancels.  DomainError where the
+    coefficients, up to 2^(2K-1) / T^K, leave the float range."""
+    powers = np.zeros((K + 1, K + 1))     # row k: T_k(tau) in t^0..t^K
+    powers[0, 0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            # roll multiplies by t: the t^K entry of T_k, k < K, is 0
+            tau_t_k = 2.0 / T * np.roll(powers[k], 1) - powers[k]
+            powers[k + 1] = tau_t_k if k == 0 else 2.0 * tau_t_k - powers[k - 1]
+    if not np.isfinite(powers).all():
+        raise DomainError(f"Chebyshev search coordinates exceed the float "
+                          f"range (T = {T:g}, K = {K})")
+    return powers[1:, 1:].T
+
+
 def minimize_boundary(solver: InnerSolver,
                       settings: OptimizerSettings = OptimizerSettings(),
                       trace: Optional[Callable[[int, float, np.ndarray], None]] = None,
@@ -137,17 +161,21 @@ def minimize_boundary(solver: InnerSolver,
     if not np.isfinite(value):
         raise OptimizationError(
             f"search residual is not finite at the initial point b = {b.tolist()}")
+    # built after the start evaluates: a T past the float range, which that
+    # evaluation refuses, would leave M singular
+    cheb = _chebyshev_map(settings.K, solver.spec.T)
+    c = np.linalg.solve(cheb, b)
     jac, damping = None, 0.0
     for _ in range(settings.max_iterations - 1):
         if jac is None:
-            jac = _residual_jacobian(solver, fit)
+            jac = _residual_jacobian(solver, fit) @ cheb
         step = _step(jac, r, damping)
-        trial = b + step
-        fit_trial, r_trial, trial_value = evaluate(trial)
-        done = np.linalg.norm(step) <= XTOL * (XTOL + np.linalg.norm(b))
+        trial = c + step
+        fit_trial, r_trial, trial_value = evaluate(cheb @ trial)
+        done = np.linalg.norm(step) <= XTOL * (XTOL + np.linalg.norm(c))
         if trial_value < value:
             done |= value - trial_value <= FTOL * value
-            b, fit, r, value = trial, fit_trial, r_trial, trial_value
+            c, fit, r, value = trial, fit_trial, r_trial, trial_value
             jac, damping = None, 0.0
         else:
             damping = max(10.0 * damping, INITIAL_DAMPING)

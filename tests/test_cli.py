@@ -691,9 +691,9 @@ flux = -(1+0.5*sin(2*t))*exp(-(1+0.5*sin(2*t))^2/2)*exp(19*t) + 0.3*(8*(1+0.5*si
 """
 
 
-@pytest.mark.xfail(strict=True, reason="the monomial boundary converges to "
-                   "F = 0.111 with a boundary error of 7.2e-2, and solve exits 0")
 def test_hermite_solve_is_accurate_or_fails(tmp_path):
+    # a search in monomial coordinates converged to F = 0.111 with a
+    # boundary error of 7.2e-2, and solve exited 0
     path = tmp_path / "hermite.cfg"
     path.write_text(HERMITE_20_CONFIG)
     out = tmp_path / "out"
@@ -905,6 +905,20 @@ def test_boundary_power_past_float_range_exits_numeric(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 3
     assert "t^j exceeds the float range" in capsys.readouterr().err
+
+
+def test_tiny_final_time_exits_numeric(tmp_path, capsys):
+    # the Chebyshev map of the search holds coefficients up to
+    # 2^(2K-1) / T^K, past the float range at T = 1e-60 and K = 6; unchecked,
+    # they made the step's SVD fail with a traceback
+    path = tmp_path / "tiny_t.cfg"
+    path.write_text(_docs_example().replace("t_final  = 1.0", "t_final = 1e-60"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "Chebyshev search coordinates exceed the float range" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("datum", ["g1 = 1e308*x", "flux = 1e308*t*t"],

@@ -3,7 +3,7 @@ import pytest
 
 import thpsolve as T
 from thpsolve import ConfigurationError, OptimizerSettings
-from thpsolve.optimize import _residual, _residual_jacobian
+from thpsolve.optimize import _chebyshev_map, _residual, _residual_jacobian
 
 
 def _solve(spec, degree, K):
@@ -97,7 +97,8 @@ def test_evaluations_bounded_by_iterations(manufactured):
 def test_search_fits_once_per_trial_point(benchmark_solution, monkeypatch):
     # the search returned a refit at the converged b, one inner fit more
     # than its trial points (7 against 6 on the reference problem); the
-    # last accepted fit is that same fit
+    # last accepted fit is that same fit.  In Chebyshev coordinates the
+    # reference search takes 5 trial points
     solver = _benchmark_solver(benchmark_solution)
     fits, rows = [], []
     fit = T.InnerSolver.fit
@@ -109,7 +110,7 @@ def test_search_fits_once_per_trial_point(benchmark_solution, monkeypatch):
     monkeypatch.setattr(T.InnerSolver, "fit", counted)
     result = T.minimize_boundary(solver, OptimizerSettings(),
                                  trace=lambda *row: rows.append(row))
-    assert len(fits) == len(rows) == 6
+    assert len(fits) == len(rows) == 5
     refit = fit(solver, result.boundary)
     assert np.array_equal(result.a, refit.a)
     assert result.F == refit.F
@@ -120,7 +121,7 @@ def test_search_fits_once_per_trial_point(benchmark_solution, monkeypatch):
 def test_search_clamps_once_per_fit(benchmark_solution, monkeypatch):
     # the collocation system, its Jacobian, the search residual and its
     # Jacobian and the final admissibility check each clamped s again: 23
-    # clamps for the 6 fits of the reference search
+    # clamps for the 6 fits that the reference search took then
     solver = _benchmark_solver(benchmark_solution)
     calls = {"fit": 0, "clamp": 0}
     for cls, name in ((T.InnerSolver, "fit"), (T.BoundaryModel, "clamp")):
@@ -129,7 +130,29 @@ def test_search_clamps_once_per_fit(benchmark_solution, monkeypatch):
             return _method(*args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
     T.minimize_boundary(solver, OptimizerSettings())
-    assert calls == {"fit": 6, "clamp": 6}
+    assert calls == {"fit": 5, "clamp": 5}
+
+
+@pytest.mark.parametrize("K", [1, 6, 16])
+@pytest.mark.parametrize("t_final", [0.5, 1.0, 3.0])
+def test_chebyshev_map_holds_the_shifted_chebyshev_polynomials(t_final, K):
+    # column k - 1 holds t^1..t^K of T_k(2t/T - 1) - (-1)^k; numpy's
+    # conversion is the independent reference
+    from numpy.polynomial import Chebyshev, Polynomial
+    cheb = _chebyshev_map(K, t_final)
+    assert cheb.shape == (K, K)
+    for k in range(1, K + 1):
+        power = Chebyshev.basis(k, domain=[0.0, t_final]).convert(kind=Polynomial)
+        want = np.zeros(K + 1)
+        want[:k + 1] = power.coef
+        assert want[0] == pytest.approx((-1.0) ** k, rel=1e-12)
+        np.testing.assert_allclose(cheb[:, k - 1], want[1:], rtol=1e-12)
+
+
+def test_chebyshev_map_past_float_range_is_a_domain_error():
+    # the leading coefficient 2^(2K-1) / T^K of T_K overflows
+    with pytest.raises(T.DomainError, match="Chebyshev search coordinates"):
+        _chebyshev_map(6, 1e-60)
 
 
 def test_reference_problem_at_K8(benchmark_solution):
@@ -191,8 +214,9 @@ def test_reference_problem_at_N18():
     # the inner fits' rank cut sets this 6.2e-7; a cut of 1e-14 gave 7.3e-11
     pytest.param(20.0, 0.5, 28, 12, 1e-9, id="20.0-0.5-N28",
                  marks=pytest.mark.xfail(strict=True, reason="error 6.2e-7")),
-    pytest.param(20.0, 0.5, 32, 16, 1e-6, id="20.0-0.5-N32",
-                 marks=pytest.mark.xfail(strict=True, reason="error 7.6e-2")),
+    # the monomial search coordinates set this at 7.6e-2; Chebyshev ones
+    # gave 3.3e-7
+    pytest.param(20.0, 0.5, 32, 16, 1e-6, id="20.0-0.5-N32"),
 ])
 def test_hermite_modes_gate(beta, t_final, degree, K, gate):
     # non-constant q, a boundary that is not a polynomial and, at beta = 20,
