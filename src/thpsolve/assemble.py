@@ -32,7 +32,7 @@ __all__ = [
     "InnerSolver",
 ]
 
-RANK_TOL = 1e-12
+RANK_TOL = 1e-14
 
 DataFunc = Union[Expression, Callable[[np.ndarray], Union[np.ndarray, float]]]
 BoundaryData = Union[DataFunc, np.ndarray]
@@ -242,8 +242,13 @@ def solve_linear(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nd
     each column is scaled to unit 2-norm (a zero column keeps scale 1), and
     singular values below RANK_TOL * sigma_max are treated as zero.  The
     unscaled column norms span many decades (phi_n grows like x^n, H_n like
-    t^(n/2)); from N = 18 their condition number passes 1/RANK_TOL and the
-    cut would drop directions the fit needs.
+    t^(n/2)); from N = 18 their condition number passed 1e12, and a cut on
+    them would drop directions the fit needs.
+
+    It is the package's one least-squares solver: the inner fit
+    (``InnerSolver.fit``), the damped step of the boundary search
+    (``optimize._step``) and the projection of an initial boundary guess
+    (``cli._fit_initial_boundary``) all call it.
 
     Returns the solution a and the left singular vectors kept, an
     orthonormal basis U of the column space the fit projects onto."""
