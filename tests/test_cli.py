@@ -540,6 +540,23 @@ def test_basis_dump_rejects_negative_index(config_path, tmp_path, capsys):
     assert not (out / "phi.csv").exists()
 
 
+def test_basis_dump_rejects_negative_degree(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["basis-dump", config_path, "--n", "2", "--N", "-1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: degree must be an integer >= 0, got -1\n")
+    assert not (out / "phi.csv").exists()
+
+
+def test_basis_dump_of_phi_0_alone(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["basis-dump", config_path, "--n", "0", "--out", str(out)]) == 0
+    lines = (out / "phi.csv").read_text().splitlines()
+    assert lines[0] == "x,re_phi_0,im_phi_0"
+    assert all(line.endswith(",1,0") for line in lines[1:])
+
+
 def test_validate_example_evaluates_solution_grid_once(tmp_path, monkeypatch):
     # one solution_eval over all points of the 50 x 50 grid, shared by the
     # u-error check and solution.csv
@@ -771,7 +788,7 @@ def _modules_after(code: str, names: list) -> list:
     has long since imported them all."""
     env = dict(os.environ, PYTHONPATH=str(Path(thpsolve.__file__).parents[1]))
     report = (f"import sys; print(sorted(m for m in sys.modules "
-              f"if m.split('.')[0] in {names!r}))")
+              f"if any(m == n or m.startswith(n + '.') for n in {names!r})))")
     run = subprocess.run([sys.executable, "-c", code + "\n" + report],
                          env=env, capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
@@ -787,13 +804,32 @@ def test_cli_import_loads_no_rational_arithmetic():
     assert _modules_after("import thpsolve.cli", ["fractions", "decimal"]) == []
 
 
-@pytest.mark.parametrize("command", ["basis-dump", "solve", "validate-example"])
-def test_command_loads_no_scipy(command, config_path, tmp_path):
+def test_cli_import_loads_no_numpy_polynomial():
+    # the search's Chebyshev map is its own recurrence: importing
+    # numpy.polynomial measured 3-6 ms
+    assert _modules_after("import thpsolve.cli", ["numpy.polynomial"]) == []
+
+
+def _command_modules(command: str, config_path: str, out: Path,
+                     names: list) -> list:
+    """The modules among ``names`` that running ``command`` loads."""
     inputs = {"basis-dump": [config_path, "--n", "3"], "solve": [config_path],
               "validate-example": []}[command]
-    argv = [command, *inputs, "--out", str(tmp_path / "out")]
+    argv = [command, *inputs, "--out", str(out)]
     code = f"from thpsolve.cli import main\nassert main({argv!r}) == 0"
-    assert _modules_after(code, ["scipy"]) == []
+    return _modules_after(code, names)
+
+
+@pytest.mark.parametrize("command", ["basis-dump", "solve", "validate-example"])
+def test_command_loads_no_scipy(command, config_path, tmp_path):
+    assert _command_modules(command, config_path, tmp_path / "out",
+                            ["scipy"]) == []
+
+
+@pytest.mark.parametrize("command", ["basis-dump", "solve", "validate-example"])
+def test_command_loads_no_numpy_polynomial(command, config_path, tmp_path):
+    assert _command_modules(command, config_path, tmp_path / "out",
+                            ["numpy.polynomial"]) == []
 
 
 DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"

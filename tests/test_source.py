@@ -38,3 +38,40 @@ def test_an_unread_import_is_found():
     source = ("from __future__ import annotations\nimport os.path\n"
               "from .a import b, c as d\nprint(b)\n")
     assert _unread_imports(source) == ["line 2: os", "line 3: d"]
+
+
+def _least_squares_calls(source: str) -> list:
+    """(function, line) of every call of a name or attribute ``lstsq`` or
+    ``svd``, the function being the innermost def around it."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in ("lstsq", "svd"):
+                    found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_least_squares_solver():
+    # the inner fit, the search step and the initial-guess projection each
+    # had their own solver and rank policy; solve_linear is now the only one
+    calls = {path.name: _least_squares_calls(path.read_text())
+             for path in PACKAGE.glob("*.py")}
+    assert [function for function, _ in calls.pop("assemble.py")] == ["solve_linear"]
+    assert {name: found for name, found in calls.items() if found} == {}
+
+
+def test_a_least_squares_call_is_found():
+    source = ("import numpy as np\nfrom numpy.linalg import svd\n"
+              "def f(a):\n    return np.linalg.lstsq(a, a)\n"
+              "x = svd(np.eye(2))\n")
+    assert _least_squares_calls(source) == [("f", 4), (None, 5)]
