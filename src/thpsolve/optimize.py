@@ -31,9 +31,9 @@ __all__ = ["OptimizerSettings", "minimize_boundary"]
 # weight of the squared admissibility violation against the value function F
 PENALTY_WEIGHT = 1e6
 
-# convergence: a step short relative to b, or an accepted step that lowers
-# the objective by a small share (scipy's least_squares defaults for xtol
-# and ftol)
+# convergence: a step short relative to the Chebyshev coordinates c, or an
+# accepted step that lowers the objective by a small share (scipy's
+# least_squares defaults for xtol and ftol)
 XTOL = FTOL = 1e-8
 # damping after a rejected undamped step, relative to each squared column
 # norm of the Jacobian; every further rejection multiplies it by 10
