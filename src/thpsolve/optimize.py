@@ -3,11 +3,13 @@
 For a fixed boundary the basis coefficients enter the collocation residual
 linearly, so the inner least-squares fit eliminates them and leaves a
 residual vector in the boundary coefficients alone (Golub & Pereyra 1973;
-Kaufman 1975).  That projected residual, extended by the weighted per-time
-violations of the admissibility constraint, is minimized by Gauss-Newton
-steps on Kaufman's analytic variable-projection Jacobian, built from the
+Kaufman 1975).  That projected residual is minimized by Gauss-Newton steps
+on Kaufman's analytic variable-projection Jacobian, built from the
 factorization the fit has already made, with Levenberg-Marquardt damping
-(More 1978) added only after a step that fails to lower the objective.
+(More 1978) added only after a step that fails to lower the objective.  A
+trial point whose s(t) leaves the admissible band at a collocation time
+has the objective inf, so it is such a step; a start outside the band
+restarts once from the constant boundary s = l.
 
 The steps run in Chebyshev coordinates c on [0, T], b = M c: the monomial
 columns t^j and t^(j+1) of the Jacobian are nearly parallel, the Chebyshev
@@ -27,9 +29,6 @@ from .errors import (ConfigurationError, DomainError, OptimizationError,
                      SolverError, require_count)
 
 __all__ = ["OptimizerSettings", "minimize_boundary"]
-
-# weight of the squared admissibility violation against the value function F
-PENALTY_WEIGHT = 1e6
 
 # convergence: a step short relative to the Chebyshev coordinates c, or an
 # accepted step that lowers the objective by a small share (scipy's
@@ -63,23 +62,6 @@ class OptimizerSettings:
         if not np.all(np.isfinite(b0)):
             raise ConfigurationError(f"initial_b must be finite, got {b0.tolist()}")
         object.__setattr__(self, "initial_b", b0)
-
-
-def _residual(fit: FitResult) -> np.ndarray:
-    """Search residual of a clamped fit: the projected collocation residual,
-    then the weighted per-time violations of the admissibility constraint."""
-    return np.concatenate([fit.residual,
-                           np.sqrt(PENALTY_WEIGHT) * fit.violation])
-
-
-def _residual_jacobian(solver: InnerSolver, fit: FitResult) -> np.ndarray:
-    """Jacobian of ``_residual`` in the boundary coefficients: the inner
-    solver's variable-projection rows, then d/db_j of the penalty rows,
-    sqrt(PENALTY_WEIGHT) t^j at the times whose violation is nonzero (the
-    times where the Jacobian's s does not move)."""
-    live = fit.violation != 0
-    return np.vstack([solver.jacobian(fit), np.sqrt(PENALTY_WEIGHT)
-                      * live[:, None] * fit.boundary.shape(fit.t)])
 
 
 def _step(jac: np.ndarray, r: np.ndarray, damping: float) -> np.ndarray:
@@ -122,12 +104,15 @@ def minimize_boundary(solver: InnerSolver,
     Returns the converged fit; deterministic for fixed settings.  Each
     iteration evaluates the objective at one trial point (the start is the
     first), one inner fit; after a point that lowers it, the next step
-    takes the Jacobian from that fit.  Raises ``OptimizationError`` when
-    ``max_iterations`` trial points do not reach convergence, and
+    takes the Jacobian from that fit.  A trial point whose s leaves the
+    admissible band at a collocation time has the objective inf: a
+    rejected step.  A start outside the band restarts once from b = 0
+    (s = l), which counts as a trial point.  Raises ``OptimizationError``
+    when ``max_iterations`` trial points do not reach convergence, and
     ``ConfigurationError`` when fewer collocation rows than the N + 1 + K
-    unknowns leave the boundary undetermined.  The
-    ``trace`` callback, when given, receives (evaluation count, penalized
-    objective, coefficients) for every objective evaluation.
+    unknowns leave the boundary undetermined.  The ``trace`` callback, when
+    given, receives (evaluation count, objective, coefficients) for every
+    objective evaluation.
     """
     rows = solver.blocks["flux"].stop        # the flux block is stacked last
     degree = solver.table.degree
@@ -147,17 +132,19 @@ def minimize_boundary(solver: InnerSolver,
         except (SolverError, np.linalg.LinAlgError) as exc:
             raise OptimizationError(
                 f"inner fit failed ({type(exc).__name__}: {exc})") from exc
-        # a residual past the float range is not finite: a rejected step,
-        # or a start the search refuses below
+        # a point outside the band, or a residual past the float range, is
+        # not finite: a rejected step, or a start the search refuses below
         with np.errstate(over="ignore"):
-            r = _residual(fit)
-            value = r @ r
+            value = np.inf if fit.violation.any() else fit.residual @ fit.residual
         if trace is not None:
             trace(count, float(value), np.asarray(b, float))
-        return fit, r, value
+        return fit, value
 
     b = settings.initial_b.copy()
-    fit, r, value = evaluate(b)
+    fit, value = evaluate(b)
+    if fit.violation.any() and count < settings.max_iterations:
+        b = np.zeros(settings.K)       # s = l, inside the band
+        fit, value = evaluate(b)
     if not np.isfinite(value):
         raise OptimizationError(
             f"search residual is not finite at the initial point b = {b.tolist()}")
@@ -166,16 +153,16 @@ def minimize_boundary(solver: InnerSolver,
     cheb = _chebyshev_map(settings.K, solver.spec.T)
     c = np.linalg.solve(cheb, b)
     jac, damping = None, 0.0
-    for _ in range(settings.max_iterations - 1):
+    for _ in range(settings.max_iterations - count):
         if jac is None:
-            jac = _residual_jacobian(solver, fit) @ cheb
-        step = _step(jac, r, damping)
+            jac = solver.jacobian(fit) @ cheb
+        step = _step(jac, fit.residual, damping)
         trial = c + step
-        fit_trial, r_trial, trial_value = evaluate(cheb @ trial)
+        fit_trial, trial_value = evaluate(cheb @ trial)
         done = np.linalg.norm(step) <= XTOL * (XTOL + np.linalg.norm(c))
         if trial_value < value:
             done |= value - trial_value <= FTOL * value
-            c, fit, r, value = trial, fit_trial, r_trial, trial_value
+            c, fit, value = trial, fit_trial, trial_value
             jac, damping = None, 0.0
         else:
             damping = max(10.0 * damping, INITIAL_DAMPING)
@@ -185,8 +172,4 @@ def minimize_boundary(solver: InnerSolver,
         raise OptimizationError(
             f"boundary search did not converge within max_iterations = "
             f"{settings.max_iterations} (objective {value:.6e})")
-    # an admissible boundary lies inside the band, where the clamp of the
-    # last accepted fit changed nothing: that fit is the answer
-    if fit.violation.any():
-        raise OptimizationError("optimizer returned an inadmissible boundary")
     return fit
