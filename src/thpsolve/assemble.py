@@ -18,7 +18,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .boundary import BoundaryModel
+from .boundary import CONSTRAINT_MARGIN, BoundaryModel
 from .errors import ConfigurationError, require_count
 from .expr import Expression
 from .formal_powers import FormalPowerTable
@@ -77,8 +77,10 @@ class ProblemSpec:
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(
                     f"{name} must be finite, got {name}={getattr(self, name)}")
-        if not (0 < self.l <= self.L):
-            raise ConfigurationError(f"need 0 < l <= L, got l={self.l}, L={self.L}")
+        # s(0) = l must lie in the band that every boundary is held to
+        if not (CONSTRAINT_MARGIN <= self.l <= self.L):
+            raise ConfigurationError(f"need {CONSTRAINT_MARGIN:g} <= l <= L, "
+                                     f"got l={self.l}, L={self.L}")
         if self.T <= 0:
             raise ConfigurationError(f"need T > 0, got T={self.T}")
         if self.g3 is None:

@@ -110,9 +110,10 @@ def minimize_boundary(solver: InnerSolver,
     (s = l), which counts as a trial point.  Raises ``OptimizationError``
     when ``max_iterations`` trial points do not reach convergence, and
     ``ConfigurationError`` when fewer collocation rows than the N + 1 + K
-    unknowns leave the boundary undetermined.  The ``trace`` callback, when
-    given, receives (evaluation count, objective, coefficients) for every
-    objective evaluation.
+    unknowns, or fewer collocation times after t = 0 than the K boundary
+    coefficients, leave the boundary undetermined.  The ``trace``
+    callback, when given, receives (evaluation count, objective,
+    coefficients) for every objective evaluation.
     """
     rows = solver.blocks["flux"].stop        # the flux block is stacked last
     degree = solver.table.degree
@@ -122,6 +123,12 @@ def minimize_boundary(solver: InnerSolver,
             f"{rows} collocation rows cannot determine the N + 1 + K = "
             f"{unknowns} unknowns (N = {degree}, K = {settings.K}); "
             f"raise n_x or n_t, or lower n or k")
+    # s(0) = l is fixed: s at the n_t later times must pin the K coefficients
+    n_t = len(solver.t) - 1
+    if n_t < settings.K:
+        raise ConfigurationError(
+            f"n_t = {n_t} collocation times after t = 0 cannot determine the "
+            f"K = {settings.K} boundary coefficients; raise n_t or lower k")
     count = 0
 
     def evaluate(b):

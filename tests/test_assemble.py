@@ -4,6 +4,7 @@ import pytest
 import thpsolve as T
 from thpsolve import (BoundaryModel, ConfigurationError, InnerSolver,
                       ProblemSpec, basis, solve_linear)
+from thpsolve.boundary import CONSTRAINT_MARGIN
 
 
 def make_spec(**overrides):
@@ -30,6 +31,16 @@ def test_spec_invariants():
         for value in (float("nan"), float("inf")):
             with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
                 make_spec(**{name: value})
+
+
+def test_anchor_below_the_band_is_a_configuration_error():
+    # s(0) = l below CONSTRAINT_MARGIN lies outside the band [1e-6, L] that
+    # the search holds every boundary to: l = 1e-7 was accepted, and the
+    # search failed with "optimizer returned an inadmissible boundary"
+    for l in (1e-7, 0.0, -1.0):
+        with pytest.raises(ConfigurationError, match=r"need 1e-06 <= l <= L"):
+            make_spec(l=l)
+    assert make_spec(l=CONSTRAINT_MARGIN).l == CONSTRAINT_MARGIN
 
 
 @pytest.mark.parametrize("g1", [lambda x: np.ones(3), np.ones(3)],

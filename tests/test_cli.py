@@ -202,6 +202,25 @@ def test_config_syntax_error_reports_line(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
+DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+
+
+def _docs_example() -> str:
+    text = DOCS.read_text()
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def _edited_docs_example(drop=(), **values) -> str:
+    """The docs example without the lines of the keys in ``drop``, and with
+    the given ``values`` on the lines of their keys."""
+    lines = []
+    for line in _docs_example().splitlines():
+        key = line.split("=")[0].strip()
+        if key not in drop:
+            lines.append(f"{key} = {values[key]}" if key in values else line)
+    return "\n".join(lines) + "\n"
+
+
 FEW_ROWS_CONFIG = """\
 q = 0
 l = 1
@@ -265,6 +284,15 @@ def _without(key: str) -> str:
     (FEW_ROWS_CONFIG, ["solve"], 2, "err",
      r"config error: 6 collocation rows cannot determine the N \+ 1 \+ K = 19 "
      r"unknowns \(N = 12, K = 6\); raise n_x or n_t, or lower n or k"),
+    # s(0) = 1e-7 lies below the band [1e-6, L]: 36 trial points, then exit
+    # 3 with "optimizer returned an inadmissible boundary"
+    (_edited_docs_example(drop=("g1", "initial_boundary"), l="1e-7"), ["solve"],
+     2, "err", r"config error: need 1e-06 <= l <= L, got l=1e-07, L=2\.0"),
+    # 3 times after t = 0 for K = 6 coefficients: exit 3 with "evaluation
+    # point outside [0.0, 2.0]" from the solution grid
+    (_edited_docs_example(n_t="3"), ["solve"], 2, "err",
+     r"config error: n_t = 3 collocation times after t = 0 cannot determine "
+     r"the K = 6 boundary coefficients; raise n_t or lower k"),
     # the flag's name was missing from the message
     (GOOD_CONFIG, ["solve", "--seed-boundary", "1 + "], 2, "err",
      r"config error: --seed-boundary: invalid syntax \(at position 4\)"),
@@ -282,6 +310,7 @@ def _without(key: str) -> str:
 ], ids=["line-without-equals", "unknown-key", "syntax-error", "key-given-twice",
         "missing-q", "missing-l", "missing-l_domain",
         "missing-t_final", "validate-degree-below-6", "fewer-rows-than-unknowns",
+        "anchor-below-the-band", "fewer-times-than-boundary-coefficients",
         "bad-seed-boundary", "unevaluable-seed-boundary",
         "unevaluable-initial-boundary", "seed-boundary-off-anchor"])
 def test_command_outcome(config, argv, code, stream, pattern, tmp_path, capsys):
@@ -832,14 +861,6 @@ def test_command_loads_no_numpy_polynomial(command, config_path, tmp_path):
                             ["numpy.polynomial"]) == []
 
 
-DOCS = Path(__file__).resolve().parents[1] / "docs" / "config.md"
-
-
-def _docs_example() -> str:
-    text = DOCS.read_text()
-    return text.split("```ini\n", 1)[1].split("```", 1)[0]
-
-
 def test_solve_above_degree_20_without_initial_data(tmp_path, capsys):
     # without g1 or g2 the first basis call happens inside the search, which
     # turned the old N <= 20 cap into "numeric failure" (exit 3)
@@ -856,6 +877,23 @@ def test_solve_docs_example_above_degree_20(tmp_path):
     path.write_text(_docs_example())
     assert main(["solve", str(path), "--N", "24",
                  "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("seed", ["1 + 1.2*t", "1 - 1.5*t"])
+def test_solve_from_a_seed_outside_the_band(seed, tmp_path, capsys):
+    # s leaves [1e-6, L = 2] before t = 1: the start is a rejected point,
+    # objective inf, and the search restarts from b = 0 (s = l)
+    path = tmp_path / "docs.cfg"
+    path.write_text(_docs_example())
+    out = tmp_path / "o"
+    assert main(["solve", str(path), "--seed-boundary", seed, "--verbose",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert rows[1][:2] == ["1", "inf"]
+    assert rows[2][0] == "2" and float(rows[2][1]) < math.inf
+    assert rows[2][2:] == ["0"] * 6
+    t, s = np.loadtxt(out / "boundary.csv", delimiter=",", skiprows=1).T
+    assert np.max(np.abs(s - (1 + t / 2))) <= 1e-12
 
 
 @pytest.mark.parametrize("command", ["solve", "basis-dump"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,45 @@ def test_evaluations_bounded_by_iterations(manufactured):
     assert len(seen) == 3
     assert [it for it, _ in seen] == list(range(1, len(seen) + 1))
     assert all(n == 2 for _, n in seen)
+
+
+def test_start_outside_the_band_restarts_from_s_equal_l(manufactured):
+    # s = 1 + 1.2 t passes L = 2 before t = 1: that start is a rejected
+    # point, objective inf, and the search restarts once from b = 0, a
+    # trial point of its own
+    solver, exact = manufactured
+    rows = []
+    settings = OptimizerSettings(K=2, initial_b=[1.2, 0.0])
+    fit = T.minimize_boundary(solver, settings,
+                              trace=lambda *row: rows.append(row))
+    assert rows[0][1] == np.inf and np.isfinite(rows[1][1])
+    assert np.array_equal(rows[1][2], [0.0, 0.0])
+    assert np.allclose(fit.b, exact.coefficients, rtol=0, atol=1e-10)
+    # the start and the restart use up two trial points
+    rows.clear()
+    with pytest.raises(T.OptimizationError, match="max_iterations = 2"):
+        T.minimize_boundary(solver, replace(settings, max_iterations=2),
+                            trace=lambda *row: rows.append(row))
+    assert len(rows) == 2
+    rows.clear()
+    with pytest.raises(T.OptimizationError, match="not finite at the initial"):
+        T.minimize_boundary(solver, replace(settings, max_iterations=1),
+                            trace=lambda *row: rows.append(row))
+    assert len(rows) == 1
+
+
+@pytest.mark.parametrize("n_t", [3, 4, 5])
+def test_fewer_times_than_boundary_coefficients_is_a_config_error(
+        n_t, neumann_stefan):
+    # s(0) = l is fixed, so n_t < K later times leave the K coefficients
+    # undetermined between them; at 24/6 these searches returned boundary
+    # errors of 0.78, 0.24 and 0.71 with no error raised
+    spec, _, _ = neumann_stefan(0.5, 1.0, 1.0)
+    solver = T.InnerSolver(spec, T.prepare(spec, degree=24), 100, n_t)
+    with pytest.raises(ConfigurationError,
+                       match=f"n_t = {n_t} collocation times after t = 0 "
+                             f"cannot determine the K = 6 boundary"):
+        T.minimize_boundary(solver, OptimizerSettings(K=6))
 
 
 def test_search_fits_once_per_trial_point(benchmark_solution, monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import thpsolve.cli  # noqa: F401  (with the package, every traced module)
-from thpsolve import InnerSolver
+from thpsolve import InnerSolver, OptimizerSettings, minimize_boundary
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
@@ -28,3 +28,33 @@ def test_fit_takes_clamp_as_fourth_positional_argument():
     # the tracer counts a search evaluation by reading clamp from args[3]
     params = list(inspect.signature(InnerSolver.fit).parameters)
     assert params[:4] == ["self", "model", "a", "clamp"]
+
+
+@pytest.mark.parametrize("start", ["reference", "outside-the-band"])
+def test_search_passes_clamp_true_by_keyword(start, benchmark_solution,
+                                             manufactured, monkeypatch):
+    # the tracer counts optimize.evals by the clamp keyword of each fit: a
+    # search fit without it would read 0 evaluations
+    if start == "reference":
+        bench, solution, _ = benchmark_solution
+        solver = InnerSolver(bench.spec, solution.table, 100, 100)
+        settings = OptimizerSettings()
+    else:
+        solver, _ = manufactured
+        settings = OptimizerSettings(K=2, initial_b=[1.2, 0.0])   # s(1) > L
+    calls, fit = [], InnerSolver.fit
+
+    def recorded(*args, **kwargs):
+        calls.append((args[1:], kwargs))
+        return fit(*args, **kwargs)
+
+    counter = tracer.Tracer()
+    monkeypatch.setattr(InnerSolver, "fit",
+                        tracer._count_search_fits(counter, recorded))
+    rows = []
+    minimize_boundary(solver, settings, trace=lambda *row: rows.append(row))
+    assert calls and all(len(args) == 1 and kwargs == {"clamp": True}
+                         for args, kwargs in calls)
+    assert counter.counters["optimize.evals"] == len(calls) == len(rows)
+    if start == "outside-the-band":
+        assert rows[0][1] == float("inf")
