@@ -35,18 +35,18 @@ __all__ = [
 RANK_TOL = 1e-14
 
 DataFunc = Union[Expression, Callable[[np.ndarray], Union[np.ndarray, float]]]
-BoundaryData = Union[DataFunc, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Full description of one free boundary problem instance.
 
-    Each function-like datum becomes values at the points where it is used
-    (the quadrature mesh and the boundary points s(t) for ``q``, the
-    collocation points for the rest) through
-    :func:`thpsolve.numerics.tabulate`.  So ``q`` must be a callable: node
-    values alone cannot be read at s(t).
+    Each datum is a callable of the whole point array, or None where it is
+    optional, and becomes values at the points where it is used (the
+    quadrature mesh and the boundary points s(t) for ``q``, the collocation
+    points for the rest) through :func:`thpsolve.numerics.tabulate`, so no
+    datum depends on a grid.  ``q`` must be a callable: node values alone
+    cannot be read at s(t).
 
     ``g1``/``g2`` may be None when the corresponding condition is absent.
     ``g3`` (Dirichlet data on the moving boundary) is mandatory, as is the
@@ -63,10 +63,10 @@ class ProblemSpec:
     gamma12: Optional[DataFunc] = None
     gamma21: Optional[DataFunc] = None   # defaults: pure derivative at x=0
     gamma22: Optional[DataFunc] = None
-    g1: Optional[BoundaryData] = None
-    g2: Optional[BoundaryData] = None
-    g3: Optional[BoundaryData] = None
-    flux_data: Optional[BoundaryData] = None
+    g1: Optional[DataFunc] = None
+    g2: Optional[DataFunc] = None
+    g3: Optional[DataFunc] = None
+    flux_data: Optional[DataFunc] = None
 
     def __post_init__(self):
         if not callable(self.q):
@@ -123,12 +123,12 @@ def _trace(table: FormalPowerTable, x, t, value_w: np.ndarray,
 
 class InnerSolver:
     """Lays out the collocation rows once and solves the inner linear
-    least-squares problem for each boundary candidate.  The collocation
-    points are equidistant: n_x + 1 of them on [0, l] for the initial
-    condition, n_t + 1 times on [0, T] for the other three."""
+    least-squares problem for each boundary candidate.  It owns the
+    collocation grid: n_x + 1 equidistant points on [0, l] for the initial
+    condition, n_t + 1 equidistant times on [0, T] for the other three."""
 
-    def __init__(self, spec: ProblemSpec, table: FormalPowerTable, n_x: int,
-                 n_t: int):
+    def __init__(self, spec: ProblemSpec, table: FormalPowerTable,
+                 n_x: int = 100, n_t: int = 100):
         require_count("n_x", n_x, 1)
         require_count("n_t", n_t, 1)
         if spec.l > table.mesh.x_end:

@@ -27,8 +27,7 @@ from .boundary import BoundaryModel
 from .errors import (ConfigurationError, ExpressionEvalError, SolverError,
                      require_count)
 from .optimize import OptimizerSettings
-from .pipeline import (DEFAULT_DEGREE, DEFAULT_N_T, DEFAULT_N_X, Solution,
-                       prepare, solve_free_boundary)
+from .pipeline import DEFAULT_DEGREE, Solution, prepare, solve_free_boundary
 from .special import exact_benchmark
 
 EXIT_OK = 0
@@ -109,16 +108,7 @@ def build_spec(values: dict) -> ProblemSpec:
             "g3 and g3_file are mutually exclusive; give one of them")
     g3 = values.get("g3")
     if "g3_file" in values:
-        times, g3 = values["g3_file"]
-        n_t = values.get("n_t", DEFAULT_N_T)
-        expected = np.linspace(0.0, values["t_final"], n_t + 1)
-        # relative to T, and written so that a NaN time fails too
-        tol = 1e-9 * values["t_final"]
-        if len(times) != len(expected) or not np.all(np.abs(times - expected) <= tol):
-            raise ConfigurationError(
-                "g3_file times must match the equidistant collocation "
-                f"grid of {n_t + 1} points on [0, {values['t_final']}]"
-            )
+        g3 = partial(_read_g3_file, *values["g3_file"], values["t_final"])
     if g3 is None:
         raise ConfigurationError(
             "config must define the Dirichlet data on the free boundary "
@@ -130,6 +120,18 @@ def build_spec(values: dict) -> ProblemSpec:
         **{key: values.get(key) for key in ("gamma11", "gamma12", "gamma21",
                                             "gamma22", "g1", "g2")},
     )
+
+
+def _read_g3_file(times: np.ndarray, values: np.ndarray, T: float,
+                  points: np.ndarray) -> np.ndarray:
+    """The ``values`` of a g3_file, asked at exactly its ``times``: each of
+    ``points`` within 1e-9 T of its time (so a NaN time fails), or a
+    ConfigurationError that gives the size of the grid that asked."""
+    if np.shape(points) != times.shape or not np.all(np.abs(points - times) <= 1e-9 * T):
+        raise ConfigurationError(
+            "g3_file times must match the equidistant collocation "
+            f"grid of {np.size(points)} points on [0, {T}]")
+    return values
 
 
 def _fit_initial_boundary(source_expr, l: float, T: float, K: int,
@@ -348,8 +350,7 @@ def _search(args, spec: ProblemSpec, values: dict) -> Solution:
         settings = replace(settings, initial_b=_fit_initial_boundary(
             guess, spec.l, spec.T, settings.K, name))
     table = prepare(spec, **_chosen(_PREPARE_KEYS, args, values))
-    solver = InnerSolver(spec, table, **{"n_x": DEFAULT_N_X, "n_t": DEFAULT_N_T,
-                                         **_chosen(_SOLVER_KEYS, args, values)})
+    solver = InnerSolver(spec, table, **_chosen(_SOLVER_KEYS, args, values))
     trace = None
     if args.verbose:
         print("iteration,objective," +

@@ -44,24 +44,20 @@ _WT = np.ascontiguousarray(_W[1:].T)
 
 @dataclass(frozen=True)
 class UniformMesh:
-    """Equispaced nodes on [x_start, x_end].
+    """Equispaced nodes on [0, x_end].
 
     The node count must leave a number of intervals divisible by 5 so that
     the six-point quadrature rule tiles the mesh exactly.
     """
 
-    x_start: float
     x_end: float
     n_points: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.x_start) and np.isfinite(self.x_end)):
+        # written so that NaN fails too
+        if not 0.0 < self.x_end < np.inf:
             raise ConfigurationError(
-                f"mesh ends must be finite, got [{self.x_start}, {self.x_end}]")
-        if not self.x_start < self.x_end:
-            raise ConfigurationError(
-                f"mesh requires x_start < x_end, got [{self.x_start}, {self.x_end}]"
-            )
+                f"mesh end must be finite and positive, got x_end={self.x_end}")
         require_count("n_points", self.n_points, _BLOCK + 1)
         if (self.n_points - 1) % _BLOCK != 0:
             raise ConfigurationError(
@@ -71,36 +67,33 @@ class UniformMesh:
 
     @property
     def h(self) -> float:
-        return (self.x_end - self.x_start) / (self.n_points - 1)
+        return self.x_end / (self.n_points - 1)
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.x_start, self.x_end, self.n_points)
+        return np.linspace(0.0, self.x_end, self.n_points)
 
 
 def tabulate(datum, points: np.ndarray, what: str,
              default: Optional[float] = None) -> np.ndarray:
     """Float values of the problem datum ``what`` at ``points``.  The datum
-    is an array with one value per point, a callable applied once to the
-    whole point array (a scalar result is the constant), or None for the
-    constant ``default`` (an error without one).  Any other datum, any
-    other shape, complex values, or a NaN or infinite value are a
-    ConfigurationError naming the datum."""
-    if isinstance(datum, np.ndarray):
-        values = datum
-    elif callable(datum):
+    is a callable applied once to the whole point array (a scalar result is
+    the constant), or None for the constant ``default`` (an error without
+    one).  Any other datum, a result of any other shape, complex values, or
+    a NaN or infinite value are a ConfigurationError naming the datum."""
+    if callable(datum):
         values = datum(points)
     elif datum is None and default is not None:
         values = default
     else:
         raise ConfigurationError(
             f"{what} is required but missing" if datum is None else
-            f"{what} must be an array or a callable, got {datum!r}")
+            f"{what} must be a callable, got {type(datum).__name__}")
     values = np.asarray(values)
-    if values.shape != points.shape and (values.ndim or isinstance(datum, np.ndarray)):
+    if values.ndim and values.shape != points.shape:
         raise ConfigurationError(
             f"{what} has values of shape {values.shape}, expected "
-            f"{points.shape}: one per point, or a scalar from a callable")
+            f"{points.shape}: one per point, or a scalar")
     if np.iscomplexobj(values):   # a cast to float would drop Im with a warning
         raise ConfigurationError(f"{what} must be real, got complex values")
     values = np.full(points.shape, values, dtype=float)
@@ -164,20 +157,18 @@ class Interpolant:
 
     def _check(self, x):
         x = np.asarray(x, dtype=float)
-        lo, hi = self.mesh.x_start, self.mesh.x_end
-        tol = self._EDGE_TOL * (1.0 + abs(lo) + abs(hi))
+        hi = self.mesh.x_end
+        tol = self._EDGE_TOL * (1.0 + hi)
         # written so that NaN fails too: it has no cell to look up
-        if not np.all((x >= lo - tol) & (x <= hi + tol)):
-            raise DomainError(
-                f"evaluation point outside [{lo}, {hi}]"
-            )
-        return np.clip(x, lo, hi)
+        if not np.all((x >= -tol) & (x <= hi + tol)):
+            raise DomainError(f"evaluation point outside [0.0, {hi}]")
+        return np.clip(x, 0.0, hi)
 
     def _cubic(self, x):
         """Local coordinate s in [0, 1] of each point in its cell, shaped to
         broadcast against the trailing value shape, and the coefficients
         (c0, c1, c2, c3) of the cell's cubic c0 + c1 s + c2 s^2 + c3 s^3."""
-        u = (self._check(x) - self.mesh.x_start) / self.mesh.h
+        u = self._check(x) / self.mesh.h
         i = np.minimum(np.floor(u).astype(int), self.mesh.n_points - 2)
         s = u - i
         y0, y1 = self.values[i], self.values[i + 1]

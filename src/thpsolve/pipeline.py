@@ -17,18 +17,17 @@ from .thp import solution_eval
 
 __all__ = ["Solution", "prepare", "solve_free_boundary"]
 
-# the one home of each discretization default (the command line passes only
-# what a flag or a config key sets)
+# the one home of each default of the basis (the command line passes only
+# what a flag or a config key sets; InnerSolver holds the collocation ones)
 DEFAULT_MESH_POINTS = 2001
 DEFAULT_DEGREE = 12
-DEFAULT_N_X = 100   # collocation intervals on [0, l]
-DEFAULT_N_T = 100   # collocation intervals on [0, T]
 
 
 def prepare(spec: ProblemSpec, mesh_points: int = DEFAULT_MESH_POINTS,
             degree: int = DEFAULT_DEGREE) -> FormalPowerTable:
-    """Tabulate q, build the particular solution and the basis table."""
-    mesh = UniformMesh(0.0, spec.L, mesh_points)
+    """Tabulate q on the quadrature mesh of ``mesh_points`` nodes on [0, L],
+    build the particular solution and the basis table."""
+    mesh = UniformMesh(spec.L, mesh_points)
     f = solve_particular(SampledFunction.from_callable(mesh, spec.q, "q"))
     return build_formal_powers(f, degree)
 

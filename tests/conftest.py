@@ -9,7 +9,7 @@ import thpsolve as T
 
 @pytest.fixture(scope="session")
 def mesh01():
-    return T.UniformMesh(0.0, 1.0, 2001)
+    return T.UniformMesh(1.0, 2001)
 
 
 @pytest.fixture
@@ -108,7 +108,7 @@ def melt_rate_hermite():
                 -np.exp((beta - 1.0) * t)
                 + 0.3 * (10.0 - 4.0 * x * x) * np.exp((beta - 5.0) * t))
 
-        mesh = T.UniformMesh(0.0, t_final, steps + 1)
+        mesh = T.UniformMesh(t_final, steps + 1)
         times, h = mesh.nodes, mesh.h
         s = np.empty(steps + 1)
         s[0] = 1.0

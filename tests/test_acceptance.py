@@ -39,7 +39,7 @@ def test_criterion_2_formal_power_oracles(table_q1):
     err_phi0 = np.max(np.abs(phi[:, 0] - np.cosh(xs)))
 
     from test_particular import rk4_second_order
-    mesh = T.UniformMesh(0.0, 1.5, 2001)
+    mesh = T.UniformMesh(1.5, 2001)
     sol = T.solve_particular(T.SampledFunction(mesh, mesh.nodes ** 2))
     oracle = rk4_second_order(lambda x: x * x, 1.0, 1e-5)
     err_f = abs(T.Interpolant(mesh, sol.f.values, sol.f_prime.values)(1.0)
@@ -119,7 +119,7 @@ def test_criterion_8_runtime(benchmark_solution):
 
 def test_criterion_9_property_suite(benchmark_solution, table_q1):
     # quadrature degree-5 exactness
-    mesh = T.UniformMesh(0.0, 1.0, 16)
+    mesh = T.UniformMesh(1.0, 16)
     quad_ok = True
     for k in range(6):
         F = T.cumulative_integral(mesh.nodes ** k, mesh.h)
@@ -130,7 +130,7 @@ def test_criterion_9_property_suite(benchmark_solution, table_q1):
     report("criterion 9a: quadrature degree-5 exactness", quad_ok, "")
 
     # spline cubic reproduction
-    m = T.UniformMesh(0.0, 2.0, 21)
+    m = T.UniformMesh(2.0, 21)
     cube = lambda x: x ** 3 - 2 * x
     interp = T.Interpolant(m, cube(m.nodes), 3 * m.nodes ** 2 - 2)
     xs = np.linspace(0.0, 2.0, 777)

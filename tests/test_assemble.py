@@ -43,15 +43,18 @@ def test_anchor_below_the_band_is_a_configuration_error():
     assert make_spec(l=CONSTRAINT_MARGIN).l == CONSTRAINT_MARGIN
 
 
-@pytest.mark.parametrize("g1", [lambda x: np.ones(3), np.ones(3)],
-                         ids=["callable", "array"])
-def test_wrong_shape_data_is_a_configuration_error(table_q0, g1):
-    # a callable datum must return one value per point or a scalar, an array
-    # must hold one value per point; the callable escaped as a bare numpy
-    # broadcasting ValueError, and the array's message gave no shapes
+@pytest.mark.parametrize("g1, message", [
+    (lambda x: np.ones(3), r"g1 .*\(3,\).*\(101,\)"),
+    # values laid out on one grid could not follow InnerSolver's grid, nor
+    # be shifted in time; a datum is a callable or None
+    (np.ones(101), r"g1 must be a callable, got ndarray"),
+], ids=["callable", "array"])
+def test_wrong_shape_data_is_a_configuration_error(table_q0, g1, message):
+    # a callable datum must return one value per point or a scalar; it
+    # escaped as a bare numpy broadcasting ValueError
     spec = ProblemSpec(q=lambda x: 0.0, L=2.0, l=1.0, T=1.0,
                        g1=g1, g3=lambda t: 1.0)
-    with pytest.raises(ConfigurationError, match=r"g1 .*\(3,\).*\(101,\)"):
+    with pytest.raises(ConfigurationError, match=message):
         InnerSolver(spec, table_q0, 100, 100)
 
 
@@ -78,8 +81,15 @@ def test_array_potential_is_a_configuration_error():
 
 def test_scalar_lateral_data_is_a_configuration_error(table_q0):
     spec = make_spec(g2=0.0)
-    with pytest.raises(ConfigurationError, match="g2 must be an array or a callable"):
+    with pytest.raises(ConfigurationError, match="g2 must be a callable, got float"):
         InnerSolver(spec, table_q0, 100, 100)
+
+
+def test_inner_solver_default_grid(table_q0):
+    # the collocation defaults live on InnerSolver alone
+    solver = InnerSolver(make_spec(), table_q0)
+    assert len(solver.x) == 101 and len(solver.t) == 101
+    assert np.array_equal(solver.t, np.linspace(0.0, 1.0, 101))
 
 
 @pytest.mark.parametrize("key", ["q", "g3"])
@@ -229,7 +239,7 @@ def test_writing_into_a_system_leaves_the_next_unchanged(manufactured,
 @pytest.mark.parametrize("key, name, datum", [
     ("g1", "g1", lambda x: np.full_like(x, np.inf)),
     ("g3", "g3", lambda t: np.full_like(t, np.nan)),
-    ("flux_data", "flux data", np.full(101, np.nan)),
+    ("flux_data", "flux data", lambda t: np.full_like(t, np.nan)),
     ("gamma11", "gamma11", lambda x: np.full_like(x, np.nan)),
     ("q", "q", lambda x: np.full_like(x, np.nan)),
 ], ids=["g1-inf", "g3-nan", "flux-nan", "gamma11-nan", "q-nan"])

@@ -478,6 +478,40 @@ def test_nonfinite_g3_file_is_a_config_error(column, bad, message, tmp_path):
     assert line.startswith("config error: ") and message in line
 
 
+def test_g3_file_is_checked_against_the_grid_that_reads_it(tmp_path, capsys):
+    # the 101 file times are the default grid's; n_t = 50 asks at 51 times
+    path = _g3_file_config(tmp_path, G3_TIMES, G3_VALUES)
+    path.write_text(path.read_text() + "n_t = 50\n")
+    assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert ("g3_file times must match the equidistant collocation grid of "
+            "51 points on [0, 1.0]") in capsys.readouterr().err
+
+
+BASIS_CONFIG = """\
+q = x^2
+l = 1.0
+l_domain = 2.0
+t_final = 1.0
+mesh_points = 20001
+n = 20
+"""
+
+
+def test_basis_dump_does_not_read_the_g3_file(tmp_path):
+    # basis-dump builds no collocation grid, so the file's times are never
+    # asked for; two rows were refused as "grid of 101 points" (exit 2)
+    data = tmp_path / "g3.csv"
+    data.write_text("0,1\n1,1\n")
+    phi = {}
+    for name, g3 in (("expr", "g3 = 1"), ("file", f"g3_file = {data}")):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(BASIS_CONFIG + g3 + "\n")
+        out = tmp_path / name
+        assert main(["basis-dump", str(path), "--n", "2", "--out", str(out)]) == 0
+        phi[name] = (out / "phi.csv").read_bytes()
+    assert phi["file"] == phi["expr"]
+
+
 def test_g3_file_times_are_checked_relative_to_t_final(tmp_path, capsys):
     # with T = 1e-10 under the fixed tolerance 1e-9, 101 times that are
     # all 0 passed the grid check

@@ -1,7 +1,6 @@
 """docs/config.md states the discretization defaults; they live in
-pipeline.prepare, pipeline's collocation counts and OptimizerSettings, and
-the docs must not drift.  The
-README's Python examples must run as written."""
+pipeline.prepare, InnerSolver and OptimizerSettings, and the docs must not
+drift.  The README's Python examples must run as written."""
 
 import inspect
 import os
@@ -14,9 +13,8 @@ from pathlib import Path
 import pytest
 
 import thpsolve
-from thpsolve import OptimizerSettings, prepare
+from thpsolve import InnerSolver, OptimizerSettings, prepare
 from thpsolve.cli import _READERS
-from thpsolve.pipeline import DEFAULT_N_T, DEFAULT_N_X
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs" / "config.md"
@@ -24,12 +22,13 @@ README = ROOT / "README.md"
 
 # config key -> default held by the library
 _PREPARE = inspect.signature(prepare).parameters
+_SOLVER = inspect.signature(InnerSolver).parameters
 _SEARCH = {f.name: f.default for f in fields(OptimizerSettings)}
 LIBRARY_DEFAULTS = {
     "mesh_points": _PREPARE["mesh_points"].default,
     "n": _PREPARE["degree"].default,
-    "n_x": DEFAULT_N_X,
-    "n_t": DEFAULT_N_T,
+    "n_x": _SOLVER["n_x"].default,
+    "n_t": _SOLVER["n_t"].default,
     "k": _SEARCH["K"],
     "max_iterations": _SEARCH["max_iterations"],
 }

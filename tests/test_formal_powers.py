@@ -121,7 +121,7 @@ def test_spline_built_on_first_use(table_q0):
                          ids=["real-branch"])
 def test_dtype_follows_the_branch(q, L, dtype):
     # q = 1 on [0, 1] takes the branch y1 = cosh and stays real end to end
-    mesh = UniformMesh(0.0, L, 2001)
+    mesh = UniformMesh(L, 2001)
     potential = SampledFunction(mesh, np.full(mesh.n_points, q))
     table = build_formal_powers(solve_particular(potential), 8)
     spec = ProblemSpec(q=lambda x: q, L=L, l=0.5, T=0.5, g1=np.cosh,
@@ -137,7 +137,7 @@ def test_ode_property_on_complex_branch():
     # q = -20 on [0, 2] once took the y1 + i y2 branch (y1 = cos(sqrt(20) x)
     # changes sign); the table is now real, built for q + c = 0, so phi_n is
     # x^n, and (d^2/dx^2 - (q + c)) phi_n = n (n-1) phi_(n-2) at the nodes
-    mesh = UniformMesh(0.0, 2.0, 2001)
+    mesh = UniformMesh(2.0, 2001)
     f = solve_particular(SampledFunction(mesh, np.full(mesh.n_points, -20.0)))
     table = build_formal_powers(f, 12)
     assert table.values.dtype == np.float64 and f.shift == 20.0

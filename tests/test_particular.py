@@ -45,14 +45,14 @@ def fd4_derivative(values, h):
 
 
 def test_zero_potential():
-    m = UniformMesh(0.0, 1.0, 101)
+    m = UniformMesh(1.0, 101)
     sol = solve_particular(SampledFunction(m, np.full(m.n_points, 0.0)))
     assert np.allclose(sol.f.values, 1.0)
     assert sol.f_prime.values[0] == 0.0
 
 
 def test_unit_potential_is_cosh():
-    m = UniformMesh(0.0, 1.0, 2001)
+    m = UniformMesh(1.0, 2001)
     sol = solve_particular(SampledFunction(m, np.full(m.n_points, 1.0)))
     assert abs(sol.f.values[-1] - 1.5430806348) < 1e-8
     assert np.max(np.abs(sol.f.values - np.cosh(m.nodes))) < 1e-10
@@ -60,7 +60,7 @@ def test_unit_potential_is_cosh():
 
 
 def test_quadratic_potential_vs_rk4():
-    m = UniformMesh(0.0, 1.5, 2001)
+    m = UniformMesh(1.5, 2001)
     sol = solve_particular(SampledFunction(m, m.nodes ** 2))
     assert sol.f.values[0] == 1.0
     assert abs(sol.f_prime.values[0]) == 0.0
@@ -70,7 +70,7 @@ def test_quadratic_potential_vs_rk4():
 
 
 def test_residual_invariant():
-    m = UniformMesh(0.0, 1.5, 2001)
+    m = UniformMesh(1.5, 2001)
     q = SampledFunction(m, m.nodes ** 2)
     sol = solve_particular(q)
     fpp = fd4_derivative(sol.f_prime.values, m.h)
@@ -79,7 +79,7 @@ def test_residual_invariant():
 
 
 def test_normalization_matches_spline_derivative():
-    m = UniformMesh(0.0, 1.0, 2001)
+    m = UniformMesh(1.0, 2001)
     sol = solve_particular(SampledFunction(m, np.sin(3 * m.nodes)))
     assert sol.f.values[0] == 1.0
     fd_deriv = FD4_LEFT[0] @ sol.f.values[:5] / (12.0 * m.h)
@@ -89,7 +89,7 @@ def test_normalization_matches_spline_derivative():
 def test_nonconvergence_reported():
     # q = 3600: the 50th term, (60 x)^100 / 100! ~ 1e20 at x = 1, is far
     # from the tolerance
-    m = UniformMesh(0.0, 1.0, 101)
+    m = UniformMesh(1.0, 101)
     with pytest.raises(ConvergenceError):
         solve_particular(SampledFunction(m, np.full(m.n_points, 3600.0)))
 
@@ -97,7 +97,7 @@ def test_nonconvergence_reported():
 def test_overflowing_series_is_a_convergence_error():
     # q = 1e200 overflows at the second term; the series then ran 50 NaN
     # terms after numpy RuntimeWarnings, which the suite turns into errors
-    m = UniformMesh(0.0, 2.0, 201)
+    m = UniformMesh(2.0, 201)
     with pytest.raises(ConvergenceError, match="overflows at term 2"):
         solve_particular(SampledFunction(m, np.full(m.n_points, 1e200)))
 
@@ -106,7 +106,7 @@ def test_overflowing_series_is_a_convergence_error():
 def test_shift_makes_the_potential_nonnegative(q, shift):
     # c = max(0, -min q): q >= 0 keeps its table bit for bit; q = -20 is
     # solved as q + c = 0, where f = 1
-    m = UniformMesh(0.0, 2.0, 201)
+    m = UniformMesh(2.0, 201)
     potential = SampledFunction(m, np.full(m.n_points, q))
     sol = solve_particular(potential)
     assert sol.shift == shift
@@ -121,7 +121,7 @@ def test_complex_branch_when_real_y1_changes_sign_between_nodes():
     # u_xx - q u = u_t by ~1e6; this input once took the y1 + i y2 branch.
     # The shifted table is real and its basis solves the equation to
     # rounding relative to |u| (measured 1.3e-7)
-    m = UniformMesh(0.0, 2.0, 2001)
+    m = UniformMesh(2.0, 2001)
     sol = solve_particular(SampledFunction(m, np.full(m.n_points, -20.0)))
     assert sol.shift == 20.0 and sol.f.values.dtype == np.float64
     table = build_formal_powers(sol, 4)
@@ -135,7 +135,7 @@ def test_basis_solves_the_equation_where_unshifted_y1_vanishes():
     # q = x^2 - 20 on [0, 2]: the unshifted y1 vanishes in the interval; the
     # shifted basis e^(c t) H_n[q + c] solves u_xx - q u = u_t for each n
     # (measured at most 9.3e-8 relative to max |u|)
-    m = UniformMesh(0.0, 2.0, 2001)
+    m = UniformMesh(2.0, 2001)
     sol = solve_particular(SampledFunction(m, m.nodes ** 2 - 20.0))
     assert sol.shift == 20.0
     table = build_formal_powers(sol, 12)
@@ -167,7 +167,7 @@ def test_unresolved_potential_gives_f_below_one():
     # q >= 0 makes the exact f at least 1, but the Newton-Cotes weights have
     # negative entries: a spike that the mesh does not resolve pulls f below
     # 1 at the node before it (measured min f = 0.7517 at node 8)
-    m = UniformMesh(0.0, 2.0, 21)
+    m = UniformMesh(2.0, 21)
     q = np.zeros(m.n_points)
     q[9] = 100.0
     sol = solve_particular(SampledFunction(m, q))
