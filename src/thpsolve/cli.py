@@ -146,7 +146,11 @@ def _fit_initial_boundary(source_expr, l: float, T: float, K: int,
             raise ConfigurationError(
                 f"initial boundary guess has s(0) = {s0}, expected l = {l}")
         shape = BoundaryModel(l, np.zeros(K)).shape(ts)
-        return solve_linear(shape, source_expr(ts) - l)[0]
+        b = solve_linear(shape, source_expr(ts) - l)[0]
+        if not np.all(np.isfinite(b)):
+            raise ConfigurationError(f"initial boundary guess projects onto "
+                                     f"non-finite coefficients {b.tolist()}")
+        return b
     except (ConfigurationError, ExpressionEvalError) as exc:
         raise ConfigurationError(f"{name}: {exc}") from exc
     except np.linalg.LinAlgError as exc:

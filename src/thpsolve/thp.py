@@ -49,8 +49,8 @@ def basis(table: FormalPowerTable, x, t) -> np.ndarray:
     other (at least 1-D): H_n in ``[..., 0, n]`` and its x-derivative in
     ``[..., 1, n]``, from H_n(x, t) = e^(c t) sum_k c_k^n phi_(n-2k)(x) t^k
     with the table's shift c (for c = 0 the factor is exactly 1).  Raises
-    DomainError for x outside the mesh, and where H_n or e^(c t) leaves the
-    float range."""
+    DomainError for x outside the mesh, and where e^(c t), or else H_n or
+    its x-derivative, leaves the float range, naming which."""
     x, t = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
                                np.atleast_1d(np.asarray(t, dtype=float)))
     shape = x.shape
@@ -58,16 +58,24 @@ def basis(table: FormalPowerTable, x, t) -> np.ndarray:
     phi = table.spline(x)                      # (P, 2, N+1)
     coeff = _heat_coeff_matrix(table.degree)
     out = np.zeros_like(phi)
+    shift = table.f.shift
     try:
         with np.errstate(over="raise", invalid="raise"):
-            tk = np.exp(table.f.shift * t)             # e^(c t) t^k
+            tk = np.exp(shift * t)             # e^(c t) t^k
+    except FloatingPointError:
+        raise DomainError(f"H_n exceeds the float range (its factor e^(c t), shift "
+                          f"c = {shift:g}, t up to {t.max():g})") from None
+    try:
+        with np.errstate(over="raise", invalid="raise"):
             for k in range(coeff.shape[0]):
                 m = 2 * k
                 out[:, :, m:] += coeff[k, m:] * phi[:, :, :phi.shape[2] - m] * tk[:, None, None]
                 tk = tk * t
     except FloatingPointError:
-        raise DomainError(f"H_n exceeds the float range (its factor e^(c t), shift "
-                          f"c = {table.f.shift:g}, t up to {t.max():g})") from None
+        raise DomainError(
+            f"H_n or its x-derivative exceeds the float range (N = {table.degree}, "
+            f"x in [{x.min():g}, {x.max():g}], t in [{t.min():g}, {t.max():g}], "
+            f"shift c = {shift:g})") from None
     return out.reshape(shape + out.shape[1:])
 
 

@@ -307,12 +307,21 @@ def _without(key: str) -> str:
     (GOOD_CONFIG, ["solve", "--seed-boundary", "2 + 0.3*t"], 2, "err",
      r"config error: --seed-boundary: initial boundary guess has s\(0\) = 2\.0, "
      r"expected l = 1\.0"),
+    # a guess whose projection overflows was refused by OptimizerSettings
+    # under its own name: "initial_b must be finite, got [inf, nan, ...]"
+    (GOOD_CONFIG, ["solve", "--seed-boundary", "1 + 1e308*t"], 2, "err",
+     r"config error: --seed-boundary: initial boundary guess projects onto "
+     r"non-finite coefficients \[inf, nan\]"),
+    (GOOD_CONFIG + "initial_boundary = 1 + 1e308*t\n", ["solve"], 2, "err",
+     r"config error: initial_boundary: initial boundary guess projects onto "
+     r"non-finite coefficients \[inf, nan\]"),
 ], ids=["line-without-equals", "unknown-key", "syntax-error", "key-given-twice",
         "missing-q", "missing-l", "missing-l_domain",
         "missing-t_final", "validate-degree-below-6", "fewer-rows-than-unknowns",
         "anchor-below-the-band", "fewer-times-than-boundary-coefficients",
         "bad-seed-boundary", "unevaluable-seed-boundary",
-        "unevaluable-initial-boundary", "seed-boundary-off-anchor"])
+        "unevaluable-initial-boundary", "seed-boundary-off-anchor",
+        "overflowing-seed-boundary", "overflowing-initial-boundary"])
 def test_command_outcome(config, argv, code, stream, pattern, tmp_path, capsys):
     # the exit code and one whole line of the command's output
     if config is not None:
@@ -960,6 +969,20 @@ def test_shift_past_float_range_exits_numeric(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 3
     assert "shift c = 1000" in capsys.readouterr().err
+
+
+def test_overflowing_heat_polynomial_names_h_n(tmp_path, capsys):
+    # at N = 265 a product c_k^n phi_(n-2k) overflows while the factor
+    # e^(c t) is 1 (c = 0); the message blamed e^(c t)
+    path = tmp_path / "docs.cfg"
+    path.write_text(_docs_example())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", str(path), "--N", "265",
+                     "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "H_n or its x-derivative exceeds the float range (N = 265" in err
+    assert "e^(c t)" not in err
 
 
 def test_overflowing_residual_norm_exits_numeric(tmp_path, capsys):

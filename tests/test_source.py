@@ -1,9 +1,12 @@
 """Checks on the source of the thpsolve package itself."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from thpsolve import ProblemSpec
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "thpsolve"
 
@@ -75,3 +78,32 @@ def test_a_least_squares_call_is_found():
               "def f(a):\n    return np.linalg.lstsq(a, a)\n"
               "x = svd(np.eye(2))\n")
     assert _least_squares_calls(source) == [("f", 4), (None, 5)]
+
+
+# the ProblemSpec fields that are data, not numbers
+DATA = {f.name for f in fields(ProblemSpec)} - {"L", "l", "T"}
+
+
+def _datum_calls(source: str) -> list:
+    """Lines of every call of an attribute named like a datum, such as
+    ``spec.g3(t)``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in DATA)
+
+
+def test_data_become_values_only_through_tabulate():
+    # numerics.tabulate is the one place a datum is called, so every datum
+    # gets the same checks of shape, dtype and finiteness
+    assert DATA == {"q", "g1", "g2", "g3", "flux_data",
+                    "gamma11", "gamma12", "gamma21", "gamma22"}
+    calls = {path.name: _datum_calls(path.read_text())
+             for path in PACKAGE.glob("*.py")}
+    assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def test_a_datum_call_is_found():
+    source = ("g3 = tabulate(spec.g3, t, 'g3')\nif callable(self.q):\n"
+              "    q = self.spec.q(x)\nrhs = spec.flux_data(t) + spec.T\n")
+    assert _datum_calls(source) == [3, 4]
