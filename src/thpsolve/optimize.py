@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .assemble import FitResult, InnerSolver, solve_linear
-from .boundary import BoundaryModel
+from .boundary import CONSTRAINT_MARGIN, BoundaryModel
 from .errors import (ConfigurationError, DomainError, OptimizationError,
                      SolverError, require_count)
 
@@ -37,6 +37,11 @@ XTOL = FTOL = 1e-8
 # damping after a rejected undamped step, relative to each squared column
 # norm of the Jacobian; every further rejection multiplies it by 10
 INITIAL_DAMPING = 1e-3
+# a search whose final point has a trial that left the band after moving s
+# by at most this share of L, and no shorter step that lowered the
+# objective, ended pressed against the band (the square root of XTOL: the
+# steps of a converging search are far shorter)
+PRESSED_STEP = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +113,8 @@ def minimize_boundary(solver: InnerSolver,
     admissible band at a collocation time has the objective inf: a
     rejected step.  A start outside the band restarts once from b = 0
     (s = l), which counts as a trial point.  Raises ``OptimizationError``
-    when ``max_iterations`` trial points do not reach convergence, and
+    when ``max_iterations`` trial points do not reach convergence or the
+    search ends pressed against the band (``_refuse_stall``), and
     ``ConfigurationError`` when fewer collocation rows than the N + 1 + K
     unknowns, or fewer collocation times after t = 0 than the K boundary
     coefficients, leave the boundary undetermined.  The ``trace``
@@ -160,6 +166,9 @@ def minimize_boundary(solver: InnerSolver,
     cheb = _chebyshev_map(settings.K, solver.spec.T)
     c = np.linalg.solve(cheb, b)
     jac, damping = None, 0.0
+    # the last trial from the current point that left the band, None once a
+    # step is accepted: with the damping growing, the shortest such trial
+    pressed = None
     for _ in range(settings.max_iterations - count):
         if jac is None:
             jac = solver.jacobian(fit) @ cheb
@@ -170,13 +179,40 @@ def minimize_boundary(solver: InnerSolver,
         if trial_value < value:
             done |= value - trial_value <= FTOL * value
             c, fit, value = trial, fit_trial, trial_value
-            jac, damping = None, 0.0
+            jac, damping, pressed = None, 0.0, None
         else:
             damping = max(10.0 * damping, INITIAL_DAMPING)
+            if fit_trial.violation.any():
+                pressed = fit_trial
         if done:
             break
     else:
         raise OptimizationError(
             f"boundary search did not converge within max_iterations = "
             f"{settings.max_iterations} (objective {value:.6e})")
+    if pressed is not None:
+        _refuse_stall(fit, pressed, solver.spec.L)
     return fit
+
+
+def _refuse_stall(fit: FitResult, trial: FitResult, L: float):
+    """Raise the OptimizationError of a search that ended within its last
+    step of a bound of the band: ``trial``, a step from the final ``fit``
+    that moved s by at most PRESSED_STEP * L at every collocation time,
+    left the band, and no shorter step lowered the objective.  Such a point
+    is stationary for the problem held to the band (Kanzow, Yamashita &
+    Fukushima 2004), not a solution of the free boundary problem.  The
+    error names the bound and the time where the trial crossed it
+    furthest.  A longer step that left the band says nothing of the
+    final point: from a fit at rounding noise any step leaves it or
+    raises the objective."""
+    move = trial.s + trial.violation - fit.s
+    if np.abs(move).max() > PRESSED_STEP * L:
+        return
+    i = np.argmax(np.abs(trial.violation))
+    bound = f"L = {L:g}" if trial.violation[i] > 0 else f"{CONSTRAINT_MARGIN:g}"
+    raise OptimizationError(
+        f"boundary search stalled against the band [{CONSTRAINT_MARGIN:g}, L]: "
+        f"s = {fit.s[i]:.9g} at t = {fit.t[i]:.6g} lies within the last step "
+        f"of the bound {bound} (objective {fit.F:.6e}); raise l_domain or "
+        f"lower t_final")

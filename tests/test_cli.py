@@ -254,6 +254,30 @@ q = 0
 """
 
 
+# the solve that exposed a converged poor fit exiting 0: q = x^2 - 20 with
+# the exact boundary s = 1 + sin(2t)/2 of special.hermite_benchmark(20, 0.5)
+HERMITE_20_CONFIG = """\
+q = x^2 - 20
+l = 1.0
+l_domain = 2.0
+t_final = 0.5
+n = 32
+k = 16
+g1 = exp(-x^2/2) + 0.3*(4*x^2-2)*exp(-x^2/2)
+g2 = 0
+g3 = exp(-(1+0.5*sin(2*t))^2/2)*exp(19*t) + 0.3*(4*(1+0.5*sin(2*t))^2-2)*exp(-(1+0.5*sin(2*t))^2/2)*exp(15*t)
+flux = -(1+0.5*sin(2*t))*exp(-(1+0.5*sin(2*t))^2/2)*exp(19*t) + 0.3*(8*(1+0.5*sin(2*t)) - (1+0.5*sin(2*t))*(4*(1+0.5*sin(2*t))^2-2))*exp(-(1+0.5*sin(2*t))^2/2)*exp(15*t)
+"""
+
+
+# HERMITE_20_CONFIG over three times the span: its search ended pressed
+# against L, with 99 of 126 trial points outside the band, and solve
+# printed "converged: F = 5.355322e+16" and exited 0 with a boundary off
+# by up to 0.926
+STALL_CONFIG = (HERMITE_20_CONFIG.replace("t_final = 0.5", "t_final = 1.5")
+                .replace("n = 32", "n = 24").replace("k = 16", "k = 8"))
+
+
 def _without(key: str) -> str:
     """GOOD_CONFIG without its ``key`` line."""
     return "".join(line + "\n" for line in GOOD_CONFIG.splitlines()
@@ -315,13 +339,18 @@ def _without(key: str) -> str:
     (GOOD_CONFIG + "initial_boundary = 1 + 1e308*t\n", ["solve"], 2, "err",
      r"config error: initial_boundary: initial boundary guess projects onto "
      r"non-finite coefficients \[inf, nan\]"),
+    (STALL_CONFIG, ["solve"], 3, "err",
+     r"numeric failure: boundary search stalled against the band \[1e-06, L\]: "
+     r"s = 1\.9999\d+ at t = 1\.425 lies within the last step of the bound "
+     r"L = 2 \(objective 5\.35\d+e\+16\); raise l_domain or lower t_final"),
 ], ids=["line-without-equals", "unknown-key", "syntax-error", "key-given-twice",
         "missing-q", "missing-l", "missing-l_domain",
         "missing-t_final", "validate-degree-below-6", "fewer-rows-than-unknowns",
         "anchor-below-the-band", "fewer-times-than-boundary-coefficients",
         "bad-seed-boundary", "unevaluable-seed-boundary",
         "unevaluable-initial-boundary", "seed-boundary-off-anchor",
-        "overflowing-seed-boundary", "overflowing-initial-boundary"])
+        "overflowing-seed-boundary", "overflowing-initial-boundary",
+        "search-stalled-against-the-band"])
 def test_command_outcome(config, argv, code, stream, pattern, tmp_path, capsys):
     # the exit code and one whole line of the command's output
     if config is not None:
@@ -762,22 +791,6 @@ def test_exponent_table_brackets_each_power_of_ten():
     for E, entry in zip(range(-4, 18), cli._POWERS):
         assert Fraction(entry) >= Fraction(10) ** E
         assert Fraction(np.nextafter(entry, 0.0)) < Fraction(10) ** E
-
-
-# the solve that exposed a converged poor fit exiting 0: q = x^2 - 20 with
-# the exact boundary s = 1 + sin(2t)/2 of special.hermite_benchmark(20, 0.5)
-HERMITE_20_CONFIG = """\
-q = x^2 - 20
-l = 1.0
-l_domain = 2.0
-t_final = 0.5
-n = 32
-k = 16
-g1 = exp(-x^2/2) + 0.3*(4*x^2-2)*exp(-x^2/2)
-g2 = 0
-g3 = exp(-(1+0.5*sin(2*t))^2/2)*exp(19*t) + 0.3*(4*(1+0.5*sin(2*t))^2-2)*exp(-(1+0.5*sin(2*t))^2/2)*exp(15*t)
-flux = -(1+0.5*sin(2*t))*exp(-(1+0.5*sin(2*t))^2/2)*exp(19*t) + 0.3*(8*(1+0.5*sin(2*t)) - (1+0.5*sin(2*t))*(4*(1+0.5*sin(2*t))^2-2))*exp(-(1+0.5*sin(2*t))^2/2)*exp(15*t)
-"""
 
 
 def test_hermite_solve_is_accurate_or_fails(tmp_path):

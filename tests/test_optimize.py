@@ -5,7 +5,8 @@ import pytest
 
 import thpsolve as T
 from thpsolve import ConfigurationError, OptimizerSettings
-from thpsolve.optimize import _chebyshev_map
+from thpsolve.boundary import CONSTRAINT_MARGIN
+from thpsolve.optimize import PRESSED_STEP, _chebyshev_map, _refuse_stall
 
 
 def _solve(spec, degree, K):
@@ -119,6 +120,38 @@ def test_start_outside_the_band_restarts_from_s_equal_l(manufactured):
         T.minimize_boundary(solver, replace(settings, max_iterations=1),
                             trace=lambda *row: rows.append(row))
     assert len(rows) == 1
+
+
+def test_search_stalled_against_the_band_is_refused():
+    # flux beta = 20 over T = 1.5 at 24/8: the search ended with s within
+    # 1e-6 of L = 2, after 121 of its 152 trial points left the band, and
+    # returned F = 5.4e16 with a boundary off by up to 0.93
+    bench = T.hermite_benchmark(20.0, 1.5)
+    with pytest.raises(T.OptimizationError,
+                       match=r"stalled against the band \[1e-06, L\]: s = "
+                             r"1\.99999\d+ at t = 1\.425 lies within the last "
+                             r"step of the bound L = 2 "):
+        _solve(bench.spec, 24, 8)
+
+
+@pytest.mark.parametrize("move, refused", [(2e-5, True), (1e-3, False)])
+def test_stall_refusal_reads_the_length_of_the_step(move, refused, manufactured):
+    # a final s = 1 - a t that ends 1e-5 above the margin 1e-6 at t = 1, and
+    # a trial from it that moves s(1) by ``move`` to below the margin; a
+    # trial that moved s further says nothing of where the search ended
+    solver, _ = manufactured
+    end = 1.0 - CONSTRAINT_MARGIN - 1e-5
+    fit, trial = (solver.fit(T.BoundaryModel(1.0, [-a, 0.0]), clamp=True)
+                  for a in (end, end + move))
+    assert trial.violation[-1] < 0
+    assert (move <= PRESSED_STEP * solver.spec.L) == refused
+    if refused:
+        with pytest.raises(T.OptimizationError,
+                           match=r"s = 1\.1e-05 at t = 1 lies within the last "
+                                 r"step of the bound 1e-06 "):
+            _refuse_stall(fit, trial, solver.spec.L)
+    else:
+        assert _refuse_stall(fit, trial, solver.spec.L) is None
 
 
 @pytest.mark.parametrize("n_t", [3, 4, 5])
