@@ -10,7 +10,7 @@ from .expr import Expression, parse
 from .formal_powers import FormalPowerTable, build_formal_powers
 from .numerics import (Interpolant, SampledFunction, UniformMesh,
                        cumulative_integral)
-from .optimize import OptimizerSettings, minimize_boundary
+from .optimize import minimize_boundary
 from .particular import ParticularSolution, solve_particular
 from .pipeline import Solution, prepare, solve_free_boundary
 from .special import (ExactBenchmark, ei, ei_inv, exact_benchmark,

@@ -41,14 +41,18 @@ DataFunc = Union[Expression, Callable[[np.ndarray], Union[np.ndarray, float]]]
 class ProblemSpec:
     """Full description of one free boundary problem instance.
 
-    Each datum is a callable of the whole point array, or None where it is
-    optional, and becomes values at the points where it is used (the
+    Each datum is a callable of the whole point array, None only where it
+    marks an absent condition or the melt-rate flux, and becomes values at
+    the points where it is used (the
     quadrature mesh and the boundary points s(t) for ``q``, the collocation
     points for the rest) through :func:`thpsolve.numerics.tabulate`, so no
     datum depends on a grid.  ``q`` must be a callable: node values alone
     cannot be read at s(t).
 
     ``g1``/``g2`` may be None when the corresponding condition is absent.
+    The weights of the initial condition gamma11 u + gamma12 u_x = g1
+    default to the trace u(x, 0), those of the lateral condition
+    gamma21 u + gamma22 u_x = g2 to the derivative u_x(0, t).
     ``g3`` (Dirichlet data on the moving boundary) is mandatory, as is the
     flux condition; when ``flux_data`` is None the flux right-hand side is
     the melt-rate form -s'(t), otherwise the given data are used (linear
@@ -59,10 +63,10 @@ class ProblemSpec:
     L: float
     l: float
     T: float
-    gamma11: Optional[DataFunc] = None   # defaults: identity trace operator
-    gamma12: Optional[DataFunc] = None
-    gamma21: Optional[DataFunc] = None   # defaults: pure derivative at x=0
-    gamma22: Optional[DataFunc] = None
+    gamma11: DataFunc = np.ones_like
+    gamma12: DataFunc = np.zeros_like
+    gamma21: DataFunc = np.zeros_like
+    gamma22: DataFunc = np.ones_like
     g1: Optional[DataFunc] = None
     g2: Optional[DataFunc] = None
     g3: Optional[DataFunc] = None
@@ -95,7 +99,7 @@ class FitResult:
 
     a: np.ndarray
     boundary: BoundaryModel
-    F: float
+    F: float                 # residual @ residual = I1^2 + I2^2 + I3^2 + I4^2
     residual_norms: tuple    # (I1, I2, I3, I4); zero for absent blocks
     residual_maxima: tuple   # per-block max abs residual
     residual: np.ndarray = field(repr=False)   # stacked B a - g
@@ -145,22 +149,21 @@ class InnerSolver:
                            ("dirichlet", len(t)), ("flux", len(t))):
             self.blocks[name] = slice(row, row + size)
             row += size
-        # B and g with the rows no boundary moves: initial condition at (x, 0),
-        # lateral at (0, t) (defaults: the trace u(x, 0), the derivative
-        # u_x(0, t)), and the data g1, g2, g3 and the flux data
+        # B and g with the rows no boundary moves: initial condition at
+        # (x, 0), lateral at (0, t), and the data g1, g2, g3 and the flux data
         self._matrix = np.zeros((row, table.degree + 1))
         self._rhs = np.zeros(row)
         if spec.g1 is not None:
             self._matrix[self.blocks["initial"]] = _trace(
                 table, x, 0.0,
-                tabulate(spec.gamma11, x, "gamma11", 1.0),
-                tabulate(spec.gamma12, x, "gamma12", 0.0))
+                tabulate(spec.gamma11, x, "gamma11"),
+                tabulate(spec.gamma12, x, "gamma12"))
             self._rhs[self.blocks["initial"]] = tabulate(spec.g1, x, "g1")
         if spec.g2 is not None:
             self._matrix[self.blocks["lateral"]] = _trace(
                 table, 0.0, t,
-                tabulate(spec.gamma21, t, "gamma21", 0.0),
-                tabulate(spec.gamma22, t, "gamma22", 1.0))
+                tabulate(spec.gamma21, t, "gamma21"),
+                tabulate(spec.gamma22, t, "gamma22"))
             self._rhs[self.blocks["lateral"]] = tabulate(spec.g2, t, "g2")
         self._rhs[self.blocks["dirichlet"]] = tabulate(spec.g3, t, "g3")
         if spec.flux_data is not None:
@@ -194,10 +197,11 @@ class InnerSolver:
         a = np.asarray(a)
         residual = matrix @ a - rhs
         blocks = [residual[rows] for rows in self.blocks.values()]
-        with np.errstate(over="ignore"):    # a norm past the float range is inf
+        with np.errstate(over="ignore"):    # past the float range is inf
+            F = float(residual @ residual)
             norms = tuple(float(np.linalg.norm(r)) for r in blocks)
         maxima = tuple(float(np.abs(r).max(initial=0.0)) for r in blocks)
-        return FitResult(a=a, boundary=model, F=float(sum(v * v for v in norms)),
+        return FitResult(a=a, boundary=model, F=F,
                          residual_norms=norms, residual_maxima=maxima,
                          residual=residual, matrix=matrix, blocks=self.blocks,
                          t=self.t, s=s, violation=violation,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .assemble import InnerSolver, ProblemSpec, solve_linear
 from .boundary import BoundaryModel
 from .errors import (ConfigurationError, ExpressionEvalError, SolverError,
                      require_count)
-from .optimize import OptimizerSettings
+from .optimize import DEFAULT_K
 from .pipeline import DEFAULT_DEGREE, Solution, prepare, solve_free_boundary
 from .special import exact_benchmark
 
@@ -48,7 +47,7 @@ _READERS = {
                                        encoding="utf-8-sig")[:, [0, 1]].T,
 }
 # keyword argument -> (config key, flag) for prepare, InnerSolver and
-# OptimizerSettings
+# minimize_boundary
 _PREPARE_KEYS = {"mesh_points": ("mesh_points", "mesh"), "degree": ("n", "N")}
 _SOLVER_KEYS = {"n_x": ("n_x", None), "n_t": ("n_t", None)}
 _SEARCH_KEYS = {"K": ("k", "K"), "max_iterations": ("max_iterations", None)}
@@ -116,9 +115,10 @@ def build_spec(values: dict) -> ProblemSpec:
         )
     return ProblemSpec(
         q=values["q"], L=values["l_domain"], l=values["l"], T=values["t_final"],
-        g3=g3, flux_data=values.get("flux"),
-        **{key: values.get(key) for key in ("gamma11", "gamma12", "gamma21",
-                                            "gamma22", "g1", "g2")},
+        g1=values.get("g1"), g2=values.get("g2"), g3=g3,
+        flux_data=values.get("flux"),
+        **{key: values[key] for key in ("gamma11", "gamma12", "gamma21",
+                                        "gamma22") if key in values},
     )
 
 
@@ -342,7 +342,9 @@ def _write_outputs(out_dir: Path, solution: Solution):
 def _search(args, spec: ProblemSpec, values: dict) -> Solution:
     """Solve ``spec`` as solve and validate-example both do: flags override
     the config ``values``, and ``--seed-boundary`` their ``initial_boundary``."""
-    settings = OptimizerSettings(**_chosen(_SEARCH_KEYS, args, values))
+    search = _chosen(_SEARCH_KEYS, args, values)
+    K = search.get("K", DEFAULT_K)
+    require_count("K", K, 1)
     guess, name = values.get("initial_boundary"), "initial_boundary"
     if args.seed_boundary is not None:
         name = "--seed-boundary"
@@ -351,19 +353,19 @@ def _search(args, spec: ProblemSpec, values: dict) -> Solution:
         except ConfigurationError as exc:
             raise ConfigurationError(f"{name}: {exc}") from exc
     if guess is not None:
-        settings = replace(settings, initial_b=_fit_initial_boundary(
-            guess, spec.l, spec.T, settings.K, name))
+        search["initial_b"] = _fit_initial_boundary(guess, spec.l, spec.T, K,
+                                                    name)
     table = prepare(spec, **_chosen(_PREPARE_KEYS, args, values))
     solver = InnerSolver(spec, table, **_chosen(_SOLVER_KEYS, args, values))
     trace = None
     if args.verbose:
         print("iteration,objective," +
-              ",".join(f"b_{j}" for j in range(1, settings.K + 1)))
+              ",".join(f"b_{j}" for j in range(1, K + 1)))
 
         def trace(it, value, b):
             print(f"{it},{_fmt(value)}," + ",".join(_fmt(v) for v in b))
 
-    return solve_free_boundary(solver, settings, trace=trace)
+    return solve_free_boundary(solver, **search, trace=trace)
 
 
 def cmd_solve(args) -> int:

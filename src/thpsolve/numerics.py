@@ -10,8 +10,6 @@ slopes provides off-node evaluation and first derivatives, with no solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, require_count
@@ -74,22 +72,16 @@ class UniformMesh:
         return np.linspace(0.0, self.x_end, self.n_points)
 
 
-def tabulate(datum, points: np.ndarray, what: str,
-             default: Optional[float] = None) -> np.ndarray:
+def tabulate(datum, points: np.ndarray, what: str) -> np.ndarray:
     """Float values of the problem datum ``what`` at ``points``.  The datum
     is a callable applied once to the whole point array (a scalar result is
-    the constant), or None for the constant ``default`` (an error without
-    one).  Any other datum, a result of any other shape, complex values, or
-    a NaN or infinite value are a ConfigurationError naming the datum."""
-    if callable(datum):
-        values = datum(points)
-    elif datum is None and default is not None:
-        values = default
-    else:
+    the constant).  Any other datum, a result of any other shape, complex
+    values, or a NaN or infinite value are a ConfigurationError naming the
+    datum."""
+    if not callable(datum):
         raise ConfigurationError(
-            f"{what} is required but missing" if datum is None else
             f"{what} must be a callable, got {type(datum).__name__}")
-    values = np.asarray(values)
+    values = np.asarray(datum(points))
     if values.ndim and values.shape != points.shape:
         raise ConfigurationError(
             f"{what} has values of shape {values.shape}, expected "

@@ -18,7 +18,6 @@ ones are not (Trefethen 2013).  The boundary itself stays monomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +27,10 @@ from .boundary import CONSTRAINT_MARGIN, BoundaryModel
 from .errors import (ConfigurationError, DomainError, OptimizationError,
                      SolverError, require_count)
 
-__all__ = ["OptimizerSettings", "minimize_boundary"]
+__all__ = ["DEFAULT_K", "minimize_boundary"]
+
+# the default degree K of the boundary polynomial
+DEFAULT_K = 6
 
 # convergence: a step short relative to the Chebyshev coordinates c, or an
 # accepted step that lowers the objective by a small share (scipy's
@@ -42,31 +44,6 @@ INITIAL_DAMPING = 1e-3
 # objective, ended pressed against the band (the square root of XTOL: the
 # steps of a converging search are far shorter)
 PRESSED_STEP = 1e-4
-
-
-@dataclass(frozen=True, eq=False)
-class OptimizerSettings:
-    """Knobs of the boundary search."""
-
-    K: int = 6
-    initial_b: Optional[np.ndarray] = None     # default (0.1, 0, ..., 0)
-    # Gauss-Newton iterations, each one trial point (the start is the first),
-    # i.e. one inner fit; the Jacobian reuses the fit's factorization
-    max_iterations: int = 400
-
-    def __post_init__(self):
-        require_count("K", self.K, 1)
-        require_count("max_iterations", self.max_iterations, 1)
-        b0 = self.initial_b
-        if b0 is None:
-            b0 = np.zeros(self.K)
-            b0[0] = 0.1
-        b0 = np.asarray(b0, dtype=float)
-        if len(b0) != self.K:
-            raise ConfigurationError(f"initial_b must have length K={self.K}")
-        if not np.all(np.isfinite(b0)):
-            raise ConfigurationError(f"initial_b must be finite, got {b0.tolist()}")
-        object.__setattr__(self, "initial_b", b0)
 
 
 def _step(jac: np.ndarray, r: np.ndarray, damping: float) -> np.ndarray:
@@ -99,14 +76,15 @@ def _chebyshev_map(K: int, T: float) -> np.ndarray:
     return powers[1:, 1:].T
 
 
-def minimize_boundary(solver: InnerSolver,
-                      settings: OptimizerSettings = OptimizerSettings(),
+def minimize_boundary(solver: InnerSolver, K: int = DEFAULT_K,
+                      initial_b=None, max_iterations: int = 400,
                       trace: Optional[Callable[[int, float, np.ndarray], None]] = None,
                       ) -> FitResult:
-    """Minimize the reduced value function of ``solver`` over boundary
-    coefficients.
+    """Minimize the reduced value function of ``solver`` over the K
+    coefficients of a boundary polynomial, from ``initial_b`` (default
+    (0.1, 0, ..., 0)), in at most ``max_iterations`` trial points.
 
-    Returns the converged fit; deterministic for fixed settings.  Each
+    Returns the converged fit; deterministic for fixed arguments.  Each
     iteration evaluates the objective at one trial point (the start is the
     first), one inner fit; after a point that lowers it, the next step
     takes the Jacobian from that fit.  A trial point whose s leaves the
@@ -119,22 +97,34 @@ def minimize_boundary(solver: InnerSolver,
     unknowns, or fewer collocation times after t = 0 than the K boundary
     coefficients, leave the boundary undetermined.  The ``trace``
     callback, when given, receives (evaluation count, objective,
-    coefficients) for every objective evaluation.
+    coefficients) for every objective evaluation.  A K or max_iterations
+    that is not an integer >= 1, and an initial_b not of length K or not
+    finite, are a ``ConfigurationError``.
     """
+    require_count("K", K, 1)
+    require_count("max_iterations", max_iterations, 1)
+    if initial_b is None:
+        initial_b = np.zeros(K)
+        initial_b[0] = 0.1
+    b = np.array(initial_b, dtype=float)
+    if len(b) != K:
+        raise ConfigurationError(f"initial_b must have length K={K}")
+    if not np.all(np.isfinite(b)):
+        raise ConfigurationError(f"initial_b must be finite, got {b.tolist()}")
     rows = solver.blocks["flux"].stop        # the flux block is stacked last
     degree = solver.table.degree
-    unknowns = degree + 1 + settings.K
+    unknowns = degree + 1 + K
     if rows < unknowns:
         raise ConfigurationError(
             f"{rows} collocation rows cannot determine the N + 1 + K = "
-            f"{unknowns} unknowns (N = {degree}, K = {settings.K}); "
+            f"{unknowns} unknowns (N = {degree}, K = {K}); "
             f"raise n_x or n_t, or lower n or k")
     # s(0) = l is fixed: s at the n_t later times must pin the K coefficients
     n_t = len(solver.t) - 1
-    if n_t < settings.K:
+    if n_t < K:
         raise ConfigurationError(
             f"n_t = {n_t} collocation times after t = 0 cannot determine the "
-            f"K = {settings.K} boundary coefficients; raise n_t or lower k")
+            f"K = {K} boundary coefficients; raise n_t or lower k")
     count = 0
 
     def evaluate(b):
@@ -147,29 +137,27 @@ def minimize_boundary(solver: InnerSolver,
                 f"inner fit failed ({type(exc).__name__}: {exc})") from exc
         # a point outside the band, or a residual past the float range, is
         # not finite: a rejected step, or a start the search refuses below
-        with np.errstate(over="ignore"):
-            value = np.inf if fit.violation.any() else fit.residual @ fit.residual
+        value = np.inf if fit.violation.any() else fit.F
         if trace is not None:
             trace(count, float(value), np.asarray(b, float))
         return fit, value
 
-    b = settings.initial_b.copy()
     fit, value = evaluate(b)
-    if fit.violation.any() and count < settings.max_iterations:
-        b = np.zeros(settings.K)       # s = l, inside the band
+    if fit.violation.any() and count < max_iterations:
+        b = np.zeros(K)       # s = l, inside the band
         fit, value = evaluate(b)
     if not np.isfinite(value):
         raise OptimizationError(
             f"search residual is not finite at the initial point b = {b.tolist()}")
     # built after the start evaluates: a T past the float range, which that
     # evaluation refuses, would leave M singular
-    cheb = _chebyshev_map(settings.K, solver.spec.T)
+    cheb = _chebyshev_map(K, solver.spec.T)
     c = np.linalg.solve(cheb, b)
     jac, damping = None, 0.0
     # the last trial from the current point that left the band, None once a
     # step is accepted: with the damping growing, the shortest such trial
     pressed = None
-    for _ in range(settings.max_iterations - count):
+    for _ in range(max_iterations - count):
         if jac is None:
             jac = solver.jacobian(fit) @ cheb
         step = _step(jac, fit.residual, damping)
@@ -189,7 +177,7 @@ def minimize_boundary(solver: InnerSolver,
     else:
         raise OptimizationError(
             f"boundary search did not converge within max_iterations = "
-            f"{settings.max_iterations} (objective {value:.6e})")
+            f"{max_iterations} (objective {value:.6e})")
     if pressed is not None:
         _refuse_stall(fit, pressed, solver.spec.L)
     return fit

@@ -11,14 +11,15 @@ import numpy as np
 from .assemble import FitResult, InnerSolver, ProblemSpec
 from .formal_powers import FormalPowerTable, build_formal_powers
 from .numerics import SampledFunction, UniformMesh
-from .optimize import OptimizerSettings, minimize_boundary
+from .optimize import minimize_boundary
 from .particular import solve_particular
 from .thp import solution_eval
 
 __all__ = ["Solution", "prepare", "solve_free_boundary"]
 
 # the one home of each default of the basis (the command line passes only
-# what a flag or a config key sets; InnerSolver holds the collocation ones)
+# what a flag or a config key sets; InnerSolver holds the collocation ones,
+# optimize.minimize_boundary the search ones)
 DEFAULT_MESH_POINTS = 2001
 DEFAULT_DEGREE = 12
 
@@ -62,9 +63,8 @@ class Solution:
         return np.column_stack([x, t, self.u_eval(x, t)])
 
 
-def solve_free_boundary(solver: InnerSolver,
-                        settings: OptimizerSettings = OptimizerSettings(),
-                        trace=None) -> Solution:
+def solve_free_boundary(solver: InnerSolver, **search) -> Solution:
     """Run the outer boundary search on the collocation problem of
-    ``solver``."""
-    return Solution(solver.table, minimize_boundary(solver, settings, trace=trace))
+    ``solver``, with the keyword arguments ``search`` of
+    :func:`thpsolve.optimize.minimize_boundary`."""
+    return Solution(solver.table, minimize_boundary(solver, **search))

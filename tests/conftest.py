@@ -82,7 +82,7 @@ def benchmark_solution():
     bench = T.exact_benchmark()
     t0 = time.perf_counter()
     solver = T.InnerSolver(bench.spec, T.prepare(bench.spec), 100, 100)
-    solution = T.solve_free_boundary(solver, T.OptimizerSettings(K=6))
+    solution = T.solve_free_boundary(solver, K=6)
     elapsed = time.perf_counter() - t0
     return bench, solution, elapsed
 

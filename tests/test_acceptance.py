@@ -173,8 +173,7 @@ def test_criterion_9_property_suite(benchmark_solution, table_q1):
     # determinism of the boundary search
     _, solution, _ = benchmark_solution
     repeat = T.solve_free_boundary(T.InnerSolver(bench.spec, solution.table,
-                                                 100, 100),
-                                   T.OptimizerSettings(K=6))
+                                                 100, 100), K=6)
     report("criterion 9f: optimizer determinism",
            np.array_equal(repeat.fit.b, solution.fit.b), "bit-identical coefficients")
 
@@ -215,8 +214,7 @@ def test_high_degree_closed_form_boundary(q, u, u_x, t_final, degree, K,
         flux_data=lambda t: u_x(s(t), t),
     )
     table = T.prepare(spec, degree=degree)
-    solution = T.solve_free_boundary(T.InnerSolver(spec, table, 100, 100),
-                                     T.OptimizerSettings(K=K))
+    solution = T.solve_free_boundary(T.InnerSolver(spec, table, 100, 100), K=K)
     fit = solution.fit
     ts = np.linspace(0.0, t_final, 201)
     err = np.max(np.abs(solution.s_eval(ts) - s(ts)))

@@ -331,8 +331,9 @@ def _without(key: str) -> str:
     (GOOD_CONFIG, ["solve", "--seed-boundary", "2 + 0.3*t"], 2, "err",
      r"config error: --seed-boundary: initial boundary guess has s\(0\) = 2\.0, "
      r"expected l = 1\.0"),
-    # a guess whose projection overflows was refused by OptimizerSettings
-    # under its own name: "initial_b must be finite, got [inf, nan, ...]"
+    # a guess whose projection overflows was refused by the search's
+    # settings under their own name: "initial_b must be finite, got [inf,
+    # nan, ...]"
     (GOOD_CONFIG, ["solve", "--seed-boundary", "1 + 1e308*t"], 2, "err",
      r"config error: --seed-boundary: initial boundary guess projects onto "
      r"non-finite coefficients \[inf, nan\]"),

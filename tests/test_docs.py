@@ -1,19 +1,18 @@
-"""docs/config.md states the discretization defaults; they live in
-pipeline.prepare, InnerSolver and OptimizerSettings, and the docs must not
-drift.  The README's Python examples must run as written."""
+"""docs/config.md states the discretization defaults; they live in the
+signatures of pipeline.prepare, InnerSolver and minimize_boundary, and the
+docs must not drift.  The README's Python examples must run as written."""
 
 import inspect
 import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import thpsolve
-from thpsolve import InnerSolver, OptimizerSettings, prepare
+from thpsolve import InnerSolver, minimize_boundary, prepare
 from thpsolve.cli import _READERS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,14 +22,14 @@ README = ROOT / "README.md"
 # config key -> default held by the library
 _PREPARE = inspect.signature(prepare).parameters
 _SOLVER = inspect.signature(InnerSolver).parameters
-_SEARCH = {f.name: f.default for f in fields(OptimizerSettings)}
+_SEARCH = inspect.signature(minimize_boundary).parameters
 LIBRARY_DEFAULTS = {
     "mesh_points": _PREPARE["mesh_points"].default,
     "n": _PREPARE["degree"].default,
     "n_x": _SOLVER["n_x"].default,
     "n_t": _SOLVER["n_t"].default,
-    "k": _SEARCH["K"],
-    "max_iterations": _SEARCH["max_iterations"],
+    "k": _SEARCH["K"].default,
+    "max_iterations": _SEARCH["max_iterations"].default,
 }
 
 

@@ -1,10 +1,10 @@
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import thpsolve as T
-from thpsolve import ConfigurationError, OptimizerSettings
+from thpsolve import ConfigurationError
 from thpsolve.boundary import CONSTRAINT_MARGIN
 from thpsolve.optimize import PRESSED_STEP, _chebyshev_map, _refuse_stall
 
@@ -13,7 +13,7 @@ def _solve(spec, degree, K):
     """The boundary search on ``spec`` at basis degree ``degree`` and
     boundary degree ``K``, on 100 collocation intervals in x and in t."""
     solver = T.InnerSolver(spec, T.prepare(spec, degree=degree), 100, 100)
-    return T.solve_free_boundary(solver, OptimizerSettings(K=K))
+    return T.solve_free_boundary(solver, K=K)
 
 
 def _benchmark_solver(benchmark_solution):
@@ -22,33 +22,41 @@ def _benchmark_solver(benchmark_solution):
     return T.InnerSolver(bench.spec, solution.table, 100, 100)
 
 
-def test_settings_validation():
-    with pytest.raises(ConfigurationError):
-        OptimizerSettings(K=0)
-    with pytest.raises(ConfigurationError):
-        OptimizerSettings(K=3, initial_b=[0.1])
-    with pytest.raises(ConfigurationError):
-        OptimizerSettings(K=2, max_iterations=0)
+def test_settings_validation(manufactured):
+    # each is refused before the first trial point
+    solver, _ = manufactured
+    rows = []
+    search = partial(T.minimize_boundary, solver,
+                     trace=lambda *row: rows.append(row))
+    with pytest.raises(ConfigurationError, match="K must be an integer >= 1"):
+        search(K=0)
+    with pytest.raises(ConfigurationError, match=r"initial_b must have length K=3"):
+        search(K=3, initial_b=[0.1])
+    with pytest.raises(ConfigurationError, match="max_iterations must be an integer"):
+        search(K=2, max_iterations=0)
     # a NaN start failed only inside the search, as a DomainError
-    with pytest.raises(ConfigurationError, match="initial_b"):
-        OptimizerSettings(K=2, initial_b=[np.nan, 0.0])
+    with pytest.raises(ConfigurationError, match="initial_b must be finite"):
+        search(K=2, initial_b=[np.nan, 0.0])
     # K = 2.5 failed inside numpy, max_iterations = 2.5 inside range()
     for bad in (2.5, 2.0, "2", True, None):
         with pytest.raises(ConfigurationError, match="K must be an integer"):
-            OptimizerSettings(K=bad)
+            search(K=bad)
         with pytest.raises(ConfigurationError,
                            match="max_iterations must be an integer"):
-            OptimizerSettings(K=2, max_iterations=bad)
-    s = OptimizerSettings(K=np.int64(3), max_iterations=np.int32(5))
-    assert len(s.initial_b) == 3 and s.max_iterations == 5
-    s = OptimizerSettings(K=6)
-    assert s.initial_b[0] == 0.1
+            search(K=2, max_iterations=bad)
+    assert rows == []
+    # numpy integers are counts, and the default start is (0.1, 0, ..., 0)
+    search(K=np.int64(2), max_iterations=np.int32(50))
+    assert np.array_equal(rows[0][2], [0.1, 0.0])
+    rows.clear()
+    with pytest.raises(T.OptimizationError):
+        search(max_iterations=1)
+    assert np.array_equal(rows[0][2], [0.1, 0, 0, 0, 0, 0])
 
 
 def test_recovers_manufactured_boundary(manufactured):
     solver, _ = manufactured
-    settings = OptimizerSettings(K=2, initial_b=[0.1, 0.0])
-    fit = T.solve_free_boundary(solver, settings).fit
+    fit = T.solve_free_boundary(solver, K=2, initial_b=[0.1, 0.0]).fit
     assert abs(fit.b[0] - 0.5) < 1e-4
     assert abs(fit.b[1]) < 1e-4
 
@@ -72,10 +80,8 @@ def test_u_eval_takes_the_shape_of_its_points():
 
 def test_restart_at_optimum_is_stable(manufactured):
     solver, _ = manufactured
-    first = T.solve_free_boundary(
-        solver, OptimizerSettings(K=2, initial_b=[0.1, 0.0])).fit
-    again = T.solve_free_boundary(
-        solver, OptimizerSettings(K=2, initial_b=first.b)).fit
+    first = T.solve_free_boundary(solver, K=2, initial_b=[0.1, 0.0]).fit
+    again = T.solve_free_boundary(solver, K=2, initial_b=first.b).fit
     assert again.F <= first.F + 1e-12
 
 
@@ -89,9 +95,8 @@ def test_evaluations_bounded_by_iterations(manufactured):
     def trace(it, value, b):
         seen.append((it, len(b)))
 
-    settings = OptimizerSettings(K=2, max_iterations=3)
     with pytest.raises(T.OptimizationError, match="max_iterations = 3"):
-        T.minimize_boundary(solver, settings, trace=trace)
+        T.minimize_boundary(solver, K=2, max_iterations=3, trace=trace)
     assert len(seen) == 3
     assert [it for it, _ in seen] == list(range(1, len(seen) + 1))
     assert all(n == 2 for _, n in seen)
@@ -103,8 +108,8 @@ def test_start_outside_the_band_restarts_from_s_equal_l(manufactured):
     # trial point of its own
     solver, exact = manufactured
     rows = []
-    settings = OptimizerSettings(K=2, initial_b=[1.2, 0.0])
-    fit = T.minimize_boundary(solver, settings,
+    search = {"K": 2, "initial_b": [1.2, 0.0]}
+    fit = T.minimize_boundary(solver, **search,
                               trace=lambda *row: rows.append(row))
     assert rows[0][1] == np.inf and np.isfinite(rows[1][1])
     assert np.array_equal(rows[1][2], [0.0, 0.0])
@@ -112,12 +117,12 @@ def test_start_outside_the_band_restarts_from_s_equal_l(manufactured):
     # the start and the restart use up two trial points
     rows.clear()
     with pytest.raises(T.OptimizationError, match="max_iterations = 2"):
-        T.minimize_boundary(solver, replace(settings, max_iterations=2),
+        T.minimize_boundary(solver, **search, max_iterations=2,
                             trace=lambda *row: rows.append(row))
     assert len(rows) == 2
     rows.clear()
     with pytest.raises(T.OptimizationError, match="not finite at the initial"):
-        T.minimize_boundary(solver, replace(settings, max_iterations=1),
+        T.minimize_boundary(solver, **search, max_iterations=1,
                             trace=lambda *row: rows.append(row))
     assert len(rows) == 1
 
@@ -165,7 +170,7 @@ def test_fewer_times_than_boundary_coefficients_is_a_config_error(
     with pytest.raises(ConfigurationError,
                        match=f"n_t = {n_t} collocation times after t = 0 "
                              f"cannot determine the K = 6 boundary"):
-        T.minimize_boundary(solver, OptimizerSettings(K=6))
+        T.minimize_boundary(solver, K=6)
 
 
 def test_search_fits_once_per_trial_point(benchmark_solution, monkeypatch):
@@ -182,8 +187,7 @@ def test_search_fits_once_per_trial_point(benchmark_solution, monkeypatch):
         return fit(self, *args, **kwargs)
 
     monkeypatch.setattr(T.InnerSolver, "fit", counted)
-    result = T.minimize_boundary(solver, OptimizerSettings(),
-                                 trace=lambda *row: rows.append(row))
+    result = T.minimize_boundary(solver, trace=lambda *row: rows.append(row))
     assert len(fits) == len(rows) == 5
     refit = fit(solver, result.boundary)
     assert np.array_equal(result.a, refit.a)
@@ -204,7 +208,7 @@ def test_search_clamps_once_per_fit(benchmark_solution, monkeypatch):
             calls[_name] += 1
             return _method(*args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
-    T.minimize_boundary(solver, OptimizerSettings())
+    T.minimize_boundary(solver)
     assert calls == {"fit": 5, "clamp": 5}
 
 
@@ -234,27 +238,25 @@ def test_reference_problem_at_K8(benchmark_solution):
     # a degree-8 boundary must fit the reference problem at least as well
     # as the published degree 6 does
     solver = _benchmark_solver(benchmark_solution)
-    fit = T.solve_free_boundary(solver, OptimizerSettings(K=8)).fit
+    fit = T.solve_free_boundary(solver, K=8).fit
     assert fit.F <= 1e-9
 
 
 def test_feasibility_of_result(manufactured):
     solver, _ = manufactured
-    fit = T.solve_free_boundary(solver, OptimizerSettings(K=2)).fit
+    fit = T.solve_free_boundary(solver, K=2).fit
     assert not fit.boundary.clamp(fit.t, solver.spec.L)[1].any()
 
 
 def test_determinism(manufactured):
     solver, _ = manufactured
-    settings = OptimizerSettings(K=2)
-    b1 = T.solve_free_boundary(solver, settings).fit.b
-    b2 = T.solve_free_boundary(solver, settings).fit.b
+    b1 = T.solve_free_boundary(solver, K=2).fit.b
+    b2 = T.solve_free_boundary(solver, K=2).fit.b
     assert np.array_equal(b1, b2)
 
 
 def test_only_numeric_failures_reject_a_vertex(manufactured, monkeypatch):
     solver, _ = manufactured
-    settings = OptimizerSettings(K=2)
 
     def failing_fit(exc):
         def fit(self, model, a=None, clamp=False):
@@ -265,12 +267,12 @@ def test_only_numeric_failures_reject_a_vertex(manufactured, monkeypatch):
     monkeypatch.setattr(T.InnerSolver, "fit",
                         failing_fit(T.SolverError("all zero")))
     with pytest.raises(T.OptimizationError, match="all zero") as info:
-        T.minimize_boundary(solver, settings)
+        T.minimize_boundary(solver, K=2)
     assert type(info.value.__cause__) is T.SolverError
     # a programming error propagates instead of becoming "failed everywhere"
     monkeypatch.setattr(T.InnerSolver, "fit", failing_fit(TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
-        T.minimize_boundary(solver, settings)
+        T.minimize_boundary(solver, K=2)
 
 
 def test_reference_problem_at_N18():

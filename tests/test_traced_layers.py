@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import thpsolve.cli  # noqa: F401  (with the package, every traced module)
-from thpsolve import InnerSolver, OptimizerSettings, minimize_boundary
+from thpsolve import InnerSolver, minimize_boundary
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
@@ -38,10 +38,10 @@ def test_search_passes_clamp_true_by_keyword(start, benchmark_solution,
     if start == "reference":
         bench, solution, _ = benchmark_solution
         solver = InnerSolver(bench.spec, solution.table, 100, 100)
-        settings = OptimizerSettings()
+        search = {}
     else:
         solver, _ = manufactured
-        settings = OptimizerSettings(K=2, initial_b=[1.2, 0.0])   # s(1) > L
+        search = {"K": 2, "initial_b": [1.2, 0.0]}   # s(1) > L
     calls, fit = [], InnerSolver.fit
 
     def recorded(*args, **kwargs):
@@ -52,7 +52,7 @@ def test_search_passes_clamp_true_by_keyword(start, benchmark_solution,
     monkeypatch.setattr(InnerSolver, "fit",
                         tracer._count_search_fits(counter, recorded))
     rows = []
-    minimize_boundary(solver, settings, trace=lambda *row: rows.append(row))
+    minimize_boundary(solver, **search, trace=lambda *row: rows.append(row))
     assert calls and all(len(args) == 1 and kwargs == {"clamp": True}
                          for args, kwargs in calls)
     assert counter.counters["optimize.evals"] == len(calls) == len(rows)
