@@ -177,10 +177,8 @@ class InnerSolver:
         in; s at the times clipped into its admissible band (``clamp``) or
         required to lie inside it, and the violation s - clipped."""
         s, violation = model.clamp(self.t, self.spec.L)
-        if not clamp and violation.any():
-            raise ConfigurationError(
-                "boundary candidate violates 0 < s(t) <= L on the grid"
-            )
+        if not clamp:
+            self._require_band(s, violation)
         h = basis(self.table, s, self.t)
         matrix, rhs = self._matrix.copy(), self._rhs.copy()
         matrix[self.blocks["dirichlet"]] = h[:, 0]
@@ -188,6 +186,16 @@ class InnerSolver:
         if self.spec.flux_data is None:
             rhs[self.blocks["flux"]] = -model.s_dot_eval(self.t)
         return matrix, rhs, s, violation
+
+    def _require_band(self, s: np.ndarray, violation: np.ndarray):
+        """Refuse s at the collocation times, clipped to ``s`` with the
+        ``violation`` s - clipped, unless it lies in the band."""
+        if violation.any():
+            i = np.argmax(np.abs(violation))
+            raise ConfigurationError(
+                f"need {CONSTRAINT_MARGIN:g} <= s(t) <= L at the collocation "
+                f"times, got s({self.t[i]:g})={s[i] + violation[i]:g}, "
+                f"L={self.spec.L}")
 
     def fit(self, model: BoundaryModel, a=None, clamp: bool = False) -> FitResult:
         matrix, rhs, s, violation = self.system_for(model, clamp=clamp)
@@ -213,19 +221,19 @@ class InnerSolver:
         (I - U U^T)(dB/db_j a - dg/db_j), with U the fit's ``range_basis``.
         It leaves out a term of the exact derivative that lies in the
         column space of B, orthogonal to the residual, so its transpose
-        times the residual is the exact gradient of |residual|^2 / 2.
+        times the residual is the exact gradient of |residual|^2 / 2.  A
+        fit with s clipped into the band (a nonzero ``violation``) is a
+        ConfigurationError: its residual is not that of its boundary.
 
-        A time where the fit clipped s (``clamp=True``: a nonzero
-        ``violation``) has s fixed, so its matrix rows do not move.  The
-        moving rows need only the Dirichlet and flux blocks already built:
+        The moving rows need only the Dirichlet and flux blocks already built:
         d/ds H_n(s, t) is the flux block, and
         d^2/ds^2 H_n = (q(s) + c) H_n + n (n-1) H_(n-2), with c the table's
         shift, from phi_m'' = (q + c) phi_m + m (m-1) phi_(m-2) and
         c_k^n (n-2k) (n-2k-1) = n (n-1) c_k^(n-2); the factor e^(c t) of
         every H_n passes through unchanged.
         """
+        self._require_band(fit.s, fit.violation)
         a, t, model, rows = fit.a, fit.t, fit.boundary, self.blocks
-        moves = fit.violation == 0
         h = fit.matrix[rows["dirichlet"]]
         h_x = fit.matrix[rows["flux"]]
         n = np.arange(len(a))
@@ -234,8 +242,8 @@ class InnerSolver:
         powers = model.shape(t).T                         # (K, times)
         # rows of dr/db^T; g depends on b only through -s' in the flux rows
         d = np.zeros((model.K, len(fit.residual)))
-        d[:, rows["dirichlet"]] = powers * (moves * (h_x @ a))
-        d[:, rows["flux"]] = powers * (moves * h_xx_a)
+        d[:, rows["dirichlet"]] = powers * (h_x @ a)
+        d[:, rows["flux"]] = powers * h_xx_a
         if self.spec.flux_data is None:
             d[:, rows["flux"]] += model.shape_dot(t).T
         u = fit.range_basis

@@ -201,7 +201,10 @@ def test_system_shape_without_initial_block(manufactured):
 def test_inadmissible_boundary_rejected(manufactured):
     solver, _ = manufactured
     bad = BoundaryModel(1.0, [5.0, 0.0])  # exceeds L = 2 for large t
-    with pytest.raises(ConfigurationError):
+    # the message named the band "0 < s(t) <= L"; it is [1e-6, L]
+    with pytest.raises(ConfigurationError,
+                       match=r"^need 1e-06 <= s\(t\) <= L at the collocation "
+                             r"times, got s\(1\)=6, L=2\.0$"):
         solver.system_for(bad)
 
 

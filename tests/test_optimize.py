@@ -372,11 +372,6 @@ def _closed_form_q_minus_2():
     ("reference", [0.1, 0.0, 0.0, 0.0, 0.0, 0.0]),
     ("manufactured", [0.3, 0.1]),
     ("q=-2", [0.4, 0.1]),
-    # s(t) = 1 - 2.3 t passes 0 near t = 0.435 and 1 + 3 t - 0.5 t^2 passes
-    # L = 2 near t = 0.35, neither at a grid time: the clamp is live, and
-    # the clipped times' rows do not move
-    ("below-0", [-2.3, 0.0]),
-    ("above-L", [3.0, -0.5]),
 ])
 def test_jacobian_gives_the_exact_gradient(case, b, manufactured,
                                            benchmark_solution):
@@ -399,9 +394,6 @@ def test_jacobian_gives_the_exact_gradient(case, b, manufactured,
     fit = solver.fit(T.BoundaryModel(solver.spec.l, b), clamp=True)
     if case == "q=-2":
         assert solver.table.f.shift == 2.0
-    if case in ("below-0", "above-L"):
-        s = fit.boundary.s_eval(fit.t)
-        assert np.any((s <= 0) | (s > solver.spec.L))
     r, jac = fit.residual, solver.jacobian(fit)
     oracle_gradient = np.empty_like(b)
     oracle_jac = np.empty_like(jac)
@@ -418,6 +410,24 @@ def test_jacobian_gives_the_exact_gradient(case, b, manufactured,
     u = fit.range_basis
     projected = oracle_jac - u @ (u.T @ oracle_jac)
     assert np.linalg.norm(projected - jac) <= 1e-6 * np.linalg.norm(jac)
+
+
+@pytest.mark.parametrize("b, message", [
+    ([-2.3, 0.0], r"got s\(1\)=-1\.3, L=2\.0"),
+    ([3.0, -0.5], r"got s\(1\)=3\.5, L=2\.0"),
+], ids=["below-0", "above-L"])
+def test_jacobian_refuses_a_clipped_fit(b, message, manufactured):
+    # s(t) = 1 - 2.3 t passes 0 near t = 0.435 and 1 + 3 t - 0.5 t^2 passes
+    # L = 2 near t = 0.35: the fit's s is clipped into the band, so its
+    # residual is not that of its boundary.  The search never asks for the
+    # Jacobian of such a fit, whose objective is inf
+    solver, _ = manufactured
+    fit = solver.fit(T.BoundaryModel(solver.spec.l, b), clamp=True)
+    assert fit.violation.any()
+    with pytest.raises(ConfigurationError,
+                       match=r"need 1e-06 <= s\(t\) <= L at the collocation "
+                             r"times, " + message):
+        solver.jacobian(fit)
 
 
 @pytest.mark.parametrize("degree, gate", [(16, 1e-9), (20, 1e-10)])
