@@ -852,6 +852,25 @@ def test_verbose_trace(config_path, tmp_path, capsys):
     assert lines[-1].startswith("converged: F = ")
 
 
+def test_smallest_traced_objective_is_the_returned_F(tmp_path, capsys,
+                                                     monkeypatch):
+    # the search summed r.r beside the fit's F = I1^2 + ... + I4^2: on this
+    # example the two differed by 5.7e-42.  The search now reads the fit's F
+    path = tmp_path / "docs.cfg"
+    path.write_text(_docs_example())
+    solutions, solve = [], cli.solve_free_boundary
+
+    def recorded(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(cli, "solve_free_boundary", recorded)
+    assert main(["solve", str(path), "--verbose",
+                 "--out", str(tmp_path / "o")]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:-1]]
+    assert min(float(row[1]) for row in rows) == solutions[0].fit.F
+
+
 @pytest.mark.parametrize("command, flags", [
     ("basis-dump", ["--K", "3"]),
     ("basis-dump", ["--verbose"]),
