@@ -10,6 +10,7 @@ slopes provides off-node evaluation and first derivatives, with no solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, require_count

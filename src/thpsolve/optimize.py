@@ -29,7 +29,8 @@ from .errors import (ConfigurationError, DomainError, OptimizationError,
 
 __all__ = ["DEFAULT_K", "minimize_boundary"]
 
-# the default degree K of the boundary polynomial
+# the default degree K of the boundary polynomial, which the command line
+# also reads to project an initial guess and to head the trace
 DEFAULT_K = 6
 
 # convergence: a step short relative to the Chebyshev coordinates c, or an
@@ -41,8 +42,9 @@ XTOL = FTOL = 1e-8
 INITIAL_DAMPING = 1e-3
 # a search whose final point has a trial that left the band after moving s
 # by at most this share of L, and no shorter step that lowered the
-# objective, ended pressed against the band (the square root of XTOL: the
-# steps of a converging search are far shorter)
+# objective, ended pressed against the band.  Measured: the last such trial
+# of a stalled search moved s by 4.6e-6 L, one from a fit at rounding
+# noise, which every step leaves no lower, by 0.4 L
 PRESSED_STEP = 1e-4
 
 
@@ -107,7 +109,7 @@ def minimize_boundary(solver: InnerSolver, K: int = DEFAULT_K,
         initial_b = np.zeros(K)
         initial_b[0] = 0.1
     b = np.array(initial_b, dtype=float)
-    if len(b) != K:
+    if b.shape != (K,):
         raise ConfigurationError(f"initial_b must have length K={K}")
     if not np.all(np.isfinite(b)):
         raise ConfigurationError(f"initial_b must be finite, got {b.tolist()}")
@@ -191,9 +193,8 @@ def _refuse_stall(fit: FitResult, trial: FitResult, L: float):
     is stationary for the problem held to the band (Kanzow, Yamashita &
     Fukushima 2004), not a solution of the free boundary problem.  The
     error names the bound and the time where the trial crossed it
-    furthest.  A longer step that left the band says nothing of the
-    final point: from a fit at rounding noise any step leaves it or
-    raises the objective."""
+    furthest.  A longer step that left the band says nothing of where the
+    search ended."""
     move = trial.s + trial.violation - fit.s
     if np.abs(move).max() > PRESSED_STEP * L:
         return

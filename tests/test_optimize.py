@@ -30,8 +30,11 @@ def test_settings_validation(manufactured):
                      trace=lambda *row: rows.append(row))
     with pytest.raises(ConfigurationError, match="K must be an integer >= 1"):
         search(K=0)
-    with pytest.raises(ConfigurationError, match=r"initial_b must have length K=3"):
-        search(K=3, initial_b=[0.1])
+    # a scalar start was a bare TypeError from len()
+    for bad in ([0.1], 0.1, [[0.1], [0.0], [0.0]]):
+        with pytest.raises(ConfigurationError,
+                           match=r"initial_b must have length K=3"):
+            search(K=3, initial_b=bad)
     with pytest.raises(ConfigurationError, match="max_iterations must be an integer"):
         search(K=2, max_iterations=0)
     # a NaN start failed only inside the search, as a DomainError
