@@ -12,7 +12,7 @@ which satisfy w_k'' = (x^2 - (2k + 1)) w_k, as the exact solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -105,18 +105,27 @@ def ei_inv(y):
 @dataclass(frozen=True, eq=False)
 class ExactBenchmark:
     """Problem instance plus its closed-form solution pair; both functions
-    take scalars or arrays (broadcast together for exact_u).  ``C`` is the
-    reference problem's constant, None for the other problems."""
+    take scalars or arrays (broadcast together for exact_u)."""
 
     spec: ProblemSpec
     exact_u: Callable
     exact_s: Callable
-    C: Optional[float] = None
+
+
+def _exact(q, L, T, exact_u, exact_s, exact_u_x=None) -> ExactBenchmark:
+    """The problem on [0, L] x [0, T] solved by the pair (exact_u, exact_s):
+    l = s(0) = 1, g1 = u(x, 0), g2 = u_x(0, t) = 0, g3 = u(s(t), t) and,
+    given ``exact_u_x``, the flux data u_x(s(t), t).  Each datum is a
+    callable, so any collocation grid takes it."""
+    flux = None if exact_u_x is None else lambda t: exact_u_x(exact_s(t), t)
+    spec = ProblemSpec(q=q, L=L, l=1.0, T=T, g1=lambda x: exact_u(x, 0.0),
+                       g2=lambda t: 0.0, g3=lambda t: exact_u(exact_s(t), t),
+                       flux_data=flux)
+    return ExactBenchmark(spec=spec, exact_u=exact_u, exact_s=exact_s)
 
 
 def exact_benchmark() -> ExactBenchmark:
-    """Reference problem with q = x^2; its Dirichlet data on the moving
-    boundary, u(s(t), t), is a callable, so any collocation grid takes it."""
+    """Reference problem with q = x^2 on [0, BENCHMARK_L] x [0, 1]."""
     C = 0.5 * ei(0.5) + 1.0
 
     def exact_s(t):
@@ -125,25 +134,16 @@ def exact_benchmark() -> ExactBenchmark:
     def exact_u(x, t):
         return np.exp(-0.5 * x * x - t)
 
-    spec = ProblemSpec(
-        q=lambda x: x * x,
-        L=BENCHMARK_L,
-        l=1.0,
-        T=1.0,
-        g1=lambda x: np.exp(-0.5 * x * x),
-        g2=lambda t: 0.0,
-        g3=lambda t: exact_u(exact_s(t), t),
-    )
-    return ExactBenchmark(spec=spec, C=C, exact_u=exact_u, exact_s=exact_s)
+    return _exact(lambda x: x * x, BENCHMARK_L, 1.0, exact_u, exact_s)
 
 
 def hermite_benchmark(beta: float, T: float) -> ExactBenchmark:
     """Problem with q = x^2 - beta on [0, 2], l = 1 and final time ``T``,
     whose exact solution is u = w_0 e^((beta - 1) t) + 0.3 w_2 e^((beta - 5) t)
     with w_0 = e^(-x^2/2) and w_2 = (4x^2 - 2) e^(-x^2/2), and whose boundary
-    is s = 1 + sin(2t)/2.  u_x(0, t) = 0 since both modes are even; g3 and
-    the flux data are the traces u(s(t), t) and u_x(s(t), t).  For
-    beta >= 0 the spectral shift is beta, and f is never constant."""
+    is s = 1 + sin(2t)/2.  u_x(0, t) = 0 since both modes are even; the flux
+    data are given.  For beta >= 0 the spectral shift is beta, and f is
+    never constant."""
 
     def exact_s(t):
         return 1.0 + 0.5 * np.sin(2.0 * t)
@@ -159,14 +159,4 @@ def hermite_benchmark(beta: float, T: float) -> ExactBenchmark:
         return x * np.exp(-0.5 * x * x) * (-np.exp((beta - 1.0) * t)
                                            + 0.3 * (8.0 - h2) * np.exp((beta - 5.0) * t))
 
-    spec = ProblemSpec(
-        q=lambda x: x * x - beta,
-        L=2.0,
-        l=1.0,
-        T=T,
-        g1=lambda x: exact_u(x, 0.0),
-        g2=lambda t: 0.0,
-        g3=lambda t: exact_u(exact_s(t), t),
-        flux_data=lambda t: exact_u_x(exact_s(t), t),
-    )
-    return ExactBenchmark(spec=spec, exact_u=exact_u, exact_s=exact_s)
+    return _exact(lambda x: x * x - beta, 2.0, T, exact_u, exact_s, exact_u_x)

