@@ -168,3 +168,20 @@ def test_prepare_refuses_a_float_degree():
     with pytest.raises(ConfigurationError, match="degree"):
         prepare(spec, mesh_points=101, degree=False)
     assert prepare(spec, mesh_points=101, degree=np.int32(2)).degree == 2
+
+
+@pytest.mark.parametrize("case, mesh_points, top, degrees", [
+    ("basis", 20001, 20, (0, 2, 7, 19)),
+    ("reference", 2001, 12, (5,)),
+], ids=["basis", "reference"])
+def test_table_does_not_depend_on_the_degree_built_to(case, mesh_points, top,
+                                                      degrees):
+    # row n of the table is the same bits whatever degree it is built to,
+    # so a command may build only the degrees it writes
+    spec = (ProblemSpec(q=lambda x: x * x, L=2.0, l=1.0, T=1.0,
+                        g3=lambda t: 1.0)
+            if case == "basis" else exact_benchmark().spec)
+    full = prepare(spec, mesh_points, top).values
+    for k in degrees:
+        assert np.array_equal(prepare(spec, mesh_points, k).values,
+                              full[:k + 1])

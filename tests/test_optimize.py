@@ -176,6 +176,20 @@ def test_fewer_times_than_boundary_coefficients_is_a_config_error(
         T.minimize_boundary(solver, K=6)
 
 
+def test_collocation_time_floor_sits_above_k(neumann_stefan):
+    # the n_t >= K refusal lets n_t = K = 6 through, but at 24/6 that search
+    # used up its 400 trial points at objective 2.274209e-07; n_t = 8
+    # converged to a boundary error of 2.3e-6
+    spec, exact_s, _ = neumann_stefan(0.5, 1.0, 1.0)
+    table = T.prepare(spec, degree=24)
+    with pytest.raises(T.OptimizationError,
+                       match=r"did not converge within max_iterations = 400"):
+        T.minimize_boundary(T.InnerSolver(spec, table, 100, 6), K=6)
+    solution = T.solve_free_boundary(T.InnerSolver(spec, table, 100, 8), K=6)
+    ts = np.linspace(0.0, 1.0, 201)
+    assert np.max(np.abs(solution.s_eval(ts) - exact_s(ts))) <= 1e-5
+
+
 def test_search_fits_once_per_trial_point(benchmark_solution, monkeypatch):
     # the search returned a refit at the converged b, one inner fit more
     # than its trial points (7 against 6 on the reference problem); the
