@@ -141,9 +141,9 @@ def hermite_benchmark(beta: float, T: float) -> ExactBenchmark:
     """Problem with q = x^2 - beta on [0, 2], l = 1 and final time ``T``,
     whose exact solution is u = w_0 e^((beta - 1) t) + 0.3 w_2 e^((beta - 5) t)
     with w_0 = e^(-x^2/2) and w_2 = (4x^2 - 2) e^(-x^2/2), and whose boundary
-    is s = 1 + sin(2t)/2.  u_x(0, t) = 0 since both modes are even; the flux
-    data are given.  For beta >= 0 the spectral shift is beta, and f is
-    never constant."""
+    is s = 1 + sin(2t)/2.  u_x(0, t) = 0 since both modes are even; its flux
+    data u_x(s(t), t) replace the melt-rate condition.  For beta >= 0 the
+    spectral shift is beta, and f is never constant."""
 
     def exact_s(t):
         return 1.0 + 0.5 * np.sin(2.0 * t)
