@@ -4,6 +4,8 @@ Two interleaved sequences of recursive integrals against f^2 and f^-2
 produce functions phi_n that play the role of x^n for the perturbed
 operator d^2/dx^2 - q(x).  Their first derivatives come out in closed form
 from the same recursion, so no numerical differentiation is involved.
+Where the shifted potential q + c vanishes, phi_n = x^n, and the
+monomials are written directly instead of approximated by quadrature.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ class FormalPowerTable:
 def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
     """Run the recursive-integral construction up to index ``degree``,
     with one :func:`cumulative_integral` call per degree on the (2, P)
-    stack of both chains.
+    stack of both chains.  Where the shifted potential q + c is zero at
+    every node, f = 1 and the rows are the monomials (x^n, n x^(n-1)),
+    each made from the row before by a multiply, with no integral.
 
     The chains write straight into the table's values, which are not
     copied.  Raises DomainError naming the first degree whose values leave
@@ -81,6 +85,12 @@ def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
     work = np.empty_like(chains)    # the integrands, then n * prev / f
     try:
         with np.errstate(over="raise", invalid="raise"):
+            if not f.q.values.any():
+                # q + c = 0: f = 1 and phi_n = x^n, with no quadrature error
+                for n in range(1, degree + 1):
+                    np.multiply(rows[n - 1, 0], mesh.nodes, out=rows[n, 0])
+                    np.multiply(n, rows[n - 1, 0], out=rows[n, 1])
+                return FormalPowerTable(values=rows, f=f)
             for n in range(1, degree + 1):
                 prev = chains[1]
                 chains = cumulative_integral(
