@@ -1060,13 +1060,17 @@ def test_overflowing_residual_norm_exits_numeric(tmp_path, capsys):
      ["--n", "1100", "--N", "1100", "--mesh", "201"], 201),
     ("solve", "q = 0\nl = 1\nl_domain = 100\nt_final = 0.1\ng3 = 1\n",
      ["--N", "160"], 2001),
-], ids=["basis-dump", "solve"])
+    ("basis-dump", "q = x\nl = 1\nl_domain = 2\nt_final = 1\ng3 = 1\n",
+     ["--n", "1100", "--N", "1100", "--mesh", "201"], 201),
+], ids=["basis-dump", "solve", "basis-dump-recursion"])
 def test_formal_power_past_float_range_exits_numeric(command, config, flags,
                                                      mesh_points, tmp_path,
                                                      capsys):
     # phi_n outgrew a float with four numpy RuntimeWarnings: basis-dump
     # wrote inf and nan into 200 of phi.csv's 201 rows and solve reported
-    # convergence (F = 8.8e-29) on a table holding nan, both with exit 0
+    # convergence (F = 8.8e-29) on a table holding nan, both with exit 0.
+    # The q = 0 rows overflow in the monomials x^n; q = x overflows in the
+    # recursion, at phi_631
     path = tmp_path / "phi.cfg"
     path.write_text(config)
     inputs = [str(path), *flags, "--out", str(tmp_path / "o")]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,53 @@ def test_monomials_for_zero_potential(table_q0):
     nodes = table_q0.mesh.nodes
     for n in range(13):
         assert np.max(np.abs(table_q0.values[n, 0] - nodes ** n)) < 1e-10
+
+
+def test_spectral_series_cancels_the_unit_potential(table_q1):
+    # the recursion at every degree: for u'' - q u = lam u the series
+    # sum lam^k phi_2k / (2k)! and sum lam^k phi_(2k+1) / (2k+1)! are the
+    # solutions with (u, u')(0) = (1, 0) and (0, 1) (Kravchenko & Porter
+    # 2010); with q = 1 and lam = -1 they are 1 and x
+    phi, x = table_q1.values[:, 0], table_q1.mesh.nodes
+    even = sum((-1) ** k * phi[2 * k] / math.factorial(2 * k)
+               for k in range(7))
+    odd = sum((-1) ** k * phi[2 * k + 1] / math.factorial(2 * k + 1)
+              for k in range(6))
+    assert np.max(np.abs(even - 1.0)) < 1e-9
+    assert np.max(np.abs(odd - x)) < 1e-9
+
+
+@pytest.mark.parametrize("q", [0.0, -20.0])
+def test_vanishing_shifted_potential_gives_monomials(q, integral_calls):
+    # q + c = 0 (c = 20 for q = -20): f = 1 and the rows are x^n and
+    # n x^(n-1) to rounding, made with no quadrature; the only integrals
+    # are the particular solution's first series term
+    mesh = UniformMesh(2.0, 2001)
+    f = solve_particular(SampledFunction(mesh, np.full(mesh.n_points, q)))
+    table = build_formal_powers(f, 40)
+    x = mesh.nodes
+    assert np.array_equal(table.values[0], [np.ones_like(x), np.zeros_like(x)])
+    for n in range(1, 41):
+        power, slope = x ** n, n * x ** (n - 1)
+        assert np.all(np.abs(table.values[n, 0] - power)
+                      <= n * np.spacing(power))
+        assert np.all(np.abs(table.values[n, 1] - slope)
+                      <= n * np.spacing(slope))
+    assert integral_calls == [(mesh.n_points,)] * 2
+
+
+def test_monomials_resolved_at_every_degree():
+    # q = 0 on [0, 2] with 201 nodes: the recursion's phi_n drifted from
+    # x^n once the mesh no longer resolved it, by 1.7e1 of max |x^n| at
+    # phi_200 and 6.9e102 at phi_600, and nothing reported it
+    mesh = UniformMesh(2.0, 201)
+    f = solve_particular(SampledFunction(mesh, np.zeros(mesh.n_points)))
+    table = build_formal_powers(f, 600)
+    x, eps = mesh.nodes, np.finfo(float).eps
+    for n in range(1, 601):
+        power, slope = x ** n, n * x ** (n - 1)
+        assert np.max(np.abs(table.values[n, 0] - power)) <= 4 * eps * power[-1]
+        assert np.max(np.abs(table.values[n, 1] - slope)) <= 4 * eps * slope[-1]
 
 
 def test_phi0_is_f(table_q1):
@@ -133,18 +182,22 @@ def test_dtype_follows_the_branch(q, L, dtype):
     assert [a.dtype for a in arrays] == [dtype] * 4
 
 
-def test_ode_property_on_complex_branch():
+@pytest.mark.parametrize("slope", [0.0, 1.0], ids=["q=-20", "q=x-20"])
+def test_ode_property_on_complex_branch(slope):
     # q = -20 on [0, 2] once took the y1 + i y2 branch (y1 = cos(sqrt(20) x)
     # changes sign); the table is now real, built for q + c = 0, so phi_n is
-    # x^n, and (d^2/dx^2 - (q + c)) phi_n = n (n-1) phi_(n-2) at the nodes
+    # x^n, and (d^2/dx^2 - (q + c)) phi_n = n (n-1) phi_(n-2) at the nodes.
+    # q = x - 20 has the same shift c = 20 but q + c = x, so the recursion
+    # builds its table
     mesh = UniformMesh(2.0, 2001)
-    f = solve_particular(SampledFunction(mesh, np.full(mesh.n_points, -20.0)))
+    x = mesh.nodes
+    f = solve_particular(SampledFunction(mesh, slope * x - 20.0))
     table = build_formal_powers(f, 12)
     assert table.values.dtype == np.float64 and f.shift == 20.0
     phi = table.values[:, 0]
-    x = mesh.nodes
     for n in (2, 3, 6, 9, 12):
-        assert np.max(np.abs(phi[n] - x ** n)) <= 1e-12 * 2.0 ** n
+        if slope == 0.0:
+            assert np.max(np.abs(phi[n] - x ** n)) <= 1e-12 * 2.0 ** n
         second = (phi[n, 2:] - 2 * phi[n, 1:-1] + phi[n, :-2]) / mesh.h ** 2
         lhs = second - f.q.values[1:-1] * phi[n, 1:-1]
         rhs = n * (n - 1) * phi[n - 2, 1:-1]
@@ -173,14 +226,17 @@ def test_prepare_refuses_a_float_degree():
 @pytest.mark.parametrize("case, mesh_points, top, degrees", [
     ("basis", 20001, 20, (0, 2, 7, 19)),
     ("reference", 2001, 12, (5,)),
-], ids=["basis", "reference"])
+    ("q=0", 2001, 20, (0, 2, 7, 19)),
+], ids=["basis", "reference", "q=0"])
 def test_table_does_not_depend_on_the_degree_built_to(case, mesh_points, top,
                                                       degrees):
     # row n of the table is the same bits whatever degree it is built to,
     # so a command may build only the degrees it writes
-    spec = (ProblemSpec(q=lambda x: x * x, L=2.0, l=1.0, T=1.0,
-                        g3=lambda t: 1.0)
-            if case == "basis" else exact_benchmark().spec)
+    spec = {"basis": lambda: ProblemSpec(q=lambda x: x * x, L=2.0, l=1.0,
+                                         T=1.0, g3=lambda t: 1.0),
+            "reference": lambda: exact_benchmark().spec,
+            "q=0": lambda: ProblemSpec(q=lambda x: 0.0, L=2.0, l=1.0, T=1.0,
+                                       g3=lambda t: 1.0)}[case]()
     full = prepare(spec, mesh_points, top).values
     for k in degrees:
         assert np.array_equal(prepare(spec, mesh_points, k).values,
