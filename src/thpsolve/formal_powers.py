@@ -75,22 +75,24 @@ def build_formal_powers(f: ParticularSolution, degree: int) -> FormalPowerTable:
     # rows[n] = (phi_n, phi_n') node values, one contiguous row each
     rows = np.empty((degree + 1, 2, mesh.n_points))
     rows[0] = fv, fpv
-    # X^(n) integrates against 1/f^2 for odd n and f^2 for even n, X~(n)
-    # the other way round, and phi_n is made of X^(n) for odd n and X~(n)
-    # for even n.  So the stack holds that chain first, reversing at every
-    # degree, and its weights stay (1/f^2, f^2).  Only the last term of each
-    # chain is live, which keeps the working set at a few mesh-sized arrays.
-    weights = np.stack([1.0 / f2, f2])
-    chains = np.ones((2, mesh.n_points))
-    work = np.empty_like(chains)    # the integrands, then n * prev / f
     try:
         with np.errstate(over="raise", invalid="raise"):
             if not f.q.values.any():
                 # q + c = 0: f = 1 and phi_n = x^n, with no quadrature error
+                x = mesh.nodes
                 for n in range(1, degree + 1):
-                    np.multiply(rows[n - 1, 0], mesh.nodes, out=rows[n, 0])
+                    np.multiply(rows[n - 1, 0], x, out=rows[n, 0])
                     np.multiply(n, rows[n - 1, 0], out=rows[n, 1])
                 return FormalPowerTable(values=rows, f=f)
+            # X^(n) integrates against 1/f^2 for odd n and f^2 for even n,
+            # X~(n) the other way round, and phi_n is made of X^(n) for odd
+            # n and X~(n) for even n.  So the stack holds that chain first,
+            # reversing at every degree, and its weights stay (1/f^2, f^2).
+            # Only the last term of each chain is live, which keeps the
+            # working set at a few mesh-sized arrays.
+            weights = np.stack([1.0 / f2, f2])
+            chains = np.ones((2, mesh.n_points))
+            work = np.empty_like(chains)    # the integrands, then n * prev / f
             for n in range(1, degree + 1):
                 prev = chains[1]
                 chains = cumulative_integral(

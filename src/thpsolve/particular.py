@@ -3,7 +3,8 @@
 The solution is built as a power series of iterated integrals: starting from
 the seed 1 each term is obtained by integrating against q + c and then
 against 1.  The series converges factorially on a bounded interval, so a
-handful of terms at tolerance 1e-14 suffices.
+handful of terms at tolerance 1e-14 suffices.  Where q + c vanishes at every
+node, f = 1 and f' = 0 exactly, with no series term.
 
 The spectral shift c = max(0, -min q) makes q + c >= 0, so the exact f
 is real, convex and at least 1 for every real q (Kravchenko & Porter
@@ -55,8 +56,11 @@ def _series_solution(q: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     (y, y') at the same nodes: the solution of y'' = q y with y(0) = 1,
     y'(0) = 0.  Each iteration maps T -> integral of (integral of q*T), two
     :func:`cumulative_integral` calls on plain arrays, so T solves y'' = q y
-    term by term.
+    term by term.  Where q is zero at every node the solution is y = 1,
+    y' = 0 exactly, returned with no series term.
     """
+    if not q.any():
+        return np.ones(q.shape), np.zeros(q.shape)
     term = np.ones(q.shape)
     total = term.copy()
     total_prime = np.zeros_like(term)

@@ -221,6 +221,25 @@ def _edited_docs_example(drop=(), **values) -> str:
     return "\n".join(lines) + "\n"
 
 
+def test_prepare_reads_the_mesh_nodes_twice_on_the_docs_example(
+        tmp_path, monkeypatch):
+    # UniformMesh.nodes runs linspace on every read: q = 0 tabulates q on
+    # the nodes once and writes the monomial rows from them once, not once
+    # per degree
+    path = tmp_path / "example.cfg"
+    path.write_text(_docs_example())
+    spec = cli.build_spec(cli.load_config(str(path)))
+    reads = []
+    nodes = thpsolve.UniformMesh.nodes.fget
+
+    def counted(mesh):
+        reads.append(mesh)
+        return nodes(mesh)
+    monkeypatch.setattr(thpsolve.UniformMesh, "nodes", property(counted))
+    thpsolve.prepare(spec, 2001, 12)
+    assert len(reads) <= 2
+
+
 FEW_ROWS_CONFIG = """\
 q = 0
 l = 1

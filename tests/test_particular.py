@@ -153,7 +153,7 @@ def test_basis_solves_the_equation_where_unshifted_y1_vanishes():
 def test_two_integrals_per_series_term(mesh01, integral_calls):
     solve_particular(SampledFunction(mesh01, np.full(mesh01.n_points, 0.0)))
     one_row = (mesh01.n_points,)
-    assert integral_calls == [one_row] * 2   # q = 0: the first term vanishes
+    assert integral_calls == []   # q = 0: f = 1 with no series term
     # q = 1 on [0, 1]: term k has sup-norm 1/(2k)!, and the series stops at
     # the first term below the tolerance times max |f| = cosh(1)
     terms = next(k for k in itertools.count(1)
@@ -161,6 +161,28 @@ def test_two_integrals_per_series_term(mesh01, integral_calls):
     integral_calls.clear()
     solve_particular(SampledFunction(mesh01, np.full(mesh01.n_points, 1.0)))
     assert integral_calls == [one_row] * (2 * terms)
+
+
+@pytest.mark.parametrize("q", [0.0, -20.0])
+def test_vanishing_shifted_potential_skips_the_series(q, integral_calls):
+    # q + c = 0 at every node (c = 20 for q = -20): f = 1 and f' = +0.0
+    # exactly, the bits the series gave after one term, with no integral
+    m = UniformMesh(2.0, 2001)
+    sol = solve_particular(SampledFunction(m, np.full(m.n_points, q)))
+    assert np.all(sol.f.values == 1.0)
+    assert np.all(sol.f_prime.values == 0.0)
+    assert not np.signbit(sol.f_prime.values).any()
+    assert integral_calls == []
+
+
+def test_one_nonzero_node_runs_the_series(integral_calls):
+    # q + c = 0 at every node but one interior node is not the skip
+    m = UniformMesh(2.0, 2001)
+    q = np.zeros(m.n_points)
+    q[1000] = 1e-3
+    sol = solve_particular(SampledFunction(m, q))
+    assert integral_calls
+    assert np.all(sol.f.values[1001:] > 1.0)
 
 
 def test_unresolved_potential_gives_f_below_one():
